@@ -72,7 +72,7 @@ from .equilibria import (
     find_equilibrium_conservative,
     perturbed_existence,
 )
-from .sampling import ball_points, default_direction_count, sphere_points, unit_directions
+from .sampling import ball_points, default_direction_count, unit_directions
 
 __all__ = [
     "__version__",
@@ -142,7 +142,6 @@ __all__ = [
     "perturbed_existence",
     # sampling
     "unit_directions",
-    "sphere_points",
     "ball_points",
     "default_direction_count",
 ]

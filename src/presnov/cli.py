@@ -25,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomposition import decompose_many, verify_decomposition
+from .decomposition import _verify_split, decompose_many
 from .dsl import parse_field
 from .errors import (
     CatalogError,
@@ -65,6 +65,13 @@ def _parse_floats(text, flag):
         return [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
         raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+
+
+def _config(cls, **kwargs):
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _build_field(args):
@@ -133,10 +140,14 @@ def _resolve_points(args, field):
                     rows.append(_parse_floats(line, "points file line"))
         if not rows:
             raise UsageError(f"points file {args.points_file!r} contains no points")
+        if len({len(row) for row in rows}) > 1:
+            raise UsageError(f"points file {args.points_file!r} has rows of different lengths")
         pts = np.array(rows)
         spec = {"kind": "file", "path": args.points_file, "count": len(rows)}
     else:
         count = args.sample if args.sample is not None else 10
+        if count < 1:
+            raise UsageError("--sample must be at least 1")
         pts = ball_points(field.dimension, count, args.sample_radius, args.seed)
         spec = {
             "kind": "sample",
@@ -178,7 +189,8 @@ def _emit(report, args, elapsed):
 
 
 def _quad_config(args):
-    return QuadratureConfig(
+    return _config(
+        QuadratureConfig,
         order=args.quad_order,
         abs_tol=args.abs_tol,
         rel_tol=args.rel_tol,
@@ -210,7 +222,7 @@ def _cmd_decompose(args):
     report = _base_report("decompose", field, source, config)
 
     split = decompose_many(field, points, quad)
-    verification = verify_decomposition(field, points, quad, threshold=args.threshold)
+    verification = _verify_split(field, split, quad, args.threshold)
     report["payload"] = {
         "samples": [
             {
@@ -259,7 +271,8 @@ def _probe_payload(probe_report):
 
 def _cmd_coercivity(args):
     field, source = _build_field(args)
-    probe_cfg = ProbeConfig(
+    probe_cfg = _config(
+        ProbeConfig,
         initial_radius=args.initial_radius,
         radius_factor=args.radius_factor,
         radius_count=args.radius_count,
@@ -328,8 +341,13 @@ def _cmd_equilibria(args):
     field, source = _build_field(args)
     if (args.radius is None) == (args.perturb is None):
         raise UsageError("specify exactly one of --radius or --perturb")
+    if args.radius is not None and not args.radius > 0.0:
+        raise UsageError("--radius must be positive")
+    if args.cert_samples is not None and args.cert_samples < 1:
+        raise UsageError("--cert-samples must be at least 1")
     quad = _quad_config(args)
-    solver = SolverConfig(
+    solver = _config(
+        SolverConfig,
         residual_tol=args.solver_tol,
         max_iterations=args.max_iterations,
         multistart=args.multistart,
@@ -497,8 +515,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
+        if args.seed < 0:
+            raise UsageError("--seed must be non-negative")
         report, code = args.handler(args)
-    except (ParseError, CatalogError, UsageError, FileNotFoundError) as exc:
+    # A command raises OSError only when reading --field-file or --points-file.
+    except (ParseError, CatalogError, UsageError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NoCertifiedRadiusError, CertificateError) as exc:

@@ -18,12 +18,14 @@ Two independent gradient routes are provided and cross-checked:
 * ``gradient_potential``: central finite differences of the potential,
   one adaptive quadrature per shifted evaluation (the primary route);
 * ``gradient_potential_integral``: differentiation under the integral
-  sign, integrating X_i(t x) + t * <dX/dx_i(t x), x> over t in [0, 1],
-  with the field derivatives taken by central differences.
+  sign, integrating X_i(t x) + t * <dX/dx_i(t x), x> over t in [0, 1].
 
 Both routes are batched over points: the shifted potentials (or the
 integrand components) are stacked into one vector-valued adaptive
 quadrature so a single field call covers all Gauss nodes of a panel.
+Both take their derivatives, as does the Newton Jacobian of
+``equilibria``, from one central-difference stencil (``_fd_probes``,
+``_fd_derivatives``).
 """
 
 from __future__ import annotations
@@ -116,38 +118,38 @@ def compute_potential(field: VectorField, point, config: QuadratureConfig | None
     return float(values[0]), float(errors[0])
 
 
-def _fd_steps(pts):
-    return _FD_SCALE * np.maximum(1.0, np.abs(pts))
+def _fd_probes(field, centers):
+    """Probes (m, 2n + 1, n) around the rows x of ``centers`` and steps (m, n).
+
+    Row 0 is x, rows 2i + 1 and 2i + 2 are x + h_i e_i and x - h_i e_i,
+    with h_i = _FD_SCALE * max(1, |x_i|).  Probes outside the field's
+    domain raise DomainError.
+    """
+    m, n = centers.shape
+    steps = _FD_SCALE * np.maximum(1.0, np.abs(centers))
+    probes = np.repeat(centers[:, None, :], 2 * n + 1, axis=1)
+    # In a flattened (2n + 1, n) block, entry (2i + 1, i) sits at offset
+    # n + i (2n + 1) and entry (2i + 2, i) at 2n + i (2n + 1).
+    probes.reshape(m, -1)[:, n :: 2 * n + 1] += steps
+    probes.reshape(m, -1)[:, 2 * n :: 2 * n + 1] -= steps
+    if not field.domain.contains_all(probes):
+        raise DomainError("insufficient clearance to the ball boundary for finite differences")
+    return probes, steps
 
 
-def _fd_scale_at(centers):
-    return _FD_SCALE * np.maximum(1.0, np.abs(centers))
-
-
-def _check_clearance(field, shifted):
-    if field.domain.radius is not None:
-        norms = np.linalg.norm(shifted.reshape(-1, field.dimension), axis=1)
-        if norms.max() > field.domain.radius * (1.0 + 1e-9):
-            raise DomainError(
-                "insufficient clearance to the ball boundary for finite differences"
-            )
+def _fd_derivatives(values, steps):
+    """Derivatives (m, n, ...) from values (m, 2n, ...) at probe rows 1..2n."""
+    steps = steps.reshape(steps.shape + (1,) * (values.ndim - 2))
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
 
 
 def _gradient_with_errors(field, pts, cfg):
     m, n = pts.shape
-    steps = _fd_steps(pts)
-    offsets = np.zeros((m, 2 * n, n))
-    idx = np.arange(n)
-    offsets[:, 2 * idx, idx] = steps
-    offsets[:, 2 * idx + 1, idx] = -steps
-    shifted = pts[:, None, :] + offsets
-    _check_clearance(field, shifted)
-    values, errors = potential_many(field, shifted.reshape(m * 2 * n, n), cfg)
-    values = values.reshape(m, 2 * n)
+    probes, steps = _fd_probes(field, pts)
+    values, errors = potential_many(field, probes[:, 1:].reshape(m * 2 * n, n), cfg)
+    grads = _fd_derivatives(values.reshape(m, 2 * n), steps)
     errors = errors.reshape(m, 2 * n)
-    grads = (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
-    grad_errors = (errors[:, 0::2] + errors[:, 1::2]) / (2.0 * steps)
-    return grads, grad_errors
+    return grads, (errors[:, 0::2] + errors[:, 1::2]) / (2.0 * steps)
 
 
 def gradient_potential_many(field: VectorField, points, config: QuadratureConfig | None = None):
@@ -195,28 +197,14 @@ def gradient_potential_integral_many(
 
         def integrand(ts, base=base, b=b, peaks=field_peak):
             q = ts.size
-            centers = ts[:, None, None] * base[None, :, :]  # (q, b, n)
-            steps = _fd_scale_at(centers)
-            probes = np.empty((q, b, 2 * n + 1, n))
-            probes[:, :, 0, :] = centers
-            idx = np.arange(n)
-            probes[:, :, 1 + 2 * idx, :] = centers[:, :, None, :]
-            probes[:, :, 2 + 2 * idx, :] = centers[:, :, None, :]
-            for i in range(n):
-                probes[:, :, 1 + 2 * i, i] += steps[:, :, i]
-                probes[:, :, 2 + 2 * i, i] -= steps[:, :, i]
-            _check_clearance(field, probes)
-            vals = field.evaluate_many(probes.reshape(-1, n)).reshape(q, b, 2 * n + 1, n)
-            np.maximum(peaks, np.abs(vals).max(axis=(0, 2, 3)), out=peaks)
-            center_vals = vals[:, :, 0, :]
-            # d_i has shape (q, b, n): the derivative of X along coordinate i.
-            out_qbn = np.empty((q, b, n))
-            for i in range(n):
-                d_i = (vals[:, :, 1 + 2 * i, :] - vals[:, :, 2 + 2 * i, :]) / (
-                    2.0 * steps[:, :, i][:, :, None]
-                )
-                out_qbn[:, :, i] = np.einsum("qbn,bn->qb", d_i, base)
-            g = center_vals + ts[:, None, None] * out_qbn
+            # Row k = q_i * b + b_i is node t_{q_i} base[b_i]; jac_t[k, i, j] is dX_j/dx_i there.
+            centers = (ts[:, None, None] * base[None, :, :]).reshape(q * b, n)
+            probes, steps = _fd_probes(field, centers)
+            vals = field.evaluate_many(probes.reshape(-1, n)).reshape(q * b, 2 * n + 1, n)
+            np.maximum(peaks, np.abs(vals).reshape(q, b, -1).max(axis=(0, 2)), out=peaks)
+            jac_t = _fd_derivatives(vals[:, 1:], steps)
+            jac_t_x = np.einsum("kij,kj->ki", jac_t, np.tile(base, (q, 1)))
+            g = vals[:, 0, :] + np.repeat(ts, b)[:, None] * jac_t_x
             return g.reshape(q, b * n)
 
         val, _ = integrate_unit(integrand, cfg, noise_floor=noise_floor)
@@ -382,8 +370,12 @@ def verify_decomposition(
     threshold: float = 1e-6,
 ) -> VerificationReport:
     cfg = config if config is not None else DEFAULT_QUADRATURE
-    pts = _as_points(field, points)
-    split = decompose_many(field, pts, cfg)
+    return _verify_split(field, decompose_many(field, points, cfg), cfg, threshold)
+
+
+def _verify_split(field, split, cfg, threshold):
+    """The checks of ``verify_decomposition`` on a split already computed."""
+    pts = split.points
     scale = (1.0 + np.linalg.norm(pts, axis=1)) * (
         1.0 + np.linalg.norm(split.field_values, axis=1)
     )

@@ -4,8 +4,9 @@ A passing boundary certificate on a sphere (strict positivity of
 <X(x), x> on sampled boundary points) is the numerical stand-in for the
 hypothesis that guarantees a zero of the field inside the open ball, and
 the radial equality makes the same certificate cover the conservative
-part.  The solver then has only to find a witness: damped Newton with a
-finite-difference Jacobian, backtracking line search on the merit
+part.  The solver then has only to find a witness: damped Newton with
+the central-difference Jacobian of ``decomposition``'s stencil,
+backtracking line search on the merit
 function |X(x)|^2 / 2, a gradient-descent fallback when the Jacobian is
 unusable, and seeded multistart inside the ball.  Iterates that leave
 the ball are pulled back radially to 0.999 of its radius.
@@ -28,7 +29,8 @@ from typing import Optional
 
 import numpy as np
 
-from .decomposition import ConservativePart, compute_potential, potential_many
+from .decomposition import ConservativePart, _fd_derivatives, _fd_probes, compute_potential
+from .decomposition import potential_many
 from .errors import CertificateError, NoCertifiedRadiusError
 from .fields import ShiftedField, VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -51,7 +53,6 @@ __all__ = [
     "perturbed_existence",
 ]
 
-_FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 _PROJECTION = 0.999
 _DEGENERATE_COND = 1e12
 
@@ -78,9 +79,10 @@ class EquilibriumResult:
 
     ``degenerate`` flags a near-singular Jacobian at the solution
     (condition estimate above 1e12), which distinguishes isolated zeros
-    from continua.  ``minimizer_check`` is set only by the conservative
-    solve: True when the located point is a local near-minimizer of the
-    potential along probe directions.
+    from continua.  ``iterations`` counts the Newton steps taken from the
+    start whose point is returned.  ``minimizer_check`` is set only by the
+    conservative solve: True when the located point is a local
+    near-minimizer of the potential along probe directions.
     """
 
     point: np.ndarray
@@ -110,15 +112,10 @@ class PerturbedExistenceResult:
 
 
 def _fd_jacobian(field, x):
-    n = x.size
-    steps = _FD_SCALE * np.maximum(1.0, np.abs(x))
-    probes = np.repeat(x[None, :], 2 * n, axis=0)
-    idx = np.arange(n)
-    probes[2 * idx, idx] += steps
-    probes[2 * idx + 1, idx] -= steps
-    values = field.evaluate_many(probes)
+    probes, steps = _fd_probes(field, x[None, :])
+    values = field.evaluate_many(probes[0, 1:])
     # Column i is dX/dx_i.
-    return (values[0::2] - values[1::2]).T / (2.0 * steps)
+    return _fd_derivatives(values[None], steps)[0].T
 
 
 def _is_degenerate(jac):
@@ -139,14 +136,13 @@ def _project(x, radius):
 
 
 def _newton_from(field, x0, radius, cfg):
-    """One damped-Newton run; returns (point, residual, iterations, converged)."""
+    """One damped-Newton run; returns (point, residual, steps taken, converged)."""
     x = _project(np.array(x0, dtype=float), radius)
     fx = field.evaluate(x)
     res = float(np.linalg.norm(fx))
     best_x, best_res = x.copy(), res
-    for iteration in range(cfg.max_iterations):
-        if res <= cfg.residual_tol:
-            return x, res, iteration, True
+    taken = 0
+    while taken < cfg.max_iterations and res > cfg.residual_tol:
         jac = _fd_jacobian(field, x)
         merit_grad = jac.T @ fx
         try:
@@ -175,11 +171,12 @@ def _newton_from(field, x0, radius, cfg):
             alpha *= 0.5
         if not moved:
             break  # line search stalled
+        taken += 1
         if res < best_res:
             best_x, best_res = x.copy(), res
     if res <= cfg.residual_tol:
-        return x, res, cfg.max_iterations, True
-    return best_x, best_res, cfg.max_iterations, False
+        return x, res, taken, True
+    return best_x, best_res, taken, False
 
 
 def _solve_multistart(field, radius, cfg):
@@ -192,8 +189,8 @@ def _solve_multistart(field, radius, cfg):
         if converged:
             return x, res, index + 1, iters, True
         if best is None or res < best[1]:
-            best = (x, res, index + 1, iters)
-    x, res, attempted, iters = best
+            best = (x, res, iters)
+    x, res, iters = best
     return x, res, len(starts), iters, False
 
 
@@ -263,12 +260,9 @@ def _near_minimizer_check(source, x, radius, quad_cfg, seed):
     directions = np.vstack((axes, extra))
     h0, _ = compute_potential(source, x, quad_cfg)
     probes = x[None, :] + delta * directions
-    if source.domain.radius is not None:
-        norms = np.linalg.norm(probes, axis=1)
-        keep = norms <= source.domain.radius
-        probes = probes[keep]
-        if probes.shape[0] == 0:
-            return True
+    probes = probes[source.domain.contains(probes)]
+    if probes.shape[0] == 0:
+        return True
     values, _ = potential_many(source, probes, quad_cfg)
     tol = 1e-9 * (1.0 + abs(h0))
     return bool(np.all(h0 <= values + tol))

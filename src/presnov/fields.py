@@ -60,11 +60,14 @@ class Domain:
     def is_full_space(self) -> bool:
         return self.radius is None
 
-    def contains_all(self, points: np.ndarray) -> bool:
+    def contains(self, points: np.ndarray) -> np.ndarray:
+        """Mask over the last axis of ``points``: which points lie in the domain."""
         if self.radius is None:
-            return True
-        norms = np.linalg.norm(points, axis=-1)
-        return bool(np.all(norms <= self.radius * (1.0 + _BALL_SLACK)))
+            return np.ones(np.shape(points)[:-1], dtype=bool)
+        return np.linalg.norm(points, axis=-1) <= self.radius * (1.0 + _BALL_SLACK)
+
+    def contains_all(self, points: np.ndarray) -> bool:
+        return self.radius is None or bool(np.all(self.contains(points)))
 
     def intersect(self, other: "Domain") -> "Domain":
         if self.dimension != other.dimension:

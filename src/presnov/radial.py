@@ -311,11 +311,6 @@ def boundary_certificate(
     """Sample the sphere of the given radius and certify <X(x), x> > threshold."""
     if not (radius > 0.0):
         raise ValueError("radius must be positive")
-    if field.domain.radius is not None and radius > field.domain.radius * (1.0 + 1e-9):
-        raise DomainError(
-            f"certificate radius {radius} exceeds the field's ball domain "
-            f"radius {field.domain.radius}"
-        )
     m = samples if samples is not None else default_direction_count(field.dimension)
     points = radius * unit_directions(field.dimension, m, seed)
     radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)

@@ -1,4 +1,4 @@
-"""Seeded isotropic sampling of directions, spheres, and balls.
+"""Seeded isotropic sampling of unit directions and of balls.
 
 All randomness comes from numpy's Philox bit generator (counter-based),
 so identical seeds reproduce identical samples bit for bit regardless of
@@ -12,7 +12,6 @@ import numpy as np
 __all__ = [
     "default_direction_count",
     "unit_directions",
-    "sphere_points",
     "ball_points",
 ]
 
@@ -57,10 +56,6 @@ def unit_directions(dimension: int, count: int, seed: int = 0) -> np.ndarray:
         rest = _gaussian_directions(2, count - k, rng) if count > k else np.zeros((0, 2))
         return np.vstack((grid, rest))
     return _gaussian_directions(dimension, count, rng)
-
-
-def sphere_points(dimension: int, count: int, radius: float, seed: int = 0) -> np.ndarray:
-    return radius * unit_directions(dimension, count, seed)
 
 
 def ball_points(dimension: int, count: int, radius: float, seed: int = 0) -> np.ndarray:

@@ -175,6 +175,38 @@ def test_shift_flag(capsys):
     assert report["field"]["source"]["kind"] == "shift"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["coercivity", "--catalog", "identity", "--dim", "2", "--radius-count", "1"],
+        ["coercivity", "--catalog", "identity", "--dim", "2", "--directions", "0"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--quad-order", "1"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--abs-tol", "0"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--max-subdivisions", "0"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--seed", "-1"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--sample", "0"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--points-file", "{dir}"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--points-file", "{ragged}"],
+        ["decompose", "--field-file", "{dir}", "--at", "1,1"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "-1"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
+         "--multistart", "-1"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
+         "--max-iterations", "0"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
+         "--cert-samples", "0"],
+    ],
+)
+def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
+    ragged = tmp_path / "ragged.txt"
+    ragged.write_text("1,2\n3\n", encoding="utf-8")
+    argv = [arg.format(dir=tmp_path, ragged=ragged) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_usage_error_requires_exactly_one_source(capsys):
     code, _, err = run_cli(capsys, "decompose", "--catalog", "identity", "--expr", "x1",
                            "--at", "1")

@@ -20,6 +20,8 @@ from presnov import (
     potential_many,
     verify_decomposition,
 )
+from presnov.equilibria import _fd_jacobian
+from presnov.radial import boundary_certificate
 from presnov.sampling import ball_points
 
 
@@ -195,6 +197,14 @@ def test_ball_domain_clearance():
         gradient_potential(field, [1.0, 0.0])  # no room for the FD stencil
     with pytest.raises(DomainError):
         compute_potential(field, [2.0, 0.0])
+    # The Newton Jacobian shares the stencil and its clearance rule.
+    with pytest.raises(DomainError):
+        _fd_jacobian(field, np.array([1.0, 0.0]))
+    # Certificates sample the sphere itself: the boundary is inside the
+    # domain, a larger sphere is not.
+    assert boundary_certificate(field, 1.0, check_conservative=False).passed
+    with pytest.raises(DomainError):
+        boundary_certificate(field, 2.0, check_conservative=False)
 
 
 def test_estimated_error_is_reported():

@@ -12,7 +12,9 @@ from presnov import (
     parse_field,
     perturbed_existence,
 )
+from presnov.equilibria import _fd_jacobian
 from presnov.radial import VERDICT_NOT_COERCIVE
+from presnov.sampling import ball_points
 
 
 def test_identity_equilibrium_at_origin():
@@ -84,11 +86,15 @@ def test_conservative_solve_of_shifted_gradient_field():
 
 
 def test_failure_returns_best_residual():
-    field = catalog_field("constant", value=[1.0, 1.0]).field
-    result = find_equilibrium(field, 1.0, allow_uncertified=True)
-    assert not result.success
-    assert result.residual == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert result.certificate_overridden
+    for value in ([1.0, 1.0], [1.0, 0.0]):
+        field = catalog_field("constant", value=value).field
+        result = find_equilibrium(field, 1.0, allow_uncertified=True)
+        assert not result.success
+        assert result.residual == pytest.approx(np.linalg.norm(value), rel=1e-12)
+        assert result.certificate_overridden
+        # The merit gradient of a constant field is zero, so every start
+        # stops before its first Newton step.
+        assert result.iterations == 0
 
 
 def test_perturbed_identity():
@@ -160,3 +166,15 @@ def test_co_existence_across_certifiable_catalog():
         assert rx.success and rg.success
         assert np.linalg.norm(rx.point) < radius
         assert np.linalg.norm(rg.point) < radius
+
+
+def test_fd_jacobian_of_linear_field_is_exact():
+    # Coordinates fall on both sides of |x_i| = 1, so both step regimes
+    # (h = cbrt(eps) and h = cbrt(eps) |x_i|) of the shared stencil run.
+    a = np.random.default_rng(4).normal(size=(4, 4))
+    field = catalog_field("linear", 4, matrix=a).field
+    points = ball_points(4, 200, 5.0, 3)
+    assert (np.abs(points) < 1.0).any() and (np.abs(points) > 1.0).any()
+    for x in points:
+        tol = 1e-9 * (1.0 + np.linalg.norm(a @ x))
+        assert np.max(np.abs(_fd_jacobian(field, x) - a)) <= tol
