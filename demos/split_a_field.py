@@ -51,8 +51,8 @@ print(f"  <X,x> - <gradH,x>    {sample.radial_equality_residual:.2e}  (radial eq
 points = ball_points(2, 50, 3.0, seed=0)
 report = verify_decomposition(field, points)
 print(f"\nverification over {report.point_count} sampled points (normalized residuals):")
-print(f"  orthogonality        {report.max_orthogonality:.2e}")
-print(f"  radial equality      {report.max_radial_equality:.2e}")
-print(f"  idempotence          {report.max_idempotence:.2e}")
-print(f"  potential of u       {report.max_residual_potential:.2e}")
+print(f"  orthogonality                       {report.max_orthogonality:.2e}")
+print(f"  radial equality                     {report.max_radial_equality:.2e}")
+print(f"  idempotence (FD vs integral route)  {report.max_idempotence:.2e}")
+print(f"  potential of u                      {report.max_residual_potential:.2e}")
 print(f"  verdict: {'PASS' if report.passed else 'FAIL'} at threshold {report.threshold}")

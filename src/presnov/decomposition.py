@@ -9,9 +9,20 @@ generates the conservative part grad H, and the remainder
 u(x) = X(x) - grad H(x) is everywhere orthogonal to the position vector
 (tangent to origin-centered spheres).  The split is unique under the
 normalization H(0) = 0 and <u(x), x> = 0, and satisfies the radial
-equality <X(x), x> = <grad H(x), x> at every point; the verification
-report below checks that identity, the orthogonality of u, and the
-idempotence of the split numerically.
+equality <X(x), x> = <grad H(x), x> at every point.
+
+``verify_decomposition`` checks a split with flat computations on the
+sample points and on the Gauss nodes t_k x of their rays; no check
+nests a quadrature inside another:
+
+* orthogonality and radial equality are the same number,
+  <X(x) - grad H(x), x>, computed once from the split's arrays;
+* idempotence compares the finite-difference gradient of H with the
+  integral route (below), which recovers grad H without differentiating
+  H and so sees tangential (curl) errors no radial check can;
+* the potential of u is sum_k (w_k / t_k) <u(t_k x), t_k x> over the
+  Gauss-Legendre nodes of one panel on [0, 1], with u = X - grad H from
+  one finite-difference gradient over the stacked node points.
 
 Two independent gradient routes are provided and cross-checked:
 
@@ -36,7 +47,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, DomainError
 from .fields import VectorField
-from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, integrate_unit
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
 __all__ = [
     "ORIGIN_RADIUS",
@@ -180,13 +191,12 @@ def gradient_potential_integral_many(
     pts = _as_points(field, points)
     m, n = pts.shape
     out = np.zeros((m, n))
-    norms = np.linalg.norm(pts, axis=1)
-    active = np.flatnonzero(norms >= ORIGIN_RADIUS)
     eps = np.finfo(float).eps
     # One quadrature component per gradient entry; keep batches bounded.
+    # The origin is integrated too: its integrand is X(0) at every node.
     per_point = max(1, _MAX_COMPONENTS // max(n, 1))
-    for chunk in _chunks(active.size, per_point):
-        base = pts[active[chunk]]
+    for chunk in _chunks(m, per_point):
+        base = pts[chunk]
         b = base.shape[0]
         field_peak = np.zeros(b)
         abs_sum = np.abs(base).sum(axis=1)
@@ -208,7 +218,7 @@ def gradient_potential_integral_many(
             return g.reshape(q, b * n)
 
         val, _ = integrate_unit(integrand, cfg, noise_floor=noise_floor)
-        out[active[chunk]] = val.reshape(b, n)
+        out[chunk] = val.reshape(b, n)
     return out
 
 
@@ -227,8 +237,8 @@ class DecompositionSample:
     """The split at a single point, with diagnostic residuals.
 
     ``conservative + sphere_invariant`` equals the field value exactly by
-    construction; ``orthogonality_residual`` is <u, x> and
-    ``radial_equality_residual`` is <X, x> - <grad H, x>.
+    construction; ``orthogonality_residual`` and
+    ``radial_equality_residual`` are both <u, x> = <X, x> - <grad H, x>.
     ``estimated_error`` propagates the quadrature error estimates of the
     potential and its finite-difference gradient into the radial
     diagnostics (it does not include FD truncation).
@@ -276,8 +286,8 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig | None =
     potentials, pot_errors = potential_many(field, pts, cfg)
     grads, grad_errors = _gradient_with_errors(field, pts, cfg)
     residual = values - grads
+    # <u, x> and <X, x> - <grad H, x> are one number.
     orth = np.einsum("ij,ij->i", residual, pts)
-    radial_eq = np.einsum("ij,ij->i", values, pts) - np.einsum("ij,ij->i", grads, pts)
     est = pot_errors + np.einsum("ij,ij->i", np.abs(pts), grad_errors)
     return DecompositionSet(
         points=pts,
@@ -287,7 +297,7 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig | None =
         conservative=grads,
         sphere_invariant=residual,
         orthogonality_residuals=orth,
-        radial_equality_residuals=radial_eq,
+        radial_equality_residuals=orth,
         estimated_errors=est,
     )
 
@@ -338,9 +348,16 @@ class VerificationReport:
     """Worst normalized residuals of the split over a point sample.
 
     Every residual is divided by (1 + |x|) (1 + |X(x)|) at its point.
-    ``max_idempotence`` re-splits the conservative part (its own
-    sphere-invariant part should vanish); ``max_residual_potential`` is
-    the potential of the sphere-invariant part (should vanish too).
+    ``max_orthogonality`` and ``max_radial_equality`` are both
+    <X(x) - grad H(x), x>, recomputed from the split's field values and
+    conservative part.  ``max_idempotence`` is |grad H(x) - G(x)|, where
+    G is the integral route ``gradient_potential_integral_many``: a
+    second split of grad H would return grad H itself, and G is that
+    conservative part obtained without differentiating H.
+    ``max_residual_potential`` is the potential of the sphere-invariant
+    part, sum_k (w_k / t_k) <u(t_k x), t_k x> over one panel of
+    ``config.order`` Gauss-Legendre nodes (t_k, w_k) on [0, 1], with u
+    split off at the stacked points t_k x.
     """
 
     point_count: int
@@ -376,24 +393,29 @@ def verify_decomposition(
 def _verify_split(field, split, cfg, threshold):
     """The checks of ``verify_decomposition`` on a split already computed."""
     pts = split.points
+    m, n = pts.shape
     scale = (1.0 + np.linalg.norm(pts, axis=1)) * (
         1.0 + np.linalg.norm(split.field_values, axis=1)
     )
-    max_orth = float(np.max(np.abs(split.orthogonality_residuals) / scale))
-    max_radial = float(np.max(np.abs(split.radial_equality_residuals) / scale))
+    radial = np.einsum("ij,ij->i", split.field_values - split.conservative, pts)
+    max_orth = max_radial = float(np.max(np.abs(radial) / scale))
 
-    conservative = ConservativePart(field, cfg)
-    grad_of_grad = gradient_potential_many(conservative, pts, cfg)
-    idem = np.linalg.norm(grad_of_grad - split.conservative, axis=1)
+    grad_integral = gradient_potential_integral_many(field, pts, cfg)
+    idem = np.linalg.norm(split.conservative - grad_integral, axis=1)
     max_idem = float(np.max(idem / scale))
 
-    residual_field = SphereInvariantPart(field, cfg)
-    residual_potentials, _ = potential_many(residual_field, pts, cfg)
+    # <u(t x), x> = <u(t x), t x> / t on every node of the ray.  The split
+    # of the stacked nodes needs no potentials at the nodes themselves.
+    ts, ws = _unit_nodes(cfg.order)
+    nodes = (ts[:, None, None] * pts[None, :, :]).reshape(-1, n)
+    u_nodes = field.evaluate_many(nodes) - gradient_potential_many(field, nodes, cfg)
+    on_rays = np.einsum("ij,ij->i", u_nodes, nodes).reshape(ts.size, m)
+    residual_potentials = (ws / ts) @ on_rays
     max_res_pot = float(np.max(np.abs(residual_potentials) / scale))
 
     passed = max(max_orth, max_radial, max_idem, max_res_pot) <= threshold
     return VerificationReport(
-        point_count=pts.shape[0],
+        point_count=m,
         threshold=threshold,
         max_orthogonality=max_orth,
         max_radial_equality=max_radial,

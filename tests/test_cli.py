@@ -44,6 +44,36 @@ def test_decompose_expression_at_point(capsys):
     assert np.allclose(sample["sphere_invariant"], [0.0, 1.0], atol=1e-9)
 
 
+def test_decompose_at_origin(capsys):
+    code, report, _ = run_cli(capsys, "decompose", "--expr", "x1 + 1; x2", "--at", "0,0")
+    assert code == 0
+    (sample,) = report["payload"]["samples"]
+    assert np.allclose(sample["conservative"], [1.0, 0.0], atol=1e-9)
+
+
+def test_decompose_identity_at_radius_ten(capsys):
+    code, report, _ = run_cli(
+        capsys, "decompose", "--catalog", "identity", "--dim", "3",
+        "--sample", "40", "--sample-radius", "10", "--seed", "1",
+    )
+    assert code == 0
+    assert report["payload"]["verification"]["passed"] is True
+
+
+def test_identity_violation_exit_code_still_writes_report(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main([
+        "decompose", "--catalog", "identity", "--dim", "3",
+        "--sample", "10", "--sample-radius", "10", "--seed", "1",
+        "--threshold", "1e-14", "--out", str(out),
+    ])
+    assert "FAIL" in capsys.readouterr().err
+    assert code == 4
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["payload"]["verification"]["passed"] is False
+    assert len(report["payload"]["samples"]) == 10
+
+
 def test_decompose_hand_potential(capsys):
     code, report, _ = run_cli(capsys, "decompose", "--expr", "x1^2; x2", "--at", "1,1")
     assert code == 0

@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from presnov import (
     BallRestrictedField,
+    CallableField,
     ConservativePart,
     DomainError,
     ScaledField,
@@ -20,7 +23,9 @@ from presnov import (
     potential_many,
     verify_decomposition,
 )
+from presnov.decomposition import _verify_split
 from presnov.equilibria import _fd_jacobian
+from presnov.quadrature import DEFAULT_QUADRATURE
 from presnov.radial import boundary_certificate
 from presnov.sampling import ball_points
 
@@ -119,8 +124,8 @@ def test_verify_identity_field_tight():
     assert report.passed
     assert report.max_orthogonality <= 1e-8
     assert report.max_radial_equality <= 1e-8
-    # The doubly nested FD-of-quadrature-of-FD route has a float64 noise
-    # floor near eps*|x|^3/(8 h^2); at |x| <= 5 that is ~2e-7 normalized.
+    # Idempotence compares the FD-of-potential gradient with the integral
+    # route; both sit near 1e-11 normalized here, far inside this bound.
     assert report.max_idempotence <= 1e-6
     assert report.max_residual_potential <= 1e-8
 
@@ -150,6 +155,55 @@ def test_verify_rotation_residual_potential_vanishes():
     assert report.max_residual_potential <= 1e-10
 
 
+def _cyclic_cubic(p):
+    return p**3 + 0.3 * np.roll(p, -1, axis=1)
+
+
+def test_verify_catches_broken_splits():
+    field = CallableField(3, _cyclic_cubic)
+    points = ball_points(3, 12, 3.0, seed=4)
+    split = decompose_many(field, points)
+    threshold = 1e-6
+    assert _verify_split(field, split, DEFAULT_QUADRATURE, threshold).passed
+
+    # A mis-scaled gradient breaks the radial identities, even though the
+    # split's stored residuals still describe the unscaled one.
+    scaled = dataclasses.replace(split, conservative=1.01 * split.conservative)
+    report = _verify_split(field, scaled, DEFAULT_QUADRATURE, threshold)
+    assert not report.passed
+    assert report.max_radial_equality > threshold
+    assert report.max_orthogonality > threshold
+
+    # A tangential (curl) error is invisible to every radial check; only
+    # the comparison with the integral route sees it.
+    curl = np.stack([-points[:, 1], points[:, 0], np.zeros(len(points))], axis=1)
+    twisted = dataclasses.replace(split, conservative=split.conservative + 1e-3 * curl)
+    report = _verify_split(field, twisted, DEFAULT_QUADRATURE, threshold)
+    assert not report.passed
+    assert report.max_idempotence > threshold
+    assert report.max_orthogonality <= 1e-9
+    assert report.max_radial_equality <= 1e-9
+
+
+def test_verify_cost_stays_flat():
+    counted = [0]
+
+    def counting(p):
+        counted[0] += p.shape[0]
+        return _cyclic_cubic(p)
+
+    field = CallableField(3, counting)
+    points = ball_points(3, 10, 3.0, seed=4)
+    decompose_many(field, points)
+    split_points = counted[0]
+    counted[0] = 0
+    assert verify_decomposition(field, points).passed
+    # One split of the points, one integral-route pass and one FD gradient
+    # at the order-many stacked ray nodes; a check that nested a quadrature
+    # inside another would cost hundreds of splits.
+    assert counted[0] <= (DEFAULT_QUADRATURE.order + 4) * split_points
+
+
 def test_potential_linearity():
     f = parse_field("x1^2; x2")
     g = catalog_field("rotation2d").field
@@ -163,6 +217,14 @@ def test_potential_linearity():
     tol = 2e-10 * (1.0 + np.abs(h_f) + np.abs(h_g))
     assert np.all(np.abs(h_sum - (h_f + h_g)) <= tol)
     assert np.all(np.abs(h_scaled - (-2.5) * h_f) <= tol)
+
+
+def test_both_gradient_routes_return_the_field_at_the_origin():
+    entry = catalog_field("constant", value=[1.0, -0.5])
+    origin = np.zeros((1, 2))
+    expected = entry.field.evaluate_many(origin)
+    assert np.allclose(gradient_potential_many(entry.field, origin), expected, atol=1e-9)
+    assert np.allclose(gradient_potential_integral_many(entry.field, origin), expected, atol=1e-12)
 
 
 def test_two_gradient_routes_agree():
