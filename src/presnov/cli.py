@@ -18,7 +18,9 @@ Exit codes: 0 success, 2 parse/usage error, 3 numeric failure,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
+import math
 import sys
 import time
 
@@ -62,9 +64,17 @@ class UsageError(PresnovError, ValueError):
 
 def _parse_floats(text, flag):
     try:
-        return [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        if all(map(math.isfinite, values)):
+            return values
     except ValueError:
-        raise UsageError(f"{flag} expects comma-separated numbers, got {text!r}") from None
+        pass
+    raise UsageError(f"{flag} expects comma-separated finite numbers, got {text!r}")
+
+
+def _require_radius(value, flag):
+    if not (0.0 < value < math.inf):
+        raise UsageError(f"{flag} must be positive and finite")
 
 
 def _config(cls, **kwargs):
@@ -148,6 +158,7 @@ def _resolve_points(args, field):
         count = args.sample if args.sample is not None else 10
         if count < 1:
             raise UsageError("--sample must be at least 1")
+        _require_radius(args.sample_radius, "--sample-radius")
         pts = ball_points(field.dimension, count, args.sample_radius, args.seed)
         spec = {
             "kind": "sample",
@@ -162,25 +173,18 @@ def _resolve_points(args, field):
     return pts, spec
 
 
-def _jsonify(obj):
-    if isinstance(obj, dict):
-        return {key: _jsonify(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(item) for item in obj]
+def _json_default(obj):
+    # ndarray.tolist() and np.generic.item() give the matching Python types.
     if isinstance(obj, np.ndarray):
-        return _jsonify(obj.tolist())
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _emit(report, args, elapsed):
     report["timing"] = {"seconds": elapsed}
-    text = json.dumps(_jsonify(report), indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -215,7 +219,7 @@ def _cmd_decompose(args):
     quad = _quad_config(args)
     config = {
         "points": points_spec,
-        "quadrature": vars(quad) | {},
+        "quadrature": dataclasses.asdict(quad),
         "threshold": args.threshold,
         "seed": args.seed,
     }
@@ -282,16 +286,9 @@ def _cmd_coercivity(args):
     )
     quad = _quad_config(args)
     config = {
-        "probe": {
-            "initial_radius": probe_cfg.initial_radius,
-            "radius_factor": probe_cfg.radius_factor,
-            "radius_count": probe_cfg.radius_count,
-            "directions": probe_cfg.direction_count(field.dimension),
-            "seed": probe_cfg.seed,
-            "growth_floor_factor": probe_cfg.growth_floor_factor,
-            "flat_tol": probe_cfg.flat_tol,
-        },
-        "quadrature": vars(quad) | {},
+        "probe": dataclasses.asdict(probe_cfg)
+        | {"directions": probe_cfg.direction_count(field.dimension)},
+        "quadrature": dataclasses.asdict(quad),
         "seed": args.seed,
     }
     report = _base_report("coercivity", field, source, config)
@@ -341,10 +338,13 @@ def _cmd_equilibria(args):
     field, source = _build_field(args)
     if (args.radius is None) == (args.perturb is None):
         raise UsageError("specify exactly one of --radius or --perturb")
-    if args.radius is not None and not args.radius > 0.0:
-        raise UsageError("--radius must be positive")
+    if args.radius is not None:
+        _require_radius(args.radius, "--radius")
     if args.cert_samples is not None and args.cert_samples < 1:
         raise UsageError("--cert-samples must be at least 1")
+    # 2.0**1024 overflows a double.
+    if not 0 <= args.max_radius_exponent <= 1023:
+        raise UsageError("--max-radius-exponent must be between 0 and 1023")
     quad = _quad_config(args)
     solver = _config(
         SolverConfig,
@@ -354,13 +354,8 @@ def _cmd_equilibria(args):
         seed=args.seed,
     )
     config = {
-        "solver": {
-            "residual_tol": solver.residual_tol,
-            "max_iterations": solver.max_iterations,
-            "multistart": solver.multistart,
-            "seed": solver.seed,
-        },
-        "quadrature": vars(quad) | {},
+        "solver": dataclasses.asdict(solver),
+        "quadrature": dataclasses.asdict(quad),
         "certificate_samples": args.cert_samples,
         "certificate_threshold": args.cert_threshold,
         "seed": args.seed,
@@ -391,53 +386,46 @@ def _cmd_equilibria(args):
             return report, EXIT_CERTIFICATE
         result_x = find_equilibrium(
             field, args.radius, solver, certificate=certificate,
-            allow_uncertified=args.allow_uncertified, quadrature=quad,
+            allow_uncertified=args.allow_uncertified,
         )
         result_g = find_equilibrium_conservative(
             field, args.radius, solver, quadrature=quad, certificate=certificate,
             allow_uncertified=args.allow_uncertified,
         )
-        report["payload"]["field_equilibrium"] = _equilibrium_payload(result_x)
-        report["payload"]["conservative_equilibrium"] = _equilibrium_payload(result_g)
-        ok = result_x.success and result_g.success
-        print(
-            f"equilibria: field solve {'ok' if result_x.success else 'FAILED'} "
-            f"(residual {result_x.residual:.3e}), conservative solve "
-            f"{'ok' if result_g.success else 'FAILED'} (residual {result_g.residual:.3e})",
-            file=sys.stderr,
+        summary = "equilibria: "
+    else:
+        offset = _parse_floats(args.perturb, "--perturb")
+        config["perturb"] = offset
+        config["margin_fraction"] = args.margin_fraction
+        config["max_radius_exponent"] = args.max_radius_exponent
+        outcome = perturbed_existence(
+            field,
+            offset,
+            solver,
+            quadrature=quad,
+            max_radius_exponent=args.max_radius_exponent,
+            margin_fraction=args.margin_fraction,
+            certificate_samples=args.cert_samples,
+            threshold=args.cert_threshold,
         )
-        return report, EXIT_OK if ok else EXIT_NUMERIC
+        report["warnings"].extend(outcome.warnings)
+        report["payload"] = {
+            "rho": outcome.rho,
+            "certificate": outcome.certificate.as_dict(),
+            "probe_verdict": outcome.probe.verdict,
+        }
+        result_x, result_g = outcome.field_result, outcome.conservative_result
+        summary = f"equilibria: rho = {outcome.rho}, "
 
-    offset = _parse_floats(args.perturb, "--perturb")
-    config["perturb"] = offset
-    config["margin_fraction"] = args.margin_fraction
-    config["max_radius_exponent"] = args.max_radius_exponent
-    outcome = perturbed_existence(
-        field,
-        offset,
-        solver,
-        quadrature=quad,
-        max_radius_exponent=args.max_radius_exponent,
-        margin_fraction=args.margin_fraction,
-        certificate_samples=args.cert_samples,
-        threshold=args.cert_threshold,
-    )
-    report["warnings"].extend(outcome.warnings)
-    report["payload"] = {
-        "rho": outcome.rho,
-        "certificate": outcome.certificate.as_dict(),
-        "probe_verdict": outcome.probe.verdict,
-        "field_equilibrium": _equilibrium_payload(outcome.field_result),
-        "conservative_equilibrium": _equilibrium_payload(outcome.conservative_result),
-    }
-    ok = outcome.field_result.success and outcome.conservative_result.success
+    report["payload"]["field_equilibrium"] = _equilibrium_payload(result_x)
+    report["payload"]["conservative_equilibrium"] = _equilibrium_payload(result_g)
     print(
-        f"equilibria: rho = {outcome.rho}, field solve "
-        f"{'ok' if outcome.field_result.success else 'FAILED'}, conservative solve "
-        f"{'ok' if outcome.conservative_result.success else 'FAILED'}",
+        f"{summary}field solve {'ok' if result_x.success else 'FAILED'} "
+        f"(residual {result_x.residual:.3e}), conservative solve "
+        f"{'ok' if result_g.success else 'FAILED'} (residual {result_g.residual:.3e})",
         file=sys.stderr,
     )
-    return report, EXIT_OK if ok else EXIT_NUMERIC
+    return report, EXIT_OK if result_x.success and result_g.success else EXIT_NUMERIC
 
 
 def _add_field_arguments(parser):
@@ -518,17 +506,19 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise UsageError("--seed must be non-negative")
         report, code = args.handler(args)
-    # A command raises OSError only when reading --field-file or --points-file.
-    except (ParseError, CatalogError, UsageError, OSError) as exc:
+        _emit(report, args, time.perf_counter() - started)
+    # OSError comes only from reading --field-file or --points-file or from
+    # writing --out, and DimensionMismatchError only from a point or vector
+    # flag whose length does not match the field.
+    except (ParseError, CatalogError, UsageError, DimensionMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NoCertifiedRadiusError, CertificateError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (QuadratureError, NonFiniteValueError, DomainError, DimensionMismatchError) as exc:
+    except (QuadratureError, NonFiniteValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    _emit(report, args, time.perf_counter() - started)
     return code
 
 

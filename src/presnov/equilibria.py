@@ -4,10 +4,13 @@ A passing boundary certificate on a sphere (strict positivity of
 <X(x), x> on sampled boundary points) is the numerical stand-in for the
 hypothesis that guarantees a zero of the field inside the open ball, and
 the radial equality makes the same certificate cover the conservative
-part.  The solver then has only to find a witness: damped Newton with
-the central-difference Jacobian of ``decomposition``'s stencil,
-backtracking line search on the merit
-function |X(x)|^2 / 2, a gradient-descent fallback when the Jacobian is
+part.  Both searches are therefore one search on different targets:
+``_locate`` gates on the field's certificate, then looks for a zero of
+the target (X itself, or grad H as ``ConservativePart``).  The solver
+only has to find a witness: damped Newton with the central-difference
+Jacobian of ``decomposition``'s stencil, Armijo backtracking on the
+merit function |X(x)|^2 / 2 (fixed constants ``_ARMIJO`` and
+``_MIN_STEP``), a gradient-descent fallback when the Jacobian is
 unusable, and seeded multistart inside the ball.  Iterates that leave
 the ball are pulled back radially to 0.999 of its radius.
 
@@ -24,7 +27,7 @@ and grad H + b = 0 inside that ball.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -54,16 +57,24 @@ __all__ = [
 ]
 
 _PROJECTION = 0.999
+_ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
+_MIN_STEP = 2.0**-30  # the line search stalls below this step fraction
 _DEGENERATE_COND = 1e12
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Damped-Newton settings.
+
+    A start converges when |target(x)| <= ``residual_tol`` within
+    ``max_iterations`` Newton steps.  The origin is tried first, then
+    ``multistart`` seeded points of the ball.  The line-search constants
+    are fixed module constants, not settings.
+    """
+
     residual_tol: float = 1e-10
     max_iterations: int = 200
     multistart: int = 32
-    armijo: float = 1e-4
-    min_step: float = 2.0**-30
     seed: int = 0
 
     def __post_init__(self):
@@ -160,11 +171,11 @@ def _newton_from(field, x0, radius, cfg):
         merit = 0.5 * res * res
         alpha = 1.0
         moved = False
-        while alpha >= cfg.min_step:
+        while alpha >= _MIN_STEP:
             trial = _project(x + alpha * step, radius)
             trial_f = field.evaluate(trial)
             trial_res = float(np.linalg.norm(trial_f))
-            if 0.5 * trial_res * trial_res <= merit + cfg.armijo * alpha * directional:
+            if 0.5 * trial_res * trial_res <= merit + _ARMIJO * alpha * directional:
                 x, fx, res = trial, trial_f, trial_res
                 moved = True
                 break
@@ -194,26 +205,53 @@ def _solve_multistart(field, radius, cfg):
     return x, res, len(starts), iters, False
 
 
-def _certificate_gate(field, radius, cfg, certificate, allow_uncertified, quad_cfg):
-    warnings = []
-    overridden = False
+def _locate(target, field, radius, cfg, certificate, allow_uncertified):
+    """Gate on ``field``'s certificate, then search for a zero of ``target``.
+
+    ``target`` is the field itself or its conservative part; by the
+    radial equality the field's certificate covers both.
+    """
     if certificate is None:
-        certificate = boundary_certificate(
-            field, radius, seed=cfg.seed, check_conservative=False, quadrature=quad_cfg
-        )
-    if not certificate.passed:
+        certificate = boundary_certificate(field, radius, seed=cfg.seed, check_conservative=False)
+    warnings = []
+    overridden = not certificate.passed
+    if overridden:
         if not allow_uncertified:
             raise CertificateError(
                 f"boundary certificate failed at radius {radius}: min radial value "
                 f"{certificate.min_radial:.6g} (threshold {certificate.threshold:.6g}); "
                 "pass allow_uncertified=True to search anyway"
             )
-        overridden = True
         warnings.append(
             "certificate failed; search proceeded under an explicit override, "
             "so existence of an equilibrium is not guaranteed"
         )
-    return certificate, overridden, warnings
+    x, res, attempted, iters, success = _solve_multistart(target, radius, cfg)
+    if not success:
+        warnings.append(
+            "no start reached the residual tolerance; best residual returned "
+            "(sampled certificates cannot guarantee the true boundary condition)"
+        )
+    degenerate = _is_degenerate(_fd_jacobian(target, x))
+    if degenerate:
+        warnings.append(
+            "near-singular Jacobian at the returned point: the equilibrium may "
+            "belong to a continuum rather than being isolated"
+        )
+    return EquilibriumResult(
+        point=x,
+        residual=res,
+        success=success,
+        target=target.label,
+        ball_radius=float(radius),
+        inside_ball=bool(np.linalg.norm(x) < radius),
+        starts_attempted=attempted,
+        iterations=iters,
+        degenerate=degenerate,
+        certificate=certificate,
+        certificate_overridden=overridden,
+        warnings=tuple(warnings),
+    )
 
 
 def find_equilibrium(
@@ -222,33 +260,10 @@ def find_equilibrium(
     config: SolverConfig | None = None,
     certificate: Optional[BoundaryCertificate] = None,
     allow_uncertified: bool = False,
-    quadrature: QuadratureConfig | None = None,
 ) -> EquilibriumResult:
     """Search for a zero of the field inside the ball of the given radius."""
     cfg = config if config is not None else SolverConfig()
-    certificate, overridden, warnings = _certificate_gate(
-        field, radius, cfg, certificate, allow_uncertified, quadrature
-    )
-    x, res, attempted, iters, success = _solve_multistart(field, radius, cfg)
-    if not success:
-        warnings.append(
-            "no start reached the residual tolerance; best residual returned "
-            "(sampled certificates cannot guarantee the true boundary condition)"
-        )
-    return EquilibriumResult(
-        point=x,
-        residual=res,
-        success=success,
-        target=field.label,
-        ball_radius=float(radius),
-        inside_ball=bool(np.linalg.norm(x) < radius),
-        starts_attempted=attempted,
-        iterations=iters,
-        degenerate=_is_degenerate(_fd_jacobian(field, x)),
-        certificate=certificate,
-        certificate_overridden=overridden,
-        warnings=tuple(warnings),
-    )
+    return _locate(field, field, radius, cfg, certificate, allow_uncertified)
 
 
 def _near_minimizer_check(source, x, radius, quad_cfg, seed):
@@ -285,42 +300,17 @@ def find_equilibrium_conservative(
     """
     cfg = config if config is not None else SolverConfig()
     quad_cfg = quadrature if quadrature is not None else DEFAULT_QUADRATURE
-    certificate, overridden, warnings = _certificate_gate(
-        field, radius, cfg, certificate, allow_uncertified, quad_cfg
+    result = _locate(
+        ConservativePart(field, quad_cfg), field, radius, cfg, certificate, allow_uncertified
     )
-    conservative = ConservativePart(field, quad_cfg)
-    x, res, attempted, iters, success = _solve_multistart(conservative, radius, cfg)
-    if not success:
-        warnings.append(
-            "no start reached the residual tolerance; best residual returned"
-        )
-    degenerate = _is_degenerate(_fd_jacobian(conservative, x))
-    if degenerate:
-        warnings.append(
-            "near-singular Jacobian at the returned point: the equilibrium may "
-            "belong to a continuum rather than being isolated"
-        )
-    minimizer = _near_minimizer_check(field, x, radius, quad_cfg, cfg.seed)
+    minimizer = _near_minimizer_check(field, result.point, radius, quad_cfg, cfg.seed)
+    warnings = result.warnings
     if not minimizer:
-        warnings.append(
+        warnings += (
             "the located critical point is not a local near-minimizer of the "
-            "potential along probe directions (saddle or maximum)"
+            "potential along probe directions (saddle or maximum)",
         )
-    return EquilibriumResult(
-        point=x,
-        residual=res,
-        success=success,
-        target=conservative.label,
-        ball_radius=float(radius),
-        inside_ball=bool(np.linalg.norm(x) < radius),
-        starts_attempted=attempted,
-        iterations=iters,
-        degenerate=degenerate,
-        certificate=certificate,
-        certificate_overridden=overridden,
-        minimizer_check=minimizer,
-        warnings=tuple(warnings),
-    )
+    return replace(result, minimizer_check=minimizer, warnings=warnings)
 
 
 def perturbed_existence(
@@ -328,7 +318,6 @@ def perturbed_existence(
     offset,
     config: SolverConfig | None = None,
     quadrature: QuadratureConfig | None = None,
-    probe: ProbeConfig | None = None,
     max_radius_exponent: int = 40,
     margin_fraction: float = 0.1,
     certificate_samples: Optional[int] = None,
@@ -348,13 +337,12 @@ def perturbed_existence(
     would certify.
     """
     cfg = config if config is not None else SolverConfig()
-    probe_cfg = probe if probe is not None else ProbeConfig(seed=cfg.seed)
     b = np.asarray(offset, dtype=float)
     shifted = ShiftedField(field, b)
     if certificate_samples is None:
         certificate_samples = 4 * default_direction_count(field.dimension)
 
-    probe_report = coercivity_probe(field, probe_cfg)
+    probe_report = coercivity_probe(field, ProbeConfig(seed=cfg.seed))
     warnings = []
     if probe_report.verdict != VERDICT_COERCIVE:
         warnings.append(
@@ -384,9 +372,7 @@ def perturbed_existence(
         shifted, rho, samples=certificate_samples, seed=cfg.seed,
         threshold=threshold, check_conservative=True, quadrature=quadrature,
     )
-    result_field = find_equilibrium(
-        shifted, rho, cfg, certificate=certificate, quadrature=quadrature
-    )
+    result_field = find_equilibrium(shifted, rho, cfg, certificate=certificate)
     result_conservative = find_equilibrium_conservative(
         shifted, rho, cfg, quadrature=quadrature, certificate=certificate
     )

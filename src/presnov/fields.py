@@ -350,7 +350,10 @@ def _gradient_poly_entry(dimension, params):
     if coeffs is None:
         coeffs = np.tile(np.array([0.0, 1.0, 0.0, 1.0]), (n, 1))
     else:
-        coeffs = np.asarray(coeffs, dtype=float)
+        try:
+            coeffs = np.asarray(coeffs, dtype=float)
+        except ValueError:  # rows of different lengths
+            coeffs = np.empty(0)
         if coeffs.shape != (n, 4) or not np.isfinite(coeffs).all():
             raise CatalogError(f"'coeffs' must be a finite ({n}, 4) array")
     a, b, c, d = (coeffs[:, j] for j in range(4))

@@ -36,10 +36,12 @@ class QuadratureConfig:
     max_subdivisions: int = 4096
 
     def __post_init__(self):
-        if self.order < 2:
-            raise ValueError("panel order must be at least 2")
-        if not (self.abs_tol > 0.0 and self.rel_tol > 0.0):
-            raise ValueError("tolerances must be positive")
+        # numpy documents leggauss as tested up to degree 100.
+        if not 2 <= self.order <= 100:
+            raise ValueError("panel order must be between 2 and 100")
+        # An infinite rel_tol times a zero integral is a NaN bound that never accepts.
+        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
+            raise ValueError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 

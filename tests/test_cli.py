@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presnov.cli import main
 
@@ -225,16 +229,40 @@ def test_shift_flag(capsys):
          "--max-iterations", "0"],
         ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
          "--cert-samples", "0"],
+        ["decompose", "--expr", "x1; x2", "--at", "1"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--points-file", "{column}"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--shift", "1", "--at", "1,1"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--sample-radius", "-1"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--quad-order", "100000000"],
+        ["decompose", "--catalog", "gradient_poly", "--dim", "2", "--coeffs", "1,2;3"],
+        ["decompose", "--catalog", "constant", "--vector", "1,0", "--rel-tol", "inf"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "1"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "inf,1"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "inf"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "1,1",
+         "--max-radius-exponent", "-1"],
+        ["equilibria", "--catalog", "rotation2d", "--perturb", "1,1",
+         "--max-radius-exponent", "2000"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
     ragged = tmp_path / "ragged.txt"
     ragged.write_text("1,2\n3\n", encoding="utf-8")
-    argv = [arg.format(dir=tmp_path, ragged=ragged) for arg in argv]
+    column = tmp_path / "column.txt"
+    column.write_text("1\n2\n", encoding="utf-8")
+    argv = [arg.format(dir=tmp_path, ragged=ragged, column=column) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    code = main(["decompose", "--catalog", "identity", "--dim", "2", "--out", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("error: ")
 
 
 def test_usage_error_requires_exactly_one_source(capsys):
@@ -260,3 +288,102 @@ def test_console_entry_point_subprocess():
     assert first.returncode == 0 and second.returncode == 0
     a, b = json.loads(first.stdout), json.loads(second.stdout)
     assert canonical(a) == canonical(b)
+
+
+# Edge values for the CLI flag fuzz.  Each pool mixes valid values with
+# negative, zero, non-finite and malformed ones.  Counts that size the work
+# (--sample, --multistart, --max-iterations, --directions, --radius-count,
+# --cert-samples, --max-radius-exponent) draw only small values or ones
+# rejected before any work, and the ones with large defaults are always
+# passed.
+_FUZZ_FLOATS = ["0.5", "2", "-1", "0", "nan", "inf", "-inf", "1e308", "x"]
+_FUZZ_VECTORS = ["1,2", "0.5,-3", "1", "1,2,3", "inf,1", "nan,0", "1,x", ",", "-1,2"]
+_FUZZ_FIELDS = [
+    ["--catalog", "identity", "--dim", "2"],
+    ["--catalog", "identity"],
+    ["--catalog", "rotation2d"],
+    ["--catalog", "constant", "--vector", "1,0"],
+    ["--catalog", "constant", "--vector", "nan,0"],
+    ["--catalog", "linear", "--matrix", "2,1,-1,3"],
+    ["--catalog", "linear", "--matrix", "0,0,0,0"],
+    ["--catalog", "linear", "--matrix", "1,2,3"],
+    ["--catalog", "gradient_poly", "--dim", "2"],
+    ["--catalog", "gradient_poly", "--dim", "2", "--coeffs", "1,2;3"],
+    ["--catalog", "cubic_radial", "--dim", "3"],
+    ["--expr", "x1^3 + 0.3*x2; x2^3 - x1"],
+    ["--expr", "x1 +; x2"],
+    ["--catalog", "identity", "--expr", "x1; x2"],
+]
+_FUZZ_COMMON = {
+    "--seed": ["0", "3", "-1", "x"],
+    "--dim": ["2", "3", "-1", "0", "1", "x"],
+    "--shift": _FUZZ_VECTORS,
+    "--quad-order": ["8", "2", "-1", "1", str(10**8)],
+    "--abs-tol": _FUZZ_FLOATS,
+    "--rel-tol": _FUZZ_FLOATS,
+    "--max-subdivisions": ["64", "1", "0", "-1"],
+}
+# Per subcommand: (flags always passed; optional flags, up to four drawn).
+_FUZZ_COMMANDS = {
+    "decompose": ({}, {
+        "--sample": ["1", "3", "0", "-1"],
+        "--at": _FUZZ_VECTORS,
+        "--sample-radius": _FUZZ_FLOATS,
+        "--threshold": _FUZZ_FLOATS,
+    }),
+    "coercivity": ({
+        "--radius-count": ["2", "4", "1", "-1"],
+        "--directions": ["1", "8", "0", "-1"],
+    }, {
+        "--initial-radius": _FUZZ_FLOATS,
+        "--radius-factor": _FUZZ_FLOATS,
+        "--growth-floor": _FUZZ_FLOATS,
+    }),
+    "equilibria": ({
+        "--multistart": ["0", "2", "-1"],
+        "--max-iterations": ["1", "5", "20", "0", "-1"],
+        "--cert-samples": ["1", "16", "64", "0", "-1"],
+    }, {
+        "--radius": _FUZZ_FLOATS,
+        "--perturb": _FUZZ_VECTORS,
+        "--solver-tol": _FUZZ_FLOATS,
+        "--cert-threshold": _FUZZ_FLOATS,
+        "--margin-fraction": _FUZZ_FLOATS,
+        "--max-radius-exponent": ["0", "3", "10", "-1", "2000"],
+    }),
+}
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
+    capped, optional = _FUZZ_COMMANDS[command]
+    argv = [command] + draw(st.sampled_from(_FUZZ_FIELDS))
+    if command == "equilibria":
+        # One of the two modes, so that most draws get past that check.
+        mode = draw(st.sampled_from(["--radius", "--perturb"]))
+        capped = capped | {mode: optional[mode]}
+    for flag, pool in capped.items():
+        argv += [flag, draw(st.sampled_from(pool))]
+    pools = _FUZZ_COMMON | optional
+    for flag in draw(st.lists(st.sampled_from(sorted(pools)), max_size=4, unique=True)):
+        argv += [flag, draw(st.sampled_from(pools[flag]))]
+    if command == "equilibria" and draw(st.booleans()):
+        argv.append("--allow-uncertified")
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_argv())
+def test_cli_flag_fuzz_keeps_exit_code_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects a malformed flag
+            code = exc.code
+    assert code in (0, 2, 3, 4, 5), (argv, code)
+    if code == 2:
+        assert out.getvalue() == "", argv
+    if code in (0, 4):
+        assert json.loads(out.getvalue())["report_version"] == 1

@@ -97,6 +97,18 @@ def test_failure_returns_best_residual():
         assert result.iterations == 0
 
 
+def test_both_targets_report_failure_and_degeneracy_alike():
+    # A constant field has no zero, and both it and its conservative part
+    # have a singular Jacobian, so each solve fails at a degenerate point
+    # and must say both.
+    field = catalog_field("constant", value=[1.0, 0.0]).field
+    for solver in (find_equilibrium, find_equilibrium_conservative):
+        result = solver(field, 1.0, SolverConfig(multistart=2), allow_uncertified=True)
+        assert not result.success and result.degenerate
+        assert any("cannot guarantee the true boundary condition" in w for w in result.warnings)
+        assert any("continuum" in w for w in result.warnings)
+
+
 def test_perturbed_identity():
     out = perturbed_existence(catalog_field("identity", 2).field, [3.0, -4.0])
     assert out.rho == 8.0
