@@ -72,9 +72,14 @@ def _parse_floats(text, flag):
     raise UsageError(f"{flag} expects comma-separated finite numbers, got {text!r}")
 
 
-def _require_radius(value, flag):
+def _require_positive(value, flag):
     if not (0.0 < value < math.inf):
         raise UsageError(f"{flag} must be positive and finite")
+
+
+def _require_finite(value, flag):
+    if not math.isfinite(value):
+        raise UsageError(f"{flag} must be finite")
 
 
 def _config(cls, **kwargs):
@@ -158,7 +163,7 @@ def _resolve_points(args, field):
         count = args.sample if args.sample is not None else 10
         if count < 1:
             raise UsageError("--sample must be at least 1")
-        _require_radius(args.sample_radius, "--sample-radius")
+        _require_positive(args.sample_radius, "--sample-radius")
         pts = ball_points(field.dimension, count, args.sample_radius, args.seed)
         spec = {
             "kind": "sample",
@@ -215,6 +220,7 @@ def _base_report(command, field, source, config):
 
 def _cmd_decompose(args):
     field, source = _build_field(args)
+    _require_positive(args.threshold, "--threshold")
     points, points_spec = _resolve_points(args, field)
     quad = _quad_config(args)
     config = {
@@ -339,7 +345,8 @@ def _cmd_equilibria(args):
     if (args.radius is None) == (args.perturb is None):
         raise UsageError("specify exactly one of --radius or --perturb")
     if args.radius is not None:
-        _require_radius(args.radius, "--radius")
+        _require_positive(args.radius, "--radius")
+    _require_finite(args.cert_threshold, "--cert-threshold")
     if args.cert_samples is not None and args.cert_samples < 1:
         raise UsageError("--cert-samples must be at least 1")
     # 2.0**1024 overflows a double.

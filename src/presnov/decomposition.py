@@ -37,6 +37,19 @@ quadrature so a single field call covers all Gauss nodes of a panel.
 Both take their derivatives, as does the Newton Jacobian of
 ``equilibria``, from one central-difference stencil (``_fd_probes``,
 ``_fd_derivatives``).
+
+Which integrals share quadrature panels:
+
+* ``potential_many`` and the integral route refine each component on
+  its own (the active set of ``integrate_unit``): one ray per potential,
+  one (point, coordinate) entry per integral-route component.  These are
+  independent integrals, so a ray that converges on the first panels
+  stops being evaluated while a ray through a sharp feature is refined.
+* The finite-difference route keeps all the potentials of a batch on
+  shared panels.  Its derivative (H(x + h e_i) - H(x - h e_i)) / 2h is
+  accurate only because the two potentials are integrated on the same
+  nodes, so their quadrature errors, each up to the tolerance, cancel
+  instead of being divided by the small step 2h.
 """
 
 from __future__ import annotations
@@ -93,28 +106,45 @@ def _chunks(total, size):
         yield np.arange(start, min(start + size, total))
 
 
-def potential_many(field: VectorField, points, config: QuadratureConfig | None = None):
-    """Potential and quadrature error estimate at each row of ``points``."""
-    cfg = config if config is not None else DEFAULT_QUADRATURE
-    pts = _as_points(field, points)
+def _potential_integrand(field, base):
+    """Integrand <X(t x), x> on the rays x = rows of ``base``, and its select."""
+    n = field.dimension
+    live = base
+
+    def integrand(ts):
+        probe = (ts[:, None, None] * live[None, :, :]).reshape(-1, n)
+        vals = field.evaluate_many(probe).reshape(ts.size, live.shape[0], n)
+        return np.einsum("qbn,bn->qb", vals, live)
+
+    def select(rows):
+        nonlocal live
+        live = base[rows]
+
+    return integrand, select
+
+
+def _potentials(field, pts, cfg, shared):
+    """Potentials and error estimates at the rows of ``pts``.
+
+    Each ray is its own integral unless ``shared``, when the rays of a
+    chunk are refined on common panels (see the module docstring).
+    """
     m = pts.shape[0]
     values = np.zeros(m)
     errors = np.zeros(m)
-    norms = np.linalg.norm(pts, axis=1)
-    active = np.flatnonzero(norms >= ORIGIN_RADIUS)
-    n = field.dimension
-    for chunk in _chunks(active.size, _MAX_COMPONENTS):
-        base = pts[active[chunk]]
-
-        def integrand(ts, base=base):
-            probe = (ts[:, None, None] * base[None, :, :]).reshape(-1, n)
-            vals = field.evaluate_many(probe).reshape(ts.size, base.shape[0], n)
-            return np.einsum("qbn,bn->qb", vals, base)
-
-        val, err = integrate_unit(integrand, cfg)
-        values[active[chunk]] = val
-        errors[active[chunk]] = err
+    off_origin = np.flatnonzero(np.linalg.norm(pts, axis=1) >= ORIGIN_RADIUS)
+    for chunk in _chunks(off_origin.size, _MAX_COMPONENTS):
+        integrand, select = _potential_integrand(field, pts[off_origin[chunk]])
+        val, err = integrate_unit(integrand, cfg, select=None if shared else select)
+        values[off_origin[chunk]] = val
+        errors[off_origin[chunk]] = err
     return values, errors
+
+
+def potential_many(field: VectorField, points, config: QuadratureConfig | None = None):
+    """Potential and quadrature error estimate at each row of ``points``."""
+    cfg = config if config is not None else DEFAULT_QUADRATURE
+    return _potentials(field, _as_points(field, points), cfg, shared=False)
 
 
 def compute_potential(field: VectorField, point, config: QuadratureConfig | None = None):
@@ -157,7 +187,9 @@ def _fd_derivatives(values, steps):
 def _gradient_with_errors(field, pts, cfg):
     m, n = pts.shape
     probes, steps = _fd_probes(field, pts)
-    values, errors = potential_many(field, probes[:, 1:].reshape(m * 2 * n, n), cfg)
+    # Shared panels: the quadrature errors of H(x + h e_i) and H(x - h e_i)
+    # cancel in their difference (module docstring).
+    values, errors = _potentials(field, probes[:, 1:].reshape(m * 2 * n, n), cfg, shared=True)
     grads = _fd_derivatives(values.reshape(m, 2 * n), steps)
     errors = errors.reshape(m, 2 * n)
     return grads, (errors[:, 0::2] + errors[:, 1::2]) / (2.0 * steps)
@@ -191,35 +223,52 @@ def gradient_potential_integral_many(
     pts = _as_points(field, points)
     m, n = pts.shape
     out = np.zeros((m, n))
-    eps = np.finfo(float).eps
     # One quadrature component per gradient entry; keep batches bounded.
     # The origin is integrated too: its integrand is X(0) at every node.
     per_point = max(1, _MAX_COMPONENTS // max(n, 1))
     for chunk in _chunks(m, per_point):
-        base = pts[chunk]
-        b = base.shape[0]
-        field_peak = np.zeros(b)
-        abs_sum = np.abs(base).sum(axis=1)
-
-        def noise_floor(abs_sum=abs_sum, peaks=field_peak):
-            per_point_noise = 4.0 * (eps / _FD_SCALE) * abs_sum * peaks
-            return np.repeat(per_point_noise, n)
-
-        def integrand(ts, base=base, b=b, peaks=field_peak):
-            q = ts.size
-            # Row k = q_i * b + b_i is node t_{q_i} base[b_i]; jac_t[k, i, j] is dX_j/dx_i there.
-            centers = (ts[:, None, None] * base[None, :, :]).reshape(q * b, n)
-            probes, steps = _fd_probes(field, centers)
-            vals = field.evaluate_many(probes.reshape(-1, n)).reshape(q * b, 2 * n + 1, n)
-            np.maximum(peaks, np.abs(vals).reshape(q, b, -1).max(axis=(0, 2)), out=peaks)
-            jac_t = _fd_derivatives(vals[:, 1:], steps)
-            jac_t_x = np.einsum("kij,kj->ki", jac_t, np.tile(base, (q, 1)))
-            g = vals[:, 0, :] + np.repeat(ts, b)[:, None] * jac_t_x
-            return g.reshape(q, b * n)
-
-        val, _ = integrate_unit(integrand, cfg, noise_floor=noise_floor)
-        out[chunk] = val.reshape(b, n)
+        integrand, noise_floor, select = _gradient_integrand(field, pts[chunk])
+        val, _ = integrate_unit(integrand, cfg, noise_floor=noise_floor, select=select)
+        out[chunk] = val.reshape(-1, n)
     return out
+
+
+def _gradient_integrand(field, base):
+    """Integrand X(t x) + t J(t x)^T x on the rows x of ``base``, its noise
+    floor and its select.
+
+    Component b_i n + j is entry j at point b_i.  A point is evaluated
+    while any of its entries is active.
+    """
+    n = base.shape[1]
+    peaks = np.zeros(base.shape[0])  # largest |X| over each point's probes
+    noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(base).sum(axis=1)
+    live = slice(None)  # points with an active entry
+    cols = slice(None)  # the active entries among the live points' b n
+
+    def integrand(ts):
+        sub = base[live]
+        q, b = ts.size, sub.shape[0]
+        # Row k = q_i * b + b_i is node t_{q_i} sub[b_i]; jac_t[k, i, j] is dX_j/dx_i there.
+        centers = (ts[:, None, None] * sub[None, :, :]).reshape(q * b, n)
+        probes, steps = _fd_probes(field, centers)
+        vals = field.evaluate_many(probes.reshape(-1, n)).reshape(q * b, 2 * n + 1, n)
+        peaks[live] = np.maximum(peaks[live], np.abs(vals).reshape(q, b, -1).max(axis=(0, 2)))
+        jac_t = _fd_derivatives(vals[:, 1:], steps)
+        jac_t_x = np.einsum("kij,kj->ki", jac_t, np.tile(sub, (q, 1)))
+        g = vals[:, 0, :] + np.repeat(ts, b)[:, None] * jac_t_x
+        return g.reshape(q, b * n)[:, cols]
+
+    def noise_floor():
+        return np.repeat(noise_scale * peaks, n)
+
+    def select(rows):
+        nonlocal live, cols
+        owners = rows // n
+        live = np.unique(owners)
+        cols = np.searchsorted(live, owners) * n + rows % n
+
+    return integrand, noise_floor, select
 
 
 def gradient_potential_integral(field: VectorField, point, config: QuadratureConfig | None = None):

@@ -78,8 +78,9 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (self.residual_tol > 0.0):
-            raise ValueError("residual_tol must be positive")
+        # An infinite tolerance would accept every start where it begins.
+        if not (0.0 < self.residual_tol < np.inf):
+            raise ValueError("residual_tol must be positive and finite")
         if self.max_iterations < 1 or self.multistart < 0:
             raise ValueError("iteration and start counts must be positive")
 

@@ -275,14 +275,23 @@ def _identity_entry(dimension, params):
     )
 
 
+def _float_array(value, message):
+    """``value`` as a float array; CatalogError(message) if ragged or not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise CatalogError(message) from None
+
+
 def _constant_entry(dimension, params):
     _check_params("constant", params, allowed=("value",))
     value = params.get("value")
     if value is None:
         raise CatalogError("catalog entry 'constant' needs a 'value' vector")
-    c = np.asarray(value, dtype=float)
+    message = "'value' must be a finite vector"
+    c = _float_array(value, message)
     if c.ndim != 1 or not np.isfinite(c).all():
-        raise CatalogError("'value' must be a finite vector")
+        raise CatalogError(message)
     n = _require_dim("constant", dimension, c.shape[0])
     fld = CallableField(n, lambda p: np.tile(c, (p.shape[0], 1)), label=f"constant({c.tolist()})")
     return CatalogEntry(
@@ -303,9 +312,10 @@ def _linear_entry(dimension, params):
     matrix = params.get("matrix")
     if matrix is None:
         raise CatalogError("catalog entry 'linear' needs a 'matrix'")
-    a = np.asarray(matrix, dtype=float)
+    message = "'matrix' must be a finite square matrix"
+    a = _float_array(matrix, message)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
-        raise CatalogError("'matrix' must be a finite square matrix")
+        raise CatalogError(message)
     n = _require_dim("linear", dimension, a.shape[0])
     sym = 0.5 * (a + a.T)
     skew = 0.5 * (a - a.T)
@@ -350,12 +360,10 @@ def _gradient_poly_entry(dimension, params):
     if coeffs is None:
         coeffs = np.tile(np.array([0.0, 1.0, 0.0, 1.0]), (n, 1))
     else:
-        try:
-            coeffs = np.asarray(coeffs, dtype=float)
-        except ValueError:  # rows of different lengths
-            coeffs = np.empty(0)
+        message = f"'coeffs' must be a finite ({n}, 4) array"
+        coeffs = _float_array(coeffs, message)
         if coeffs.shape != (n, 4) or not np.isfinite(coeffs).all():
-            raise CatalogError(f"'coeffs' must be a finite ({n}, 4) array")
+            raise CatalogError(message)
     a, b, c, d = (coeffs[:, j] for j in range(4))
 
     def evaluate(p):

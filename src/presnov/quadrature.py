@@ -2,15 +2,30 @@
 
 The integrand may be scalar- or vector-valued: ``f(t)`` receives a 1-d
 array of nodes and returns values of shape ``(len(t),)`` or
-``(len(t), k)``.  Vector integrands share one panel subdivision, so the
-worst component drives refinement and every component's error estimate
-ends up below the requested tolerance.
+``(len(t), k)``.  ``f`` is the only way the integrator evaluates anything.
 
 Each panel is integrated at the configured order and re-integrated on
 its two halves; the difference is the panel's error estimate and the
 half-panel sum is kept as its value.  Panels are refined worst-first
-until the accumulated estimate satisfies
-``max(abs_tol, rel_tol * |integral|)`` componentwise.
+until every component's accumulated estimate meets its own bound,
+``max(abs_tol, rel_tol * |integral|)``, raised to a few ulps of the
+largest integrand value seen and to an optional noise floor.
+
+Components are refined in one of two ways:
+
+* shared (the default): every component is evaluated on every panel, and
+  the panel whose worst component has the largest error is split next.
+  Use it when the components must carry correlated errors, as the
+  potentials of one central difference do.
+* active set (``select`` given): a component retires as soon as it meets
+  its bound.  Its value and error are frozen, and later splits evaluate,
+  sum and re-estimate only the components still active, with panel
+  priorities taken over those.  Use it when the components are
+  independent integrals, such as one line integral per sample point:
+  a ray that has converged then stops paying for the sharp ones
+  (Gander and Gautschi, "Adaptive Quadrature - Revisited", BIT 2000).
+
+In both ways ``max_subdivisions`` bounds the panel splits of the call.
 """
 
 from __future__ import annotations
@@ -56,7 +71,9 @@ def _unit_nodes(order):
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def integrate_unit(f, config: QuadratureConfig | None = None, noise_floor=None):
+def integrate_unit(
+    f, config: QuadratureConfig | None = None, noise_floor=None, select=None
+):
     """Integrate ``f`` over [0, 1].
 
     Returns ``(value, error_estimate)``; both are floats for scalar
@@ -71,11 +88,20 @@ def integrate_unit(f, config: QuadratureConfig | None = None, noise_floor=None):
     and insisting on it would subdivide forever.  A built-in floor of a
     few ulps of the largest integrand value seen plays the same role for
     plain rounding noise.
+
+    ``select`` (a callable taking an index array) switches a vector
+    integrand from shared refinement to the active set (see the module
+    docstring).  Whenever components retire and others remain,
+    ``integrate_unit`` calls ``select(rows)`` with the sorted indices,
+    among all ``k`` components, of those still active; every later
+    ``f(ts)`` must return exactly those columns, in that order.  The
+    returned arrays and ``noise_floor`` still cover all ``k`` components.
+    Without ``select`` the components share one subdivision.
     """
     cfg = config if config is not None else DEFAULT_QUADRATURE
     nodes, weights = _unit_nodes(cfg.order)
     scalar = None
-    run_max = None  # per-component max |f| seen so far
+    run_max = None  # per-active-component max |f| seen so far
 
     def evaluate(bounds):
         nonlocal scalar, run_max
@@ -89,6 +115,8 @@ def integrate_unit(f, config: QuadratureConfig | None = None, noise_floor=None):
             scalar = raw.ndim == 1
         if raw.ndim == 1:
             raw = raw[:, None]
+        if run_max is not None and raw.shape[1] != run_max.size:
+            raise ValueError("integrand returned the wrong number of components")
         peak = np.abs(raw).max(axis=0)
         run_max = peak if run_max is None else np.maximum(run_max, peak)
         p = cfg.order
@@ -98,23 +126,42 @@ def integrate_unit(f, config: QuadratureConfig | None = None, noise_floor=None):
     value = fine_l + fine_r
     err = np.abs(value - coarse)
 
+    # total and err_total cover the active components only; rows maps them
+    # to their place among all k, and a retired component's result waits
+    # in result / result_err.
     total = value.copy()
     err_total = err.copy()
+    rows = np.arange(total.size)
+    result = np.empty_like(total)
+    result_err = np.empty_like(total)
     counter = 0
     heap = [(-float(err.max()), counter, 0.0, 1.0, value, err, fine_l, fine_r)]
     splits = 0
 
     eps = np.finfo(float).eps
 
-    def converged():
+    def within_bound():
         bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
         bound = np.maximum(bound, 4.0 * eps * run_max)
         if noise_floor is not None:
             floor = noise_floor() if callable(noise_floor) else noise_floor
-            bound = np.maximum(bound, np.asarray(floor, dtype=float))
-        return bool(np.all(np.maximum(err_total, 0.0) <= bound))
+            floor = np.broadcast_to(np.asarray(floor, dtype=float), result.shape)
+            bound = np.maximum(bound, floor[rows])
+        return np.maximum(err_total, 0.0) <= bound
 
-    while not converged():
+    while not (done := within_bound()).all():
+        if select is not None and done.any():
+            # Retire the converged components and drop them from every panel.
+            result[rows[done]] = total[done]
+            result_err[rows[done]] = err_total[done]
+            keep = ~done
+            rows, total, err_total, run_max = rows[keep], total[keep], err_total[keep], run_max[keep]
+            heap = [
+                (-float(e[keep].max()), c, a, b, v[keep], e[keep], l[keep], r[keep])
+                for _, c, a, b, v, e, l, r in heap
+            ]
+            heapq.heapify(heap)
+            select(rows)
         if splits >= cfg.max_subdivisions:
             raise QuadratureError(
                 f"quadrature did not converge within {cfg.max_subdivisions} subdivisions "
@@ -139,7 +186,9 @@ def integrate_unit(f, config: QuadratureConfig | None = None, noise_floor=None):
         counter += 1
         heapq.heappush(heap, (-float(err_r.max()), counter, mid, b, val_r, err_r, s2, s3))
 
-    err_total = np.maximum(err_total, 0.0)
+    result[rows] = total
+    result_err[rows] = err_total
+    result_err = np.maximum(result_err, 0.0)
     if scalar:
-        return float(total[0]), float(err_total[0])
-    return total, err_total
+        return float(result[0]), float(result_err[0])
+    return result, result_err

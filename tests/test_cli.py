@@ -243,6 +243,13 @@ def test_shift_flag(capsys):
          "--max-radius-exponent", "-1"],
         ["equilibria", "--catalog", "rotation2d", "--perturb", "1,1",
          "--max-radius-exponent", "2000"],
+        ["equilibria", "--catalog", "constant", "--vector", "1,0", "--radius", "1",
+         "--allow-uncertified", "--solver-tol", "inf"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--threshold", "inf"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--threshold", "nan"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--threshold", "-1"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
+         "--cert-threshold", "nan"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
@@ -354,6 +361,16 @@ _FUZZ_COMMANDS = {
 }
 
 
+# Pool values that must exit 2 wherever they appear: tolerances and
+# thresholds are checked before any numeric work.
+_NOT_POSITIVE_FINITE = {"-1", "0", "nan", "inf", "-inf", "x"}
+_FUZZ_REJECTED = {
+    "--threshold": _NOT_POSITIVE_FINITE,
+    "--solver-tol": _NOT_POSITIVE_FINITE,
+    "--cert-threshold": {"nan", "inf", "-inf", "x"},
+}
+
+
 @st.composite
 def _fuzz_argv(draw):
     command = draw(st.sampled_from(sorted(_FUZZ_COMMANDS)))
@@ -383,6 +400,8 @@ def test_cli_flag_fuzz_keeps_exit_code_contract(argv):
         except SystemExit as exc:  # argparse rejects a malformed flag
             code = exc.code
     assert code in (0, 2, 3, 4, 5), (argv, code)
+    if any(value in _FUZZ_REJECTED.get(flag, ()) for flag, value in zip(argv, argv[1:])):
+        assert code == 2, argv
     if code == 2:
         assert out.getvalue() == "", argv
     if code in (0, 4):

@@ -204,6 +204,35 @@ def test_verify_cost_stays_flat():
     assert counted[0] <= (DEFAULT_QUADRATURE.order + 4) * split_points
 
 
+def test_converged_rays_stop_paying_for_sharp_ones():
+    # One sharp tanh front: the rays that cross it need many panels, the
+    # others three.  Shared refinement made all 200 rays pay the worst
+    # ray's 624 nodes (124800 leaf points for the potentials, 688000 for
+    # the integral route).
+    sharp = parse_field("tanh(20*(x1-1)); x2")
+    counted = [0]
+
+    def counting(p):
+        counted[0] += p.shape[0]
+        return sharp.evaluate_many(p)
+
+    field = CallableField(2, counting)
+    points = ball_points(2, 200, 3.0, seed=5)
+    values, _ = potential_many(field, points)
+    assert counted[0] <= 40_000
+    counted[0] = 0
+    grads = gradient_potential_integral_many(field, points)
+    assert counted[0] <= 250_000
+
+    def within_tolerance(got, alone):
+        cfg = DEFAULT_QUADRATURE
+        return np.all(np.abs(got - alone) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(alone)))
+
+    for x, value, grad in zip(points, values, grads):
+        assert within_tolerance(value, compute_potential(field, x)[0])
+        assert within_tolerance(grad, gradient_potential_integral(field, x))
+
+
 def test_potential_linearity():
     f = parse_field("x1^2; x2")
     g = catalog_field("rotation2d").field

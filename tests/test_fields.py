@@ -159,6 +159,11 @@ def test_catalog_errors():
         catalog_field("linear", matrix=[[1.0, 2.0, 3.0]])
     with pytest.raises(CatalogError):
         catalog_field("gradient_poly", 2, coeffs=[[1.0, 2.0]])
+    # Ragged nesting is a catalog error, not numpy's ValueError.
+    with pytest.raises(CatalogError):
+        catalog_field("linear", matrix=[[1, 2], [3]])
+    with pytest.raises(CatalogError):
+        catalog_field("constant", value=[[1], [2, 3]])
     assert "identity" in catalog_names()
 
 

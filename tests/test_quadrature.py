@@ -34,6 +34,45 @@ def test_vector_integrand():
     assert value.shape == (3,) and err.shape == (3,)
 
 
+def test_select_retires_converged_components():
+    # Column 0 has a sharp front at t = 0.6; the smooth columns converge on
+    # the first three panels and must not be evaluated again.
+    columns = [
+        lambda t: np.tanh(40.0 * (t - 0.6)),
+        lambda t: t**2,
+        np.cos,
+        np.exp,
+        lambda t: 1.0 / (1.0 + t),
+    ]
+    evaluated = np.zeros(len(columns), dtype=int)
+    live = [np.arange(len(columns))]
+
+    def f(ts):
+        evaluated[live[0]] += ts.size
+        return np.column_stack([columns[i](ts) for i in live[0]])
+
+    def select(rows):
+        live[0] = rows
+
+    value, err = integrate_unit(f, select=select)
+    assert evaluated[0] > 48
+    assert (evaluated[1:] == 48).all()
+    cfg = QuadratureConfig()
+    for i, column in enumerate(columns):
+        alone, _ = integrate_unit(column)
+        assert abs(value[i] - alone) <= max(cfg.abs_tol, cfg.rel_tol * abs(alone))
+        assert err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(value[i]))
+
+
+def test_select_that_is_ignored_is_an_error():
+    # After select(rows), f must return only the active columns.
+    def f(t):
+        return np.column_stack((t, np.tanh(40.0 * (t - 0.6))))
+
+    with pytest.raises(ValueError, match="number of components"):
+        integrate_unit(f, select=lambda rows: None)
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         QuadratureConfig(order=1)
