@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .errors import (
     CatalogError,
     CertificateError,
+    ConfigError,
     DimensionMismatchError,
     DomainError,
     NoCertifiedRadiusError,
@@ -78,6 +79,7 @@ __all__ = [
     "__version__",
     # errors
     "PresnovError",
+    "ConfigError",
     "DimensionMismatchError",
     "NonFiniteValueError",
     "DomainError",

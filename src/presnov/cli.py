@@ -27,39 +27,42 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomposition import _verify_split, decompose_many
+from .decomposition import (
+    DEFAULT_VERIFY_THRESHOLD,
+    _check_threshold,
+    _verify_split,
+    decompose_many,
+)
 from .dsl import parse_field
 from .errors import (
     CatalogError,
     CertificateError,
+    ConfigError,
     DimensionMismatchError,
     DomainError,
     NoCertifiedRadiusError,
     NonFiniteValueError,
     ParseError,
-    PresnovError,
     QuadratureError,
 )
 from .fields import ShiftedField, catalog_field
 from .quadrature import QuadratureConfig
-from .radial import ProbeConfig, boundary_certificate, paired_probe
+from .radial import DEFAULT_CERTIFICATE_THRESHOLD, ProbeConfig, boundary_certificate, paired_probe
 from .equilibria import (
+    DEFAULT_MARGIN_FRACTION,
+    DEFAULT_MAX_RADIUS_EXPONENT,
     SolverConfig,
     find_equilibrium,
     find_equilibrium_conservative,
     perturbed_existence,
 )
-from .sampling import ball_points
+from .sampling import DEFAULT_SEED, ball_points
 
 EXIT_OK = 0
 EXIT_PARSE = 2
 EXIT_NUMERIC = 3
 EXIT_IDENTITY = 4
 EXIT_CERTIFICATE = 5
-
-
-class UsageError(PresnovError, ValueError):
-    pass
 
 
 def _parse_floats(text, flag):
@@ -69,37 +72,20 @@ def _parse_floats(text, flag):
             return values
     except ValueError:
         pass
-    raise UsageError(f"{flag} expects comma-separated finite numbers, got {text!r}")
-
-
-def _require_positive(value, flag):
-    if not (0.0 < value < math.inf):
-        raise UsageError(f"{flag} must be positive and finite")
-
-
-def _require_finite(value, flag):
-    if not math.isfinite(value):
-        raise UsageError(f"{flag} must be finite")
-
-
-def _config(cls, **kwargs):
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    raise ConfigError(f"{flag} expects comma-separated finite numbers, got {text!r}")
 
 
 def _build_field(args):
     sources = [s for s in (args.catalog, args.expr, args.field_file) if s is not None]
     if len(sources) != 1:
-        raise UsageError("specify exactly one of --catalog, --expr, --field-file")
+        raise ConfigError("specify exactly one of --catalog, --expr, --field-file")
     if args.catalog is not None:
         params = {}
         if args.matrix is not None:
             flat = _parse_floats(args.matrix, "--matrix")
             n = int(round(len(flat) ** 0.5))
             if n * n != len(flat):
-                raise UsageError("--matrix needs n*n comma-separated entries (row-major)")
+                raise ConfigError("--matrix needs n*n comma-separated entries (row-major)")
             params["matrix"] = np.array(flat).reshape(n, n)
         if args.vector is not None:
             params["value"] = _parse_floats(args.vector, "--vector")
@@ -133,15 +119,8 @@ def _build_field(args):
 
 
 def _resolve_points(args, field):
-    given = [
-        flag
-        for flag, value in (("--at", args.at), ("--points-file", args.points_file))
-        if value is not None
-    ]
-    if args.sample is not None:
-        given.append("--sample")
-    if len(given) > 1:
-        raise UsageError("use only one of --at, --points-file, --sample")
+    if sum(value is not None for value in (args.at, args.points_file, args.sample)) > 1:
+        raise ConfigError("use only one of --at, --points-file, --sample")
     if args.at is not None:
         point = _parse_floats(args.at, "--at")
         pts = np.array([point])
@@ -154,16 +133,13 @@ def _resolve_points(args, field):
                 if line:
                     rows.append(_parse_floats(line, "points file line"))
         if not rows:
-            raise UsageError(f"points file {args.points_file!r} contains no points")
+            raise ConfigError(f"points file {args.points_file!r} contains no points")
         if len({len(row) for row in rows}) > 1:
-            raise UsageError(f"points file {args.points_file!r} has rows of different lengths")
+            raise ConfigError(f"points file {args.points_file!r} has rows of different lengths")
         pts = np.array(rows)
         spec = {"kind": "file", "path": args.points_file, "count": len(rows)}
     else:
         count = args.sample if args.sample is not None else 10
-        if count < 1:
-            raise UsageError("--sample must be at least 1")
-        _require_positive(args.sample_radius, "--sample-radius")
         pts = ball_points(field.dimension, count, args.sample_radius, args.seed)
         spec = {
             "kind": "sample",
@@ -171,10 +147,6 @@ def _resolve_points(args, field):
             "radius": args.sample_radius,
             "seed": args.seed,
         }
-    if pts.shape[1] != field.dimension:
-        raise DimensionMismatchError(
-            f"points have dimension {pts.shape[1]}, field has {field.dimension}"
-        )
     return pts, spec
 
 
@@ -197,14 +169,9 @@ def _emit(report, args, elapsed):
         sys.stdout.write(text)
 
 
-def _quad_config(args):
-    return _config(
-        QuadratureConfig,
-        order=args.quad_order,
-        abs_tol=args.abs_tol,
-        rel_tol=args.rel_tol,
-        max_subdivisions=args.max_subdivisions,
-    )
+def _from_flags(cls, args):
+    """A config built from the flags whose dest names one of its fields."""
+    return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
 def _base_report(command, field, source, config):
@@ -220,9 +187,10 @@ def _base_report(command, field, source, config):
 
 def _cmd_decompose(args):
     field, source = _build_field(args)
-    _require_positive(args.threshold, "--threshold")
+    # The split runs before _verify_split would reject the threshold.
+    _check_threshold(args.threshold)
     points, points_spec = _resolve_points(args, field)
-    quad = _quad_config(args)
+    quad = _from_flags(QuadratureConfig, args)
     config = {
         "points": points_spec,
         "quadrature": dataclasses.asdict(quad),
@@ -281,16 +249,8 @@ def _probe_payload(probe_report):
 
 def _cmd_coercivity(args):
     field, source = _build_field(args)
-    probe_cfg = _config(
-        ProbeConfig,
-        initial_radius=args.initial_radius,
-        radius_factor=args.radius_factor,
-        radius_count=args.radius_count,
-        directions=args.directions,
-        seed=args.seed,
-        growth_floor_factor=args.growth_floor,
-    )
-    quad = _quad_config(args)
+    probe_cfg = _from_flags(ProbeConfig, args)
+    quad = _from_flags(QuadratureConfig, args)
     config = {
         "probe": dataclasses.asdict(probe_cfg)
         | {"directions": probe_cfg.direction_count(field.dimension)},
@@ -343,23 +303,9 @@ def _equilibrium_payload(result):
 def _cmd_equilibria(args):
     field, source = _build_field(args)
     if (args.radius is None) == (args.perturb is None):
-        raise UsageError("specify exactly one of --radius or --perturb")
-    if args.radius is not None:
-        _require_positive(args.radius, "--radius")
-    _require_finite(args.cert_threshold, "--cert-threshold")
-    if args.cert_samples is not None and args.cert_samples < 1:
-        raise UsageError("--cert-samples must be at least 1")
-    # 2.0**1024 overflows a double.
-    if not 0 <= args.max_radius_exponent <= 1023:
-        raise UsageError("--max-radius-exponent must be between 0 and 1023")
-    quad = _quad_config(args)
-    solver = _config(
-        SolverConfig,
-        residual_tol=args.solver_tol,
-        max_iterations=args.max_iterations,
-        multistart=args.multistart,
-        seed=args.seed,
-    )
+        raise ConfigError("specify exactly one of --radius or --perturb")
+    quad = _from_flags(QuadratureConfig, args)
+    solver = _from_flags(SolverConfig, args)
     config = {
         "solver": dataclasses.asdict(solver),
         "quadrature": dataclasses.asdict(quad),
@@ -448,12 +394,12 @@ def _add_field_arguments(parser):
 
 
 def _add_common_arguments(parser):
-    parser.add_argument("--seed", type=int, default=0, help="seed for all randomness")
+    parser.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for all randomness")
     parser.add_argument("--out", help="write the JSON report to this file")
-    parser.add_argument("--quad-order", type=int, default=16)
-    parser.add_argument("--abs-tol", type=float, default=1e-10)
-    parser.add_argument("--rel-tol", type=float, default=1e-10)
-    parser.add_argument("--max-subdivisions", type=int, default=4096)
+    parser.add_argument("--quad-order", dest="order", type=int, default=QuadratureConfig.order)
+    parser.add_argument("--abs-tol", type=float, default=QuadratureConfig.abs_tol)
+    parser.add_argument("--rel-tol", type=float, default=QuadratureConfig.rel_tol)
+    parser.add_argument("--max-subdivisions", type=int, default=QuadratureConfig.max_subdivisions)
 
 
 def build_parser():
@@ -474,18 +420,19 @@ def build_parser():
     p_dec.add_argument("--points-file", help="file with one comma-separated point per line")
     p_dec.add_argument("--sample", type=int, help="number of seeded sample points")
     p_dec.add_argument("--sample-radius", type=float, default=1.0)
-    p_dec.add_argument("--threshold", type=float, default=1e-6,
+    p_dec.add_argument("--threshold", type=float, default=DEFAULT_VERIFY_THRESHOLD,
                        help="verification pass threshold on normalized residuals")
     p_dec.set_defaults(handler=_cmd_decompose)
 
     p_coe = sub.add_parser("coercivity", help="paired coercivity probe")
     _add_field_arguments(p_coe)
     _add_common_arguments(p_coe)
-    p_coe.add_argument("--initial-radius", type=float, default=1.0)
-    p_coe.add_argument("--radius-factor", type=float, default=2.0)
-    p_coe.add_argument("--radius-count", type=int, default=12)
-    p_coe.add_argument("--directions", type=int, default=None)
-    p_coe.add_argument("--growth-floor", type=float, default=4.0)
+    p_coe.add_argument("--initial-radius", type=float, default=ProbeConfig.initial_radius)
+    p_coe.add_argument("--radius-factor", type=float, default=ProbeConfig.radius_factor)
+    p_coe.add_argument("--radius-count", type=int, default=ProbeConfig.radius_count)
+    p_coe.add_argument("--directions", type=int, default=ProbeConfig.directions)
+    p_coe.add_argument("--growth-floor", dest="growth_floor_factor", type=float,
+                       default=ProbeConfig.growth_floor_factor)
     p_coe.set_defaults(handler=_cmd_coercivity)
 
     p_eq = sub.add_parser("equilibria", help="certify a ball and locate equilibria")
@@ -493,14 +440,15 @@ def build_parser():
     _add_common_arguments(p_eq)
     p_eq.add_argument("--radius", type=float, help="ball radius to certify and search")
     p_eq.add_argument("--perturb", help="constant vector b for the perturbation workflow")
-    p_eq.add_argument("--solver-tol", type=float, default=1e-10)
-    p_eq.add_argument("--max-iterations", type=int, default=200)
-    p_eq.add_argument("--multistart", type=int, default=32)
-    p_eq.add_argument("--cert-samples", type=int, default=None)
-    p_eq.add_argument("--cert-threshold", type=float, default=0.0)
+    p_eq.add_argument("--solver-tol", dest="residual_tol", type=float,
+                      default=SolverConfig.residual_tol)
+    p_eq.add_argument("--max-iterations", type=int, default=SolverConfig.max_iterations)
+    p_eq.add_argument("--multistart", type=int, default=SolverConfig.multistart)
+    p_eq.add_argument("--cert-samples", type=int)
+    p_eq.add_argument("--cert-threshold", type=float, default=DEFAULT_CERTIFICATE_THRESHOLD)
     p_eq.add_argument("--allow-uncertified", action="store_true")
-    p_eq.add_argument("--margin-fraction", type=float, default=0.1)
-    p_eq.add_argument("--max-radius-exponent", type=int, default=40)
+    p_eq.add_argument("--margin-fraction", type=float, default=DEFAULT_MARGIN_FRACTION)
+    p_eq.add_argument("--max-radius-exponent", type=int, default=DEFAULT_MAX_RADIUS_EXPONENT)
     p_eq.set_defaults(handler=_cmd_equilibria)
     return parser
 
@@ -510,14 +458,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        if args.seed < 0:
-            raise UsageError("--seed must be non-negative")
         report, code = args.handler(args)
         _emit(report, args, time.perf_counter() - started)
     # OSError comes only from reading --field-file or --points-file or from
     # writing --out, and DimensionMismatchError only from a point or vector
     # flag whose length does not match the field.
-    except (ParseError, CatalogError, UsageError, DimensionMismatchError, OSError) as exc:
+    except (ParseError, CatalogError, ConfigError, DimensionMismatchError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (NoCertifiedRadiusError, CertificateError) as exc:

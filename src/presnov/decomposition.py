@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatchError, DomainError
+from .errors import ConfigError, DimensionMismatchError, DomainError
 from .fields import VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
@@ -91,6 +91,9 @@ _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 # Cap on simultaneous components of one vector-valued quadrature.
 _MAX_COMPONENTS = 2048
 
+# Pass bound of verify_decomposition on its normalized residuals.
+DEFAULT_VERIFY_THRESHOLD = 1e-6
+
 
 def _as_points(field, points):
     pts = np.asarray(points, dtype=float)
@@ -98,7 +101,14 @@ def _as_points(field, points):
         raise DimensionMismatchError(
             f"expected points of shape (m, {field.dimension}), got {pts.shape}"
         )
+    if pts.shape[0] == 0 or not np.isfinite(pts).all():
+        raise ConfigError("points must be a non-empty array of finite coordinates")
     return pts
+
+
+def _check_threshold(threshold):
+    if not 0.0 < threshold < np.inf:
+        raise ConfigError("threshold must be positive and finite")
 
 
 def _chunks(total, size):
@@ -141,13 +151,12 @@ def _potentials(field, pts, cfg, shared):
     return values, errors
 
 
-def potential_many(field: VectorField, points, config: QuadratureConfig | None = None):
+def potential_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
     """Potential and quadrature error estimate at each row of ``points``."""
-    cfg = config if config is not None else DEFAULT_QUADRATURE
-    return _potentials(field, _as_points(field, points), cfg, shared=False)
+    return _potentials(field, _as_points(field, points), config, shared=False)
 
 
-def compute_potential(field: VectorField, point, config: QuadratureConfig | None = None):
+def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
     """Potential at one point; returns ``(value, error_estimate)``.
 
     The potential at the origin is exactly 0.0 without integrating.
@@ -195,20 +204,21 @@ def _gradient_with_errors(field, pts, cfg):
     return grads, (errors[:, 0::2] + errors[:, 1::2]) / (2.0 * steps)
 
 
-def gradient_potential_many(field: VectorField, points, config: QuadratureConfig | None = None):
+def gradient_potential_many(
+    field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
+):
     """Gradient of the potential at each row of ``points`` (central FD route)."""
-    cfg = config if config is not None else DEFAULT_QUADRATURE
     pts = _as_points(field, points)
-    return _gradient_with_errors(field, pts, cfg)[0]
+    return _gradient_with_errors(field, pts, config)[0]
 
 
-def gradient_potential(field: VectorField, point, config: QuadratureConfig | None = None):
+def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
     x = np.asarray(point, dtype=float)
     return gradient_potential_many(field, x[None, :], config)[0]
 
 
 def gradient_potential_integral_many(
-    field: VectorField, points, config: QuadratureConfig | None = None
+    field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
 ):
     """Second, independent gradient route: differentiate under the integral.
 
@@ -219,7 +229,6 @@ def gradient_potential_integral_many(
     never resolve below; the per-point noise estimate is handed to the
     integrator as its acceptance floor.
     """
-    cfg = config if config is not None else DEFAULT_QUADRATURE
     pts = _as_points(field, points)
     m, n = pts.shape
     out = np.zeros((m, n))
@@ -228,7 +237,7 @@ def gradient_potential_integral_many(
     per_point = max(1, _MAX_COMPONENTS // max(n, 1))
     for chunk in _chunks(m, per_point):
         integrand, noise_floor, select = _gradient_integrand(field, pts[chunk])
-        val, _ = integrate_unit(integrand, cfg, noise_floor=noise_floor, select=select)
+        val, _ = integrate_unit(integrand, config, noise_floor=noise_floor, select=select)
         out[chunk] = val.reshape(-1, n)
     return out
 
@@ -271,7 +280,9 @@ def _gradient_integrand(field, base):
     return integrand, noise_floor, select
 
 
-def gradient_potential_integral(field: VectorField, point, config: QuadratureConfig | None = None):
+def gradient_potential_integral(
+    field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE
+):
     x = np.asarray(point, dtype=float)
     return gradient_potential_integral_many(field, x[None, :], config)[0]
 
@@ -328,12 +339,11 @@ class DecompositionSet:
         )
 
 
-def decompose_many(field: VectorField, points, config: QuadratureConfig | None = None):
-    cfg = config if config is not None else DEFAULT_QUADRATURE
+def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
     pts = _as_points(field, points)
     values = field.evaluate_many(pts)
-    potentials, pot_errors = potential_many(field, pts, cfg)
-    grads, grad_errors = _gradient_with_errors(field, pts, cfg)
+    potentials, pot_errors = potential_many(field, pts, config)
+    grads, grad_errors = _gradient_with_errors(field, pts, config)
     residual = values - grads
     # <u, x> and <X, x> - <grad H, x> are one number.
     orth = np.einsum("ij,ij->i", residual, pts)
@@ -351,7 +361,7 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig | None =
     )
 
 
-def decompose(field: VectorField, point, config: QuadratureConfig | None = None):
+def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
     x = np.asarray(point, dtype=float)
     if x.ndim != 1:
         raise DimensionMismatchError("expected a single point of shape (n,)")
@@ -365,12 +375,12 @@ class ConservativePart(VectorField):
     values carry that route's numerical error.
     """
 
-    def __init__(self, source: VectorField, config: QuadratureConfig | None = None):
+    def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
         super().__init__(
             source.dimension, f"conservative_part({source.label})", source.domain
         )
         self.source = source
-        self.config = config if config is not None else DEFAULT_QUADRATURE
+        self.config = config
 
     def _evaluate_many(self, points):
         return gradient_potential_many(self.source, points, self.config)
@@ -379,12 +389,12 @@ class ConservativePart(VectorField):
 class SphereInvariantPart(VectorField):
     """The sphere-invariant remainder of a field, as a field itself."""
 
-    def __init__(self, source: VectorField, config: QuadratureConfig | None = None):
+    def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
         super().__init__(
             source.dimension, f"sphere_invariant_part({source.label})", source.domain
         )
         self.source = source
-        self.config = config if config is not None else DEFAULT_QUADRATURE
+        self.config = config
 
     def _evaluate_many(self, points):
         return self.source.evaluate_many(points) - gradient_potential_many(
@@ -432,15 +442,16 @@ class VerificationReport:
 def verify_decomposition(
     field: VectorField,
     points,
-    config: QuadratureConfig | None = None,
-    threshold: float = 1e-6,
+    config: QuadratureConfig = DEFAULT_QUADRATURE,
+    threshold: float = DEFAULT_VERIFY_THRESHOLD,
 ) -> VerificationReport:
-    cfg = config if config is not None else DEFAULT_QUADRATURE
-    return _verify_split(field, decompose_many(field, points, cfg), cfg, threshold)
+    _check_threshold(threshold)
+    return _verify_split(field, decompose_many(field, points, config), config, threshold)
 
 
 def _verify_split(field, split, cfg, threshold):
     """The checks of ``verify_decomposition`` on a split already computed."""
+    _check_threshold(threshold)
     pts = split.points
     m, n = pts.shape
     scale = (1.0 + np.linalg.norm(pts, axis=1)) * (

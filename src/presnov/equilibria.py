@@ -34,18 +34,21 @@ import numpy as np
 
 from .decomposition import ConservativePart, _fd_derivatives, _fd_probes, compute_potential
 from .decomposition import potential_many
-from .errors import CertificateError, NoCertifiedRadiusError
+from .errors import CertificateError, ConfigError, NoCertifiedRadiusError
 from .fields import ShiftedField, VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .radial import (
+    DEFAULT_CERTIFICATE_THRESHOLD,
     BoundaryCertificate,
     ProbeConfig,
     RadialProbeReport,
     VERDICT_COERCIVE,
+    _check_certificate_settings,
     boundary_certificate,
     coercivity_probe,
 )
-from .sampling import ball_points, default_direction_count, unit_directions
+from .sampling import DEFAULT_SEED, _check_seed, ball_points
+from .sampling import default_direction_count, unit_directions
 
 __all__ = [
     "SolverConfig",
@@ -61,6 +64,11 @@ _ARMIJO = 1e-4  # sufficient-decrease constant of the backtracking line search
 _MIN_STEP = 2.0**-30  # the line search stalls below this step fraction
 _DEGENERATE_COND = 1e12
 
+# By default perturbed_existence searches the radii 2^k, k = 0..40, for a
+# sphere whose certificate margin is at least 0.1 r^2.
+DEFAULT_MAX_RADIUS_EXPONENT = 40
+DEFAULT_MARGIN_FRACTION = 0.1
+
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -75,14 +83,17 @@ class SolverConfig:
     residual_tol: float = 1e-10
     max_iterations: int = 200
     multistart: int = 32
-    seed: int = 0
+    seed: int = DEFAULT_SEED
 
     def __post_init__(self):
         # An infinite tolerance would accept every start where it begins.
-        if not (0.0 < self.residual_tol < np.inf):
-            raise ValueError("residual_tol must be positive and finite")
-        if self.max_iterations < 1 or self.multistart < 0:
-            raise ValueError("iteration and start counts must be positive")
+        if not 0.0 < self.residual_tol < np.inf:
+            raise ConfigError("residual_tol must be positive and finite")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be at least 1")
+        if self.multistart < 0:
+            raise ConfigError("multistart must be non-negative")
+        _check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -258,13 +269,12 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
 def find_equilibrium(
     field: VectorField,
     radius: float,
-    config: SolverConfig | None = None,
+    config: SolverConfig = SolverConfig(),
     certificate: Optional[BoundaryCertificate] = None,
     allow_uncertified: bool = False,
 ) -> EquilibriumResult:
     """Search for a zero of the field inside the ball of the given radius."""
-    cfg = config if config is not None else SolverConfig()
-    return _locate(field, field, radius, cfg, certificate, allow_uncertified)
+    return _locate(field, field, radius, config, certificate, allow_uncertified)
 
 
 def _near_minimizer_check(source, x, radius, quad_cfg, seed):
@@ -287,8 +297,8 @@ def _near_minimizer_check(source, x, radius, quad_cfg, seed):
 def find_equilibrium_conservative(
     field: VectorField,
     radius: float,
-    config: SolverConfig | None = None,
-    quadrature: QuadratureConfig | None = None,
+    config: SolverConfig = SolverConfig(),
+    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
     certificate: Optional[BoundaryCertificate] = None,
     allow_uncertified: bool = False,
 ) -> EquilibriumResult:
@@ -299,12 +309,10 @@ def find_equilibrium_conservative(
     located point is additionally checked to be a local near-minimizer
     of the potential.
     """
-    cfg = config if config is not None else SolverConfig()
-    quad_cfg = quadrature if quadrature is not None else DEFAULT_QUADRATURE
     result = _locate(
-        ConservativePart(field, quad_cfg), field, radius, cfg, certificate, allow_uncertified
+        ConservativePart(field, quadrature), field, radius, config, certificate, allow_uncertified
     )
-    minimizer = _near_minimizer_check(field, result.point, radius, quad_cfg, cfg.seed)
+    minimizer = _near_minimizer_check(field, result.point, radius, quadrature, config.seed)
     warnings = result.warnings
     if not minimizer:
         warnings += (
@@ -317,12 +325,12 @@ def find_equilibrium_conservative(
 def perturbed_existence(
     field: VectorField,
     offset,
-    config: SolverConfig | None = None,
-    quadrature: QuadratureConfig | None = None,
-    max_radius_exponent: int = 40,
-    margin_fraction: float = 0.1,
+    config: SolverConfig = SolverConfig(),
+    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
+    max_radius_exponent: int = DEFAULT_MAX_RADIUS_EXPONENT,
+    margin_fraction: float = DEFAULT_MARGIN_FRACTION,
     certificate_samples: Optional[int] = None,
-    threshold: float = 0.0,
+    threshold: float = DEFAULT_CERTIFICATE_THRESHOLD,
 ) -> PerturbedExistenceResult:
     """Equilibria of the field and of its conservative part, both shifted by a constant.
 
@@ -337,13 +345,18 @@ def perturbed_existence(
     radius is the first certified one, not necessarily the smallest that
     would certify.
     """
-    cfg = config if config is not None else SolverConfig()
+    # 2.0**1024 overflows a double.
+    if not 0 <= max_radius_exponent <= 1023:
+        raise ConfigError("max_radius_exponent must be between 0 and 1023")
+    if not 0.0 <= margin_fraction < np.inf:
+        raise ConfigError("margin_fraction must be finite and non-negative")
+    _check_certificate_settings(threshold, certificate_samples)
     b = np.asarray(offset, dtype=float)
     shifted = ShiftedField(field, b)
     if certificate_samples is None:
         certificate_samples = 4 * default_direction_count(field.dimension)
 
-    probe_report = coercivity_probe(field, ProbeConfig(seed=cfg.seed))
+    probe_report = coercivity_probe(field, ProbeConfig(seed=config.seed))
     warnings = []
     if probe_report.verdict != VERDICT_COERCIVE:
         warnings.append(
@@ -356,7 +369,7 @@ def perturbed_existence(
     for k in range(max_radius_exponent + 1):
         r = float(2.0**k)
         trial = boundary_certificate(
-            shifted, r, samples=certificate_samples, seed=cfg.seed,
+            shifted, r, samples=certificate_samples, seed=config.seed,
             threshold=threshold, check_conservative=False,
         )
         if trial.passed and trial.margin >= margin_fraction * r * r:
@@ -370,12 +383,12 @@ def perturbed_existence(
         )
 
     certificate = boundary_certificate(
-        shifted, rho, samples=certificate_samples, seed=cfg.seed,
+        shifted, rho, samples=certificate_samples, seed=config.seed,
         threshold=threshold, check_conservative=True, quadrature=quadrature,
     )
-    result_field = find_equilibrium(shifted, rho, cfg, certificate=certificate)
+    result_field = find_equilibrium(shifted, rho, config, certificate=certificate)
     result_conservative = find_equilibrium_conservative(
-        shifted, rho, cfg, quadrature=quadrature, certificate=certificate
+        shifted, rho, config, quadrature=quadrature, certificate=certificate
     )
     return PerturbedExistenceResult(
         offset=b,

@@ -21,6 +21,14 @@ class QuadratureError(PresnovError, ArithmeticError):
     """Adaptive quadrature did not converge within its subdivision budget."""
 
 
+class ConfigError(PresnovError, ValueError):
+    """A setting or argument lies outside its valid range.
+
+    Raised by the owner of the value (a config class or the entry point
+    that takes it) before any numeric work.
+    """
+
+
 class CatalogError(PresnovError, ValueError):
     """Unknown catalog entry or invalid entry parameters."""
 

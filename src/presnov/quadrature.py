@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import NonFiniteValueError, QuadratureError
+from .errors import ConfigError, NonFiniteValueError, QuadratureError
 
 __all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE", "integrate_unit"]
 
@@ -53,12 +53,12 @@ class QuadratureConfig:
     def __post_init__(self):
         # numpy documents leggauss as tested up to degree 100.
         if not 2 <= self.order <= 100:
-            raise ValueError("panel order must be between 2 and 100")
+            raise ConfigError("panel order must be between 2 and 100")
         # An infinite rel_tol times a zero integral is a NaN bound that never accepts.
         if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
-            raise ValueError("tolerances must be positive and finite")
+            raise ConfigError("tolerances must be positive and finite")
         if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be at least 1")
+            raise ConfigError("max_subdivisions must be at least 1")
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -72,7 +72,7 @@ def _unit_nodes(order):
 
 
 def integrate_unit(
-    f, config: QuadratureConfig | None = None, noise_floor=None, select=None
+    f, config: QuadratureConfig = DEFAULT_QUADRATURE, noise_floor=None, select=None
 ):
     """Integrate ``f`` over [0, 1].
 
@@ -98,8 +98,7 @@ def integrate_unit(
     returned arrays and ``noise_floor`` still cover all ``k`` components.
     Without ``select`` the components share one subdivision.
     """
-    cfg = config if config is not None else DEFAULT_QUADRATURE
-    nodes, weights = _unit_nodes(cfg.order)
+    nodes, weights = _unit_nodes(config.order)
     scalar = None
     run_max = None  # per-active-component max |f| seen so far
 
@@ -119,7 +118,7 @@ def integrate_unit(
             raise ValueError("integrand returned the wrong number of components")
         peak = np.abs(raw).max(axis=0)
         run_max = peak if run_max is None else np.maximum(run_max, peak)
-        p = cfg.order
+        p = config.order
         return [(b - a) * (weights @ raw[j * p : (j + 1) * p]) for j, (a, b) in enumerate(bounds)]
 
     coarse, fine_l, fine_r = evaluate([(0.0, 1.0), (0.0, 0.5), (0.5, 1.0)])
@@ -141,7 +140,7 @@ def integrate_unit(
     eps = np.finfo(float).eps
 
     def within_bound():
-        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total))
+        bound = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
         bound = np.maximum(bound, 4.0 * eps * run_max)
         if noise_floor is not None:
             floor = noise_floor() if callable(noise_floor) else noise_floor
@@ -162,9 +161,9 @@ def integrate_unit(
             ]
             heapq.heapify(heap)
             select(rows)
-        if splits >= cfg.max_subdivisions:
+        if splits >= config.max_subdivisions:
             raise QuadratureError(
-                f"quadrature did not converge within {cfg.max_subdivisions} subdivisions "
+                f"quadrature did not converge within {config.max_subdivisions} subdivisions "
                 f"(error estimate {float(np.max(err_total)):.3e})"
             )
         if not heap:  # pragma: no cover - defensive; estimates exhausted

@@ -36,9 +36,10 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConservativePart
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .fields import VectorField
-from .quadrature import QuadratureConfig
+from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
+from .sampling import DEFAULT_SEED, _check_radius, _check_seed
 from .sampling import default_direction_count, unit_directions
 
 __all__ = [
@@ -57,6 +58,13 @@ VERDICT_COERCIVE = "empirically-coercive"
 VERDICT_NOT_COERCIVE = "not-coercive-witness"
 VERDICT_INCONCLUSIVE = "inconclusive"
 
+# Relative slack for monotonicity decisions; kept an order of magnitude
+# above the profile-agreement tolerance so paired verdicts match.
+_FLAT_TOL = 1e-5
+
+# A certificate passes when min <X(x), x> over the sphere exceeds this.
+DEFAULT_CERTIFICATE_THRESHOLD = 0.0
+
 _HEURISTIC_NOTE = (
     "Coercivity is an asymptotic property; this verdict is sampled evidence "
     "over a finite radius schedule with a heuristic growth floor, not a proof."
@@ -71,21 +79,28 @@ class ProbeConfig:
     radius_factor: float = 2.0
     radius_count: int = 12
     directions: Optional[int] = None  # None: 256 if n <= 3 else 1024
-    seed: int = 0
+    seed: int = DEFAULT_SEED
     growth_floor_factor: float = 4.0
-    # Relative slack for monotonicity decisions; kept an order of magnitude
-    # above the profile-agreement tolerance so paired verdicts match.
-    flat_tol: float = 1e-5
 
     def __post_init__(self):
-        if not (self.initial_radius > 0.0):
-            raise ValueError("initial_radius must be positive")
-        if not (self.radius_factor > 1.0):
-            raise ValueError("radius_factor must exceed 1")
+        if not self.initial_radius > 0.0:
+            raise ConfigError("initial_radius must be positive")
+        if not self.radius_factor > 1.0:
+            raise ConfigError("radius_factor must exceed 1")
         if self.radius_count < 2:
-            raise ValueError("radius_count must be at least 2")
+            raise ConfigError("radius_count must be at least 2")
+        # The schedule grows, so its last radius is its largest; one scalar
+        # power avoids building a long schedule here.
+        with np.errstate(over="ignore"):
+            growth = np.float64(self.radius_factor) ** float(self.radius_count - 1)
+            last = self.initial_radius * growth
+        if not np.isfinite(last):
+            raise ConfigError("every radius of the schedule must be finite")
         if self.directions is not None and self.directions < 1:
-            raise ValueError("directions must be at least 1")
+            raise ConfigError("directions must be at least 1")
+        _check_seed(self.seed)
+        if not 0.0 <= self.growth_floor_factor < np.inf:
+            raise ConfigError("growth_floor_factor must be finite and non-negative")
 
     def radii(self) -> np.ndarray:
         return self.initial_radius * self.radius_factor ** np.arange(self.radius_count)
@@ -178,10 +193,17 @@ class BoundaryCertificate:
         return out
 
 
+def _check_certificate_settings(threshold, samples):
+    """The certificate arguments that ``perturbed_existence`` passes through."""
+    if not np.isfinite(threshold):
+        raise ConfigError("certificate threshold must be finite")
+    if samples is not None and samples < 1:
+        raise ConfigError("certificate samples must be at least 1")
+
+
 def radial_profile(field: VectorField, radius: float, directions) -> np.ndarray:
     """Profile values <X(r d), r d> / r for each unit direction d."""
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     dirs = np.asarray(directions, dtype=float)
     points = radius * dirs
     values = field.evaluate_many(points)
@@ -195,12 +217,12 @@ def _profile_table(field, radii, directions):
     return profiles
 
 
-def _find_witness(radii, profiles, directions, flat_tol):
+def _find_witness(radii, profiles, directions):
     count = radii.size
     tail_start = max(2, (2 * count) // 3)
     for j in range(directions.shape[0]):
         p = profiles[:, j]
-        slack = flat_tol * (1.0 + np.abs(p[:-1]))
+        slack = _FLAT_TOL * (1.0 + np.abs(p[:-1]))
         nonincr = p[1:] <= p[:-1] + slack
         # Three consecutive radii means two consecutive non-increasing steps.
         run = 0
@@ -218,7 +240,7 @@ def _find_witness(radii, profiles, directions, flat_tol):
                 )
         ceiling = p[:tail_start].max()
         tail = p[tail_start:]
-        tail_slack = flat_tol * (1.0 + abs(ceiling))
+        tail_slack = _FLAT_TOL * (1.0 + abs(ceiling))
         if np.all(tail <= ceiling + tail_slack):
             return Witness(
                 kind="bounded",
@@ -232,11 +254,11 @@ def _find_witness(radii, profiles, directions, flat_tol):
 
 
 def _verdict(radii, profiles, directions, cfg):
-    witness = _find_witness(radii, profiles, directions, cfg.flat_tol)
+    witness = _find_witness(radii, profiles, directions)
     if witness is not None:
         return VERDICT_NOT_COERCIVE, witness
     mins = profiles.min(axis=1)
-    slack = cfg.flat_tol * (1.0 + np.abs(mins[:-1]))
+    slack = _FLAT_TOL * (1.0 + np.abs(mins[:-1]))
     strictly_increasing = bool(np.all(mins[1:] > mins[:-1] + slack))
     floor_ok = mins[-1] > 0.0 and mins[-1] >= cfg.growth_floor_factor * abs(mins[0])
     if strictly_increasing and floor_ok:
@@ -261,33 +283,29 @@ def _probe_with_directions(field, cfg, directions):
     )
 
 
-def _require_full_space(field):
+def _probe_directions(field, cfg):
     if not field.domain.is_full_space:
         raise DomainError(
             "coercivity probing needs a field defined on all of R^n "
             "(the radius schedule is unbounded)"
         )
+    return unit_directions(field.dimension, cfg.direction_count(field.dimension), cfg.seed)
 
 
-def coercivity_probe(field: VectorField, config: ProbeConfig | None = None) -> RadialProbeReport:
-    cfg = config if config is not None else ProbeConfig()
-    _require_full_space(field)
-    directions = unit_directions(field.dimension, cfg.direction_count(field.dimension), cfg.seed)
-    return _probe_with_directions(field, cfg, directions)
+def coercivity_probe(field: VectorField, config: ProbeConfig = ProbeConfig()) -> RadialProbeReport:
+    return _probe_with_directions(field, config, _probe_directions(field, config))
 
 
 def paired_probe(
     field: VectorField,
-    config: ProbeConfig | None = None,
-    quadrature: QuadratureConfig | None = None,
+    config: ProbeConfig = ProbeConfig(),
+    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> PairedProbeReport:
     """Probe a field and its conservative part at identical probe points."""
-    cfg = config if config is not None else ProbeConfig()
-    _require_full_space(field)
-    directions = unit_directions(field.dimension, cfg.direction_count(field.dimension), cfg.seed)
-    report_x = _probe_with_directions(field, cfg, directions)
+    directions = _probe_directions(field, config)
+    report_x = _probe_with_directions(field, config, directions)
     conservative = ConservativePart(field, quadrature)
-    report_g = _probe_with_directions(conservative, cfg, directions)
+    report_g = _probe_with_directions(conservative, config, directions)
     gap = np.abs(report_x.profiles - report_g.profiles)
     discrepancy = gap / (1.0 + np.abs(report_x.profiles))
     return PairedProbeReport(
@@ -303,14 +321,14 @@ def boundary_certificate(
     field: VectorField,
     radius: float,
     samples: Optional[int] = None,
-    seed: int = 0,
-    threshold: float = 0.0,
+    seed: int = DEFAULT_SEED,
+    threshold: float = DEFAULT_CERTIFICATE_THRESHOLD,
     check_conservative: bool = True,
-    quadrature: QuadratureConfig | None = None,
+    quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BoundaryCertificate:
     """Sample the sphere of the given radius and certify <X(x), x> > threshold."""
-    if not (radius > 0.0):
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
+    _check_certificate_settings(threshold, samples)
     m = samples if samples is not None else default_direction_count(field.dimension)
     points = radius * unit_directions(field.dimension, m, seed)
     radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)

@@ -9,17 +9,36 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 __all__ = [
     "default_direction_count",
     "unit_directions",
     "ball_points",
 ]
 
+# The seed of every seeded sample when the caller names none.
+DEFAULT_SEED = 0
+
+
+def _check_seed(seed):
+    if seed < 0:
+        raise ConfigError("seeds must be non-negative integers")
+
 
 def _generator(seed: int) -> np.random.Generator:
-    if seed < 0:
-        raise ValueError("seeds must be non-negative integers")
+    _check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))
+
+
+def _check_count(count):
+    if count < 1:
+        raise ConfigError("sample count must be at least 1")
+
+
+def _check_radius(radius):
+    if not 0.0 < radius < np.inf:
+        raise ConfigError("radius must be positive and finite")
 
 
 def default_direction_count(dimension: int) -> int:
@@ -38,7 +57,7 @@ def _gaussian_directions(dimension, count, rng):
     return vecs / norms
 
 
-def unit_directions(dimension: int, count: int, seed: int = 0) -> np.ndarray:
+def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Deterministic isotropic unit vectors, shape (count, dimension).
 
     In the plane, half of the directions come from an equispaced angular
@@ -46,8 +65,7 @@ def unit_directions(dimension: int, count: int, seed: int = 0) -> np.ndarray:
     and the rest are normalized Gaussian draws; in higher dimensions all
     directions are normalized Gaussian draws.
     """
-    if count < 1:
-        raise ValueError("direction count must be at least 1")
+    _check_count(count)
     rng = _generator(seed)
     if dimension == 2 and count >= 2:
         k = count // 2
@@ -58,8 +76,10 @@ def unit_directions(dimension: int, count: int, seed: int = 0) -> np.ndarray:
     return _gaussian_directions(dimension, count, rng)
 
 
-def ball_points(dimension: int, count: int, radius: float, seed: int = 0) -> np.ndarray:
+def ball_points(dimension: int, count: int, radius: float, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform seeded points in the open ball of the given radius."""
+    _check_count(count)
+    _check_radius(radius)
     rng = _generator(seed)
     directions = _gaussian_directions(dimension, count, rng)
     radii = radius * rng.random(count) ** (1.0 / dimension)

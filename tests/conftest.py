@@ -1,8 +1,20 @@
 """Shared generators for the test suite (seeded, deterministic)."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from presnov.dsl import Binary, Const, Norm2, Unary, Var
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """Environment for a child interpreter that imports presnov from src/,
+    whether or not the package is installed."""
+    return os.environ | {"PYTHONPATH": str(ROOT / "src")}
+
 
 _FUNC_NAMES = ("sin", "cos", "exp", "tanh", "abs", "sqrt")
 _BINARY_OPS = ("+", "-", "*", "/", "^")

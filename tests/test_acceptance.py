@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import random_ast, random_polynomial_field_text
+from conftest import random_ast, random_polynomial_field_text, src_env
 from presnov import (
     NoCertifiedRadiusError,
     catalog_field,
@@ -308,7 +308,7 @@ def test_criterion_10_parser_fuzz_and_precedence():
 
 def _run_cli(args):
     return subprocess.run(
-        [sys.executable, "-m", "presnov", *args], capture_output=True, text=True
+        [sys.executable, "-m", "presnov", *args], capture_output=True, text=True, env=src_env()
     )
 
 

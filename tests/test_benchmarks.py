@@ -3,6 +3,7 @@ import sys
 from pathlib import Path
 
 import presnov as pv
+from conftest import src_env
 
 BENCHMARKS = Path(__file__).resolve().parents[1] / "benchmarks"
 SELFTEST = BENCHMARKS / "selftest.py"
@@ -11,7 +12,9 @@ SELFTEST = BENCHMARKS / "selftest.py"
 def test_benchmark_selftest_passes():
     # The benchmark's tracer patches presnov's module globals by name, so a
     # refactor of those modules can break it without breaking the library.
-    done = subprocess.run([sys.executable, str(SELFTEST)], capture_output=True, text=True)
+    done = subprocess.run(
+        [sys.executable, str(SELFTEST)], capture_output=True, text=True, env=src_env()
+    )
     assert done.returncode == 0, done.stdout + done.stderr
 
 

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import presnov as pv
+from conftest import src_env
 from presnov.cli import main
 
 
@@ -250,6 +252,14 @@ def test_shift_flag(capsys):
         ["decompose", "--catalog", "identity", "--dim", "2", "--threshold", "-1"],
         ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
          "--cert-threshold", "nan"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "1,1",
+         "--margin-fraction", "nan"],
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "1,1",
+         "--margin-fraction", "-1"],
+        ["coercivity", "--catalog", "identity", "--dim", "2", "--growth-floor", "nan",
+         "--radius-count", "4", "--directions", "8"],
+        ["coercivity", "--catalog", "identity", "--dim", "2", "--initial-radius", "inf"],
+        ["coercivity", "--catalog", "identity", "--dim", "2", "--radius-factor", "inf"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
@@ -258,6 +268,102 @@ def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
     column = tmp_path / "column.txt"
     column.write_text("1\n2\n", encoding="utf-8")
     argv = [arg.format(dir=tmp_path, ragged=ragged, column=column) for arg in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+# One row per bad setting: its owner in the library, called on a field that
+# counts its evaluations, and the CLI flags that reach the same owner.
+_NAN, _INF = float("nan"), float("inf")
+_BAD_SETTINGS = {
+    "quadrature order": (
+        lambda f: pv.QuadratureConfig(order=1),
+        ["decompose", "--quad-order", "1"]),
+    "solver tolerance": (
+        lambda f: pv.SolverConfig(residual_tol=_INF),
+        ["equilibria", "--radius", "1", "--solver-tol", "inf"]),
+    "solver seed": (
+        lambda f: pv.SolverConfig(seed=-1),
+        ["equilibria", "--radius", "1", "--seed", "-1"]),
+    "probe seed": (
+        lambda f: pv.ProbeConfig(seed=-1),
+        ["coercivity", "--seed", "-1"]),
+    "growth floor": (
+        lambda f: pv.ProbeConfig(growth_floor_factor=_NAN),
+        ["coercivity", "--growth-floor", "nan"]),
+    "initial radius": (
+        lambda f: pv.ProbeConfig(initial_radius=_INF),
+        ["coercivity", "--initial-radius", "inf"]),
+    "radius schedule overflows": (
+        lambda f: pv.ProbeConfig(radius_factor=1e308, radius_count=3),
+        ["coercivity", "--radius-factor", "1e308", "--radius-count", "3"]),
+    "verify threshold": (
+        lambda f: pv.verify_decomposition(f, [[1.0, 0.5]], threshold=_INF),
+        ["decompose", "--threshold", "inf"]),
+    "no points": (
+        lambda f: pv.verify_decomposition(f, np.zeros((0, 2))),
+        ["decompose", "--points-file", "{empty}"]),
+    "sample count": (
+        lambda f: pv.ball_points(2, 0, 1.0),
+        ["decompose", "--sample", "0"]),
+    "sample radius": (
+        lambda f: pv.ball_points(2, 3, -1.0),
+        ["decompose", "--sample-radius", "-1"]),
+    "infinite sample radius": (
+        lambda f: pv.ball_points(2, 1, _INF),
+        ["decompose", "--sample-radius", "inf"]),
+    "sample seed": (
+        lambda f: pv.ball_points(2, 3, 1.0, seed=-1),
+        ["decompose", "--seed", "-1"]),
+    "certificate radius": (
+        lambda f: pv.boundary_certificate(f, _INF),
+        ["equilibria", "--radius", "inf"]),
+    "certificate samples": (
+        lambda f: pv.boundary_certificate(f, 1.0, samples=0),
+        ["equilibria", "--radius", "1", "--cert-samples", "0"]),
+    "certificate threshold": (
+        lambda f: pv.boundary_certificate(f, 1.0, threshold=_NAN),
+        ["equilibria", "--radius", "1", "--cert-threshold", "nan"]),
+    "margin fraction": (
+        lambda f: pv.perturbed_existence(f, [1.0, 1.0], margin_fraction=_NAN),
+        ["equilibria", "--perturb", "1,1", "--margin-fraction", "nan"]),
+    "negative margin fraction": (
+        lambda f: pv.perturbed_existence(f, [1.0, 1.0], margin_fraction=-1.0),
+        ["equilibria", "--perturb", "1,1", "--margin-fraction", "-1"]),
+    "radius exponent": (
+        lambda f: pv.perturbed_existence(f, [1.0, 1.0], max_radius_exponent=-1),
+        ["equilibria", "--perturb", "1,1", "--max-radius-exponent", "-1"]),
+    "radius exponent overflows": (
+        lambda f: pv.perturbed_existence(f, [1.0, 1.0], max_radius_exponent=1024),
+        ["equilibria", "--perturb", "1,1", "--max-radius-exponent", "1024"]),
+    "perturbation samples": (
+        lambda f: pv.perturbed_existence(f, [1.0, 1.0], certificate_samples=0),
+        ["equilibria", "--perturb", "1,1", "--cert-samples", "0"]),
+    "perturbation threshold": (
+        lambda f: pv.perturbed_existence(f, [1.0, 1.0], threshold=_INF),
+        ["equilibria", "--perturb", "1,1", "--cert-threshold", "inf"]),
+}
+
+
+@pytest.mark.parametrize("owner, flags", _BAD_SETTINGS.values(), ids=_BAD_SETTINGS)
+def test_bad_settings_fail_alike_in_library_and_cli(owner, flags, tmp_path, capsys):
+    evaluated = []
+
+    def identity(points):
+        evaluated.append(len(points))
+        return points
+
+    with pytest.raises(pv.ConfigError):
+        owner(pv.CallableField(2, identity))
+    assert evaluated == []
+
+    empty = tmp_path / "empty.txt"
+    empty.write_text("\n", encoding="utf-8")
+    command, *rest = flags
+    argv = [command, "--catalog", "identity", "--dim", "2"]
+    argv += [arg.format(empty=empty) for arg in rest]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -290,8 +396,8 @@ def test_reports_reproducible_in_process(capsys):
 def test_console_entry_point_subprocess():
     cmd = [sys.executable, "-m", "presnov", "decompose", "--catalog", "identity",
            "--dim", "2", "--sample", "4", "--seed", "0"]
-    first = subprocess.run(cmd, capture_output=True, text=True)
-    second = subprocess.run(cmd, capture_output=True, text=True)
+    first = subprocess.run(cmd, capture_output=True, text=True, env=src_env())
+    second = subprocess.run(cmd, capture_output=True, text=True, env=src_env())
     assert first.returncode == 0 and second.returncode == 0
     a, b = json.loads(first.stdout), json.loads(second.stdout)
     assert canonical(a) == canonical(b)
@@ -361,14 +467,23 @@ _FUZZ_COMMANDS = {
 }
 
 
-# Pool values that must exit 2 wherever they appear: tolerances and
-# thresholds are checked before any numeric work.
+# Pool values that must exit 2 wherever the chosen mode reads their flag:
+# each owner checks its settings before any numeric work.
 _NOT_POSITIVE_FINITE = {"-1", "0", "nan", "inf", "-inf", "x"}
+_NOT_NON_NEGATIVE_FINITE = {"-1", "nan", "inf", "-inf", "x"}
 _FUZZ_REJECTED = {
     "--threshold": _NOT_POSITIVE_FINITE,
     "--solver-tol": _NOT_POSITIVE_FINITE,
     "--cert-threshold": {"nan", "inf", "-inf", "x"},
+    "--margin-fraction": _NOT_NON_NEGATIVE_FINITE,
+    "--growth-floor": _NOT_NON_NEGATIVE_FINITE,
+    "--initial-radius": _NOT_POSITIVE_FINITE,
+    "--radius-factor": _NOT_POSITIVE_FINITE | {"0.5"},
+    "--sample-radius": _NOT_POSITIVE_FINITE,
 }
+# Flags that a mode never reads: --radius skips the perturbation search and
+# --at the sampler, so their values go unchecked there.
+_FUZZ_UNREAD = {"--radius": "--margin-fraction", "--at": "--sample-radius"}
 
 
 @st.composite
@@ -400,7 +515,11 @@ def test_cli_flag_fuzz_keeps_exit_code_contract(argv):
         except SystemExit as exc:  # argparse rejects a malformed flag
             code = exc.code
     assert code in (0, 2, 3, 4, 5), (argv, code)
-    if any(value in _FUZZ_REJECTED.get(flag, ()) for flag, value in zip(argv, argv[1:])):
+    unread = {_FUZZ_UNREAD[mode] for mode in _FUZZ_UNREAD if mode in argv}
+    if any(
+        value in _FUZZ_REJECTED.get(flag, ()) and flag not in unread
+        for flag, value in zip(argv, argv[1:])
+    ):
         assert code == 2, argv
     if code == 2:
         assert out.getvalue() == "", argv
