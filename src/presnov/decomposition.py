@@ -11,38 +11,42 @@ u(x) = X(x) - grad H(x) is everywhere orthogonal to the position vector
 normalization H(0) = 0 and <u(x), x> = 0, and satisfies the radial
 equality <X(x), x> = <grad H(x), x> at every point.
 
+The conservative part comes from one route, the homotopy formula of the
+Poincare lemma (differentiation under the integral sign):
+
+    grad H(x) = integral over t in [0, 1] of X(t x) + t J(t x)^T x dt,
+
+with the Jacobian J from ``VectorField.value_and_jacobian_many``: exact
+for DSL and catalog fields, the central-difference stencil of ``fields``
+otherwise.  ``gradient_potential_integral_many``, ``decompose_many``,
+``ConservativePart`` and ``SphereInvariantPart`` all use it.
+
+``gradient_potential_many`` (central finite differences of H) is kept
+only as an independent cross-check of that route: it differentiates H
+itself, so it shares no formula with the homotopy route.
+
 ``verify_decomposition`` checks a split with flat computations on the
 sample points and on the Gauss nodes t_k x of their rays; no check
 nests a quadrature inside another:
 
 * orthogonality and radial equality are the same number,
   <X(x) - grad H(x), x>, computed once from the split's arrays;
-* idempotence compares the finite-difference gradient of H with the
-  integral route (below), which recovers grad H without differentiating
-  H and so sees tangential (curl) errors no radial check can;
+* idempotence compares the split's grad H with the finite-difference
+  gradient of H, which sees tangential (curl) errors no radial check
+  can;
 * the potential of u is sum_k (w_k / t_k) <u(t_k x), t_k x> over the
   Gauss-Legendre nodes of one panel on [0, 1], with u = X - grad H from
-  one finite-difference gradient over the stacked node points.
+  one homotopy-route gradient over the stacked node points.
 
-Two independent gradient routes are provided and cross-checked:
-
-* ``gradient_potential``: central finite differences of the potential,
-  one adaptive quadrature per shifted evaluation (the primary route);
-* ``gradient_potential_integral``: differentiation under the integral
-  sign, integrating X_i(t x) + t * <dX/dx_i(t x), x> over t in [0, 1].
-
-Both routes are batched over points: the shifted potentials (or the
-integrand components) are stacked into one vector-valued adaptive
-quadrature so a single field call covers all Gauss nodes of a panel.
-Both take their derivatives, as does the Newton Jacobian of
-``equilibria``, from one central-difference stencil (``_fd_probes``,
-``_fd_derivatives``).
+Both routes are batched over points: the integrand components are
+stacked into one vector-valued adaptive quadrature so a single field
+call covers all Gauss nodes of a panel.
 
 Which integrals share quadrature panels:
 
-* ``potential_many`` and the integral route refine each component on
+* ``potential_many`` and the homotopy route refine each component on
   its own (the active set of ``integrate_unit``): one ray per potential,
-  one (point, coordinate) entry per integral-route component.  These are
+  one (point, coordinate) entry per homotopy-route component.  These are
   independent integrals, so a ray that converges on the first panels
   stops being evaluated while a ray through a sharp feature is refined.
 * The finite-difference route keeps all the potentials of a batch on
@@ -58,8 +62,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError
-from .fields import VectorField
+from .errors import ConfigError, DimensionMismatchError
+from .fields import _FD_SCALE, VectorField, _fd_derivatives, _fd_probes
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
 __all__ = [
@@ -83,10 +87,6 @@ __all__ = [
 # Below this norm the potential is pinned to exactly zero (its analytic
 # value), which keeps normalized residuals away from 0/0.
 ORIGIN_RADIUS = 1e-12
-
-# Cube root of machine epsilon: the standard step for second-order
-# central differences of values carrying relative rounding noise.
-_FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 
 # Cap on simultaneous components of one vector-valued quadrature.
 _MAX_COMPONENTS = 2048
@@ -142,7 +142,8 @@ def _potentials(field, pts, cfg, shared):
     m = pts.shape[0]
     values = np.zeros(m)
     errors = np.zeros(m)
-    off_origin = np.flatnonzero(np.linalg.norm(pts, axis=1) >= ORIGIN_RADIUS)
+    with np.errstate(over="ignore"):  # an overflowing norm is still off the origin
+        off_origin = np.flatnonzero(np.linalg.norm(pts, axis=1) >= ORIGIN_RADIUS)
     for chunk in _chunks(off_origin.size, _MAX_COMPONENTS):
         integrand, select = _potential_integrand(field, pts[off_origin[chunk]])
         val, err = integrate_unit(integrand, cfg, select=None if shared else select)
@@ -168,48 +169,18 @@ def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFA
     return float(values[0]), float(errors[0])
 
 
-def _fd_probes(field, centers):
-    """Probes (m, 2n + 1, n) around the rows x of ``centers`` and steps (m, n).
-
-    Row 0 is x, rows 2i + 1 and 2i + 2 are x + h_i e_i and x - h_i e_i,
-    with h_i = _FD_SCALE * max(1, |x_i|).  Probes outside the field's
-    domain raise DomainError.
-    """
-    m, n = centers.shape
-    steps = _FD_SCALE * np.maximum(1.0, np.abs(centers))
-    probes = np.repeat(centers[:, None, :], 2 * n + 1, axis=1)
-    # In a flattened (2n + 1, n) block, entry (2i + 1, i) sits at offset
-    # n + i (2n + 1) and entry (2i + 2, i) at 2n + i (2n + 1).
-    probes.reshape(m, -1)[:, n :: 2 * n + 1] += steps
-    probes.reshape(m, -1)[:, 2 * n :: 2 * n + 1] -= steps
-    if not field.domain.contains_all(probes):
-        raise DomainError("insufficient clearance to the ball boundary for finite differences")
-    return probes, steps
-
-
-def _fd_derivatives(values, steps):
-    """Derivatives (m, n, ...) from values (m, 2n, ...) at probe rows 1..2n."""
-    steps = steps.reshape(steps.shape + (1,) * (values.ndim - 2))
-    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
-
-
-def _gradient_with_errors(field, pts, cfg):
+def gradient_potential_many(
+    field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
+):
+    """Gradient of the potential at each row of ``points``: central
+    differences of H, the cross-check route."""
+    pts = _as_points(field, points)
     m, n = pts.shape
     probes, steps = _fd_probes(field, pts)
     # Shared panels: the quadrature errors of H(x + h e_i) and H(x - h e_i)
     # cancel in their difference (module docstring).
-    values, errors = _potentials(field, probes[:, 1:].reshape(m * 2 * n, n), cfg, shared=True)
-    grads = _fd_derivatives(values.reshape(m, 2 * n), steps)
-    errors = errors.reshape(m, 2 * n)
-    return grads, (errors[:, 0::2] + errors[:, 1::2]) / (2.0 * steps)
-
-
-def gradient_potential_many(
-    field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
-):
-    """Gradient of the potential at each row of ``points`` (central FD route)."""
-    pts = _as_points(field, points)
-    return _gradient_with_errors(field, pts, config)[0]
+    values, _ = _potentials(field, probes[:, 1:].reshape(m * 2 * n, n), config, shared=True)
+    return _fd_derivatives(values.reshape(m, 2 * n), steps)
 
 
 def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -217,40 +188,53 @@ def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEF
     return gradient_potential_many(field, x[None, :], config)[0]
 
 
+def _homotopy_gradient(field, pts, cfg):
+    """grad H and its quadrature error estimates at the rows of ``pts``.
+
+    At the origin grad H is X(0) exactly, with no integral.
+    """
+    m, n = pts.shape
+    grads = np.empty((m, n))
+    errors = np.zeros((m, n))
+    at_origin = ~pts.any(axis=1)
+    if at_origin.any():
+        grads[at_origin] = field.evaluate_many(pts[at_origin])
+    rays = np.flatnonzero(~at_origin)
+    # One quadrature component per gradient entry; keep batches bounded.
+    per_point = max(1, _MAX_COMPONENTS // n)
+    for chunk in _chunks(rays.size, per_point):
+        rows = rays[chunk]
+        integrand, noise_floor, select = _gradient_integrand(field, pts[rows])
+        val, err = integrate_unit(integrand, cfg, noise_floor=noise_floor, select=select)
+        grads[rows] = val.reshape(-1, n)
+        errors[rows] = err.reshape(-1, n)
+    return grads, errors
+
+
 def gradient_potential_integral_many(
     field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
 ):
-    """Second, independent gradient route: differentiate under the integral.
+    """Gradient of the potential at each row of ``points`` by the homotopy
+    formula: integrate X(t x) + t J(t x)^T x over t in [0, 1].
 
-    For each point x the integrand over t is the vector
-    X(t x) + t * J(t x)^T x, with the Jacobian columns dX/dx_i estimated
-    by central differences at each Gauss node.  Those differences carry
-    rounding noise of order eps * |X| / step, which the quadrature can
-    never resolve below; the per-point noise estimate is handed to the
+    With an exact Jacobian the integrand is as accurate as the field
+    itself.  With the central-difference fallback it carries rounding
+    noise of order eps * |X| / step, which the quadrature can never
+    resolve below; the per-point noise estimate is then handed to the
     integrator as its acceptance floor.
     """
-    pts = _as_points(field, points)
-    m, n = pts.shape
-    out = np.zeros((m, n))
-    # One quadrature component per gradient entry; keep batches bounded.
-    # The origin is integrated too: its integrand is X(0) at every node.
-    per_point = max(1, _MAX_COMPONENTS // max(n, 1))
-    for chunk in _chunks(m, per_point):
-        integrand, noise_floor, select = _gradient_integrand(field, pts[chunk])
-        val, _ = integrate_unit(integrand, config, noise_floor=noise_floor, select=select)
-        out[chunk] = val.reshape(-1, n)
-    return out
+    return _homotopy_gradient(field, _as_points(field, points), config)[0]
 
 
 def _gradient_integrand(field, base):
     """Integrand X(t x) + t J(t x)^T x on the rows x of ``base``, its noise
-    floor and its select.
+    floor (None for an exact Jacobian) and its select.
 
     Component b_i n + j is entry j at point b_i.  A point is evaluated
     while any of its entries is active.
     """
     n = base.shape[1]
-    peaks = np.zeros(base.shape[0])  # largest |X| over each point's probes
+    peaks = np.zeros(base.shape[0])  # largest |X| over each point's nodes
     noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(base).sum(axis=1)
     live = slice(None)  # points with an active entry
     cols = slice(None)  # the active entries among the live points' b n
@@ -258,14 +242,15 @@ def _gradient_integrand(field, base):
     def integrand(ts):
         sub = base[live]
         q, b = ts.size, sub.shape[0]
-        # Row k = q_i * b + b_i is node t_{q_i} sub[b_i]; jac_t[k, i, j] is dX_j/dx_i there.
-        centers = (ts[:, None, None] * sub[None, :, :]).reshape(q * b, n)
-        probes, steps = _fd_probes(field, centers)
-        vals = field.evaluate_many(probes.reshape(-1, n)).reshape(q * b, 2 * n + 1, n)
-        peaks[live] = np.maximum(peaks[live], np.abs(vals).reshape(q, b, -1).max(axis=(0, 2)))
-        jac_t = _fd_derivatives(vals[:, 1:], steps)
-        jac_t_x = np.einsum("kij,kj->ki", jac_t, np.tile(sub, (q, 1)))
-        g = vals[:, 0, :] + np.repeat(ts, b)[:, None] * jac_t_x
+        # Row k = q_i * b + b_i is node t_{q_i} sub[b_i].
+        nodes = (ts[:, None, None] * sub[None, :, :]).reshape(q * b, n)
+        vals, jac = field.value_and_jacobian_many(nodes)
+        vals = vals.reshape(q, b, n)
+        if not field.exact_jacobian:
+            peaks[live] = np.maximum(peaks[live], np.abs(vals).max(axis=(0, 2)))
+        # (J^T x)_i = sum_j x_j dX_j/dx_i, as the row vector x^T J.
+        jac_t_x = np.matmul(sub[None, :, None, :], jac.reshape(q, b, n, n))[:, :, 0]
+        g = vals + ts[:, None, None] * jac_t_x
         return g.reshape(q, b * n)[:, cols]
 
     def noise_floor():
@@ -277,7 +262,7 @@ def _gradient_integrand(field, base):
         live = np.unique(owners)
         cols = np.searchsorted(live, owners) * n + rows % n
 
-    return integrand, noise_floor, select
+    return integrand, None if field.exact_jacobian else noise_floor, select
 
 
 def gradient_potential_integral(
@@ -300,8 +285,10 @@ class DecompositionSample:
     construction; ``orthogonality_residual`` and
     ``radial_equality_residual`` are both <u, x> = <X, x> - <grad H, x>.
     ``estimated_error`` propagates the quadrature error estimates of the
-    potential and its finite-difference gradient into the radial
-    diagnostics (it does not include FD truncation).
+    potential and of the homotopy-route gradient into the radial
+    diagnostics.  It is quadrature error only: with an exact Jacobian
+    there is no finite-difference truncation to add, and with the
+    central-difference fallback that truncation is not included.
     """
 
     point: np.ndarray
@@ -343,7 +330,7 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAUL
     pts = _as_points(field, points)
     values = field.evaluate_many(pts)
     potentials, pot_errors = potential_many(field, pts, config)
-    grads, grad_errors = _gradient_with_errors(field, pts, config)
+    grads, grad_errors = _homotopy_gradient(field, pts, config)
     residual = values - grads
     # <u, x> and <X, x> - <grad H, x> are one number.
     orth = np.einsum("ij,ij->i", residual, pts)
@@ -371,8 +358,9 @@ def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUAD
 class ConservativePart(VectorField):
     """The conservative part of a field, as a field itself.
 
-    Each evaluation runs the finite-difference-of-potential route, so
-    values carry that route's numerical error.
+    Each evaluation runs the homotopy route, so values carry that route's
+    quadrature error.  Its own Jacobian, the Hessian of H, is the
+    central-difference fallback.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -383,7 +371,7 @@ class ConservativePart(VectorField):
         self.config = config
 
     def _evaluate_many(self, points):
-        return gradient_potential_many(self.source, points, self.config)
+        return _homotopy_gradient(self.source, points, self.config)[0]
 
 
 class SphereInvariantPart(VectorField):
@@ -397,9 +385,9 @@ class SphereInvariantPart(VectorField):
         self.config = config
 
     def _evaluate_many(self, points):
-        return self.source.evaluate_many(points) - gradient_potential_many(
+        return self.source.evaluate_many(points) - _homotopy_gradient(
             self.source, points, self.config
-        )
+        )[0]
 
 
 @dataclass(frozen=True)
@@ -410,9 +398,10 @@ class VerificationReport:
     ``max_orthogonality`` and ``max_radial_equality`` are both
     <X(x) - grad H(x), x>, recomputed from the split's field values and
     conservative part.  ``max_idempotence`` is |grad H(x) - G(x)|, where
-    G is the integral route ``gradient_potential_integral_many``: a
+    G is the finite-difference route ``gradient_potential_many``: a
     second split of grad H would return grad H itself, and G is that
-    conservative part obtained without differentiating H.
+    conservative part obtained by differentiating H, independently of
+    the homotopy formula that produced the split.
     ``max_residual_potential`` is the potential of the sphere-invariant
     part, sum_k (w_k / t_k) <u(t_k x), t_k x> over one panel of
     ``config.order`` Gauss-Legendre nodes (t_k, w_k) on [0, 1], with u
@@ -454,21 +443,22 @@ def _verify_split(field, split, cfg, threshold):
     _check_threshold(threshold)
     pts = split.points
     m, n = pts.shape
-    scale = (1.0 + np.linalg.norm(pts, axis=1)) * (
-        1.0 + np.linalg.norm(split.field_values, axis=1)
-    )
+    with np.errstate(over="ignore"):
+        scale = (1.0 + np.linalg.norm(pts, axis=1)) * (
+            1.0 + np.linalg.norm(split.field_values, axis=1)
+        )
     radial = np.einsum("ij,ij->i", split.field_values - split.conservative, pts)
     max_orth = max_radial = float(np.max(np.abs(radial) / scale))
 
-    grad_integral = gradient_potential_integral_many(field, pts, cfg)
-    idem = np.linalg.norm(split.conservative - grad_integral, axis=1)
+    grad_fd = gradient_potential_many(field, pts, cfg)
+    idem = np.linalg.norm(split.conservative - grad_fd, axis=1)
     max_idem = float(np.max(idem / scale))
 
     # <u(t x), x> = <u(t x), t x> / t on every node of the ray.  The split
     # of the stacked nodes needs no potentials at the nodes themselves.
     ts, ws = _unit_nodes(cfg.order)
     nodes = (ts[:, None, None] * pts[None, :, :]).reshape(-1, n)
-    u_nodes = field.evaluate_many(nodes) - gradient_potential_many(field, nodes, cfg)
+    u_nodes = field.evaluate_many(nodes) - gradient_potential_integral_many(field, nodes, cfg)
     on_rays = np.einsum("ij,ij->i", u_nodes, nodes).reshape(ts.size, m)
     residual_potentials = (ws / ts) @ on_rays
     max_res_pot = float(np.max(np.abs(residual_potentials) / scale))

@@ -26,6 +26,14 @@ with a non-integer exponent gives NaN); a NaN or infinite result raises
 NonFiniteValueError at the evaluation boundary.  Differentiability of
 user expressions is not checked; the decomposition machinery assumes
 continuously differentiable fields as a documented precondition.
+
+Jacobians are exact: one AST walker, generic over its arithmetic, runs
+either on floats or on forward-mode duals (value, gradient) (Griewank
+and Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
+differentiates to sign, '^' with a constant exponent c to c a^(c-1) (0
+when c = 0), and '^' with a varying exponent to b a^(b-1) a' +
+a^b ln(a) b' under the same IEEE rules.  A derivative that is not
+finite, as that of sqrt(x1) at x1 = 0, raises NonFiniteValueError.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -331,32 +340,129 @@ def parse_expression(text: str, dimension: int) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def _eval_raw(node, points):
-    """Evaluate on an (m, n) array of points; returns (m,). IEEE semantics."""
-    if isinstance(node, Const):
-        return np.full(points.shape[0], node.value)
-    if isinstance(node, Var):
-        return points[:, node.index].copy()
-    if isinstance(node, Norm2):
+_OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+
+
+class _Reals:
+    """Plain float arithmetic: a value is an (m,) array."""
+
+    @staticmethod
+    def const(value, points):
+        return np.full(points.shape[0], value)
+
+    @staticmethod
+    def var(index, points):
+        return points[:, index].copy()
+
+    @staticmethod
+    def norm2(points):
         return np.einsum("ij,ij->i", points, points)
-    if isinstance(node, Unary):
-        child = _eval_raw(node.operand, points)
-        if node.op == "neg":
-            return -child
-        return FUNCTIONS[node.op](child)
-    if isinstance(node, Binary):
-        left = _eval_raw(node.left, points)
-        right = _eval_raw(node.right, points)
-        if node.op == "+":
-            return left + right
-        if node.op == "-":
-            return left - right
-        if node.op == "*":
-            return left * right
-        if node.op == "/":
-            return np.divide(left, right)
-        if node.op == "^":
-            return np.power(left, right)
+
+    @staticmethod
+    def unary(op, a):
+        return -a if op == "neg" else FUNCTIONS[op](a)
+
+    @staticmethod
+    def binary(op, a, b):
+        return _OPERATORS[op](a, b)
+
+
+# d f(a) / da from a and f(a), for each function.
+_FUNCTION_DERIVATIVES = {
+    "sin": lambda a, f: np.cos(a),
+    "cos": lambda a, f: -np.sin(a),
+    "exp": lambda a, f: f,
+    "tanh": lambda a, f: 1.0 / np.cosh(a) ** 2,
+    "abs": lambda a, f: np.sign(a),
+    "sqrt": lambda a, f: 0.5 / f,
+}
+
+
+@lru_cache(maxsize=None)
+def _basis(n):
+    """Gradients of x1..xn: row i is e_i as an (n, 1) column, read-only."""
+    basis = np.eye(n)[:, :, None]
+    basis.setflags(write=False)
+    return basis
+
+
+def _scaled(grad, factor):
+    """``grad`` (None, or broadcastable to (n, m)) times ``factor`` (m,)."""
+    return None if grad is None else grad * factor
+
+
+def _summed(first, second):
+    if first is None:
+        return second
+    if second is None:
+        return first
+    return first + second
+
+
+class _Duals:
+    """Forward-mode arithmetic: a value is a pair (v, g) of the plain value
+    v (m,) and its gradient g, broadcastable to (n, m) (one row per
+    variable, so every operation runs along the points), or None where
+    the gradient vanishes structurally (constant subexpressions).  The
+    plain parts are computed exactly as by ``_Reals``.
+    """
+
+    @staticmethod
+    def const(value, points):
+        return _Reals.const(value, points), None
+
+    @staticmethod
+    def var(index, points):
+        return _Reals.var(index, points), _basis(points.shape[1])[index]
+
+    @staticmethod
+    def norm2(points):
+        return _Reals.norm2(points), 2.0 * np.ascontiguousarray(points.T)
+
+    @staticmethod
+    def unary(op, a):
+        v, g = a
+        if op == "neg":
+            return -v, None if g is None else -g
+        f = _Reals.unary(op, v)
+        return f, _scaled(g, _FUNCTION_DERIVATIVES[op](v, f))
+
+    @staticmethod
+    def binary(op, a, b):
+        (av, ag), (bv, bg) = a, b
+        v = _Reals.binary(op, av, bv)
+        if op == "+":
+            return v, _summed(ag, bg)
+        if op == "-":
+            return v, _summed(ag, None if bg is None else -bg)
+        if op == "*":
+            return v, _summed(_scaled(ag, bv), _scaled(bg, av))
+        if op == "/":
+            return v, _scaled(_summed(ag, _scaled(bg, -v)), 1.0 / bv)
+        if bg is None:  # '^' with a constant exponent c: c a^(c-1), and 0 when c = 0
+            return v, _scaled(ag, bv * np.power(av, bv - 1.0)) if bv.any() else None
+        # '^' in general: b a^(b-1) a' + a^b ln(a) b', under IEEE rules
+        return v, _summed(_scaled(ag, bv * np.power(av, bv - 1.0)), _scaled(bg, v * np.log(av)))
+
+
+def _eval_raw(node, points, arith=_Reals):
+    """Evaluate on an (m, n) array of points in the given arithmetic.
+
+    With ``_Reals`` (the default) returns the (m,) values, with ``_Duals``
+    the (value, gradient) pair.  IEEE semantics.
+    """
+    kind = type(node)  # exact types, most frequent first: this runs per node per call
+    if kind is Binary:
+        left = _eval_raw(node.left, points, arith)
+        return arith.binary(node.op, left, _eval_raw(node.right, points, arith))
+    if kind is Var:
+        return arith.var(node.index, points)
+    if kind is Const:
+        return arith.const(node.value, points)
+    if kind is Unary:
+        return arith.unary(node.op, _eval_raw(node.operand, points, arith))
+    if kind is Norm2:
+        return arith.norm2(points)
     raise TypeError(f"not an expression node: {node!r}")
 
 
@@ -430,6 +536,8 @@ def pretty(node: Expr) -> str:
 class ExpressionField(VectorField):
     """Vector field whose components are parsed expressions."""
 
+    exact_jacobian = True
+
     def __init__(self, dimension, expressions, source=None):
         expressions = tuple(expressions)
         if len(expressions) != dimension:
@@ -442,9 +550,18 @@ class ExpressionField(VectorField):
         self.source = source
 
     def _evaluate_many(self, points):
-        with np.errstate(all="ignore"):
-            cols = [_eval_raw(expr, points) for expr in self.expressions]
-        return np.column_stack(cols)
+        return np.column_stack([_eval_raw(expr, points) for expr in self.expressions])
+
+    def _value_and_jacobian_many(self, points):
+        m, n = points.shape
+        jac = np.zeros((n, n, m))  # [i, j, k] = dX_i/dx_j at point k
+        cols = []
+        for i, expr in enumerate(self.expressions):
+            value, grad = _eval_raw(expr, points, _Duals)
+            cols.append(value)
+            if grad is not None:
+                jac[i] = grad
+        return np.column_stack(cols), jac.transpose(2, 0, 1)
 
 
 def parse_field(text: str, dimension: Optional[int] = None) -> ExpressionField:

@@ -7,12 +7,14 @@ the radial equality makes the same certificate cover the conservative
 part.  Both searches are therefore one search on different targets:
 ``_locate`` gates on the field's certificate, then looks for a zero of
 the target (X itself, or grad H as ``ConservativePart``).  The solver
-only has to find a witness: damped Newton with the central-difference
-Jacobian of ``decomposition``'s stencil, Armijo backtracking on the
-merit function |X(x)|^2 / 2 (fixed constants ``_ARMIJO`` and
-``_MIN_STEP``), a gradient-descent fallback when the Jacobian is
-unusable, and seeded multistart inside the ball.  Iterates that leave
-the ball are pulled back radially to 0.999 of its radius.
+only has to find a witness: damped Newton with the target's Jacobian
+from ``value_and_jacobian_many`` (exact for DSL and catalog fields, the
+central-difference stencil of ``fields`` otherwise, and always the
+stencil for ``ConservativePart``, whose Jacobian is the Hessian of H),
+Armijo backtracking on the merit function |X(x)|^2 / 2 (fixed constants
+``_ARMIJO`` and ``_MIN_STEP``), a gradient-descent fallback when the
+Jacobian is unusable, and seeded multistart inside the ball.  Iterates
+that leave the ball are pulled back radially to 0.999 of its radius.
 
 Because certificates are sample-based, a passing certificate does not
 guarantee the true boundary condition; when every start fails, the best
@@ -27,13 +29,13 @@ and grad H + b = 0 inside that ball.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .decomposition import ConservativePart, _fd_derivatives, _fd_probes, compute_potential
-from .decomposition import potential_many
+from .decomposition import ConservativePart, compute_potential, potential_many
 from .errors import CertificateError, ConfigError, NoCertifiedRadiusError
 from .fields import ShiftedField, VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -134,11 +136,8 @@ class PerturbedExistenceResult:
     warnings: tuple = ()
 
 
-def _fd_jacobian(field, x):
-    probes, steps = _fd_probes(field, x[None, :])
-    values = field.evaluate_many(probes[0, 1:])
-    # Column i is dX/dx_i.
-    return _fd_derivatives(values[None], steps)[0].T
+def _jacobian(field, x):
+    return field.value_and_jacobian_many(x[None, :])[1][0]
 
 
 def _is_degenerate(jac):
@@ -148,10 +147,19 @@ def _is_degenerate(jac):
     return bool(s[-1] <= s[0] / _DEGENERATE_COND)
 
 
+def _norm(x):
+    """Euclidean norm of a vector, finite whenever the norm is.
+
+    ``np.linalg.norm`` squares the entries, which overflows from about
+    1e154 on; ``math.hypot`` does not, and is faster on short vectors.
+    """
+    return math.hypot(*x.tolist())
+
+
 def _project(x, radius):
     if radius is None:
         return x
-    norm = float(np.linalg.norm(x))
+    norm = _norm(x)
     limit = _PROJECTION * radius
     if norm > limit:
         return x * (limit / norm)
@@ -162,11 +170,11 @@ def _newton_from(field, x0, radius, cfg):
     """One damped-Newton run; returns (point, residual, steps taken, converged)."""
     x = _project(np.array(x0, dtype=float), radius)
     fx = field.evaluate(x)
-    res = float(np.linalg.norm(fx))
+    res = _norm(fx)
     best_x, best_res = x.copy(), res
     taken = 0
     while taken < cfg.max_iterations and res > cfg.residual_tol:
-        jac = _fd_jacobian(field, x)
+        jac = _jacobian(field, x)
         merit_grad = jac.T @ fx
         try:
             step = np.linalg.solve(jac, -fx)
@@ -178,15 +186,17 @@ def _newton_from(field, x0, radius, cfg):
         if not np.isfinite(directional) or directional >= 0.0:
             step = -merit_grad
             directional = -float(merit_grad @ merit_grad)
-            if directional == 0.0:
-                break  # stationary merit; nothing further to do
         merit = 0.5 * res * res
+        if merit + directional == merit:
+            # Stationary merit: even a full step would lower it by less
+            # than its rounding, so the line search could only crawl.
+            break
         alpha = 1.0
         moved = False
         while alpha >= _MIN_STEP:
             trial = _project(x + alpha * step, radius)
             trial_f = field.evaluate(trial)
-            trial_res = float(np.linalg.norm(trial_f))
+            trial_res = _norm(trial_f)
             if 0.5 * trial_res * trial_res <= merit + _ARMIJO * alpha * directional:
                 x, fx, res = trial, trial_f, trial_res
                 moved = True
@@ -244,7 +254,7 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
             "no start reached the residual tolerance; best residual returned "
             "(sampled certificates cannot guarantee the true boundary condition)"
         )
-    degenerate = _is_degenerate(_fd_jacobian(target, x))
+    degenerate = _is_degenerate(_jacobian(target, x))
     if degenerate:
         warnings.append(
             "near-singular Jacobian at the returned point: the equilibrium may "
@@ -256,7 +266,7 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
         success=success,
         target=target.label,
         ball_radius=float(radius),
-        inside_ball=bool(np.linalg.norm(x) < radius),
+        inside_ball=bool(_norm(x) < radius),
         starts_attempted=attempted,
         iterations=iters,
         degenerate=degenerate,

@@ -6,6 +6,16 @@ an ``(m, n)`` array and the base class adds dimension, finiteness, and
 domain checks.  Combinators (sum, scalar multiple, constant shift, ball
 restriction) evaluate structurally, with no simplification.
 
+``value_and_jacobian_many`` returns the values together with the
+Jacobians ``jac[k, i, j] = dX_i/dx_j``, under the same checks.  Fields
+that know their derivative (every catalog entry, ``CallableField`` given
+a ``jacobian``, the DSL's ``ExpressionField``) return it exactly and set
+``exact_jacobian``; every other field falls back to the one
+central-difference stencil of the package (``_fd_probes``,
+``_fd_derivatives``), which also serves the finite-difference gradient
+route of ``decomposition``.  Combinators propagate both the Jacobian and
+whether it is exact.
+
 Domains are either all of R^n or a closed ball centered at the origin;
 both contain the segment from the origin to any of their points, which is
 what the line-integral potential machinery requires.
@@ -38,6 +48,10 @@ __all__ = [
 ]
 
 _BALL_SLACK = 1e-9
+
+# Cube root of machine epsilon: the standard step for second-order
+# central differences of values carrying relative rounding noise.
+_FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 
 
 @dataclass(frozen=True)
@@ -92,11 +106,26 @@ class VectorField:
         self.label = label
         self.domain = domain if domain is not None else Domain(dimension)
 
+    # True when value_and_jacobian_many is exact rather than the stencil.
+    exact_jacobian = False
+
     def _evaluate_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def evaluate_many(self, points) -> np.ndarray:
-        """Evaluate at each row of an (m, n) array; returns an (m, n) array."""
+    def _value_and_jacobian_many(self, points: np.ndarray):
+        """Values and central-difference Jacobians: the fallback."""
+        m, n = points.shape
+        probes, steps = _fd_probes(self, points)
+        values = self.evaluate_many(probes.reshape(-1, n)).reshape(m, 2 * n + 1, n)
+        # _fd_derivatives gives dX_j/dx_i at [k, i, j]; the Jacobian is its transpose.
+        return values[:, 0], _fd_derivatives(values[:, 1:], steps).transpose(0, 2, 1)
+
+    def _checked_call(self, points, method):
+        """Run ``method`` on checked points; returns the points and its output.
+
+        Overflow and invalid operations inside the call are silent: every
+        non-finite result is raised by the caller as NonFiniteValueError.
+        """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
             raise DimensionMismatchError(
@@ -104,21 +133,38 @@ class VectorField:
             )
         if not np.isfinite(pts).all():
             raise NonFiniteValueError("points contain NaN or infinite coordinates")
-        if not self.domain.contains_all(pts):
-            raise DomainError(
-                f"point outside the field's domain (ball radius {self.domain.radius})"
-            )
-        out = np.asarray(self._evaluate_many(pts), dtype=float)
-        if out.shape != pts.shape:
+        with np.errstate(all="ignore"):
+            if not self.domain.contains_all(pts):
+                raise DomainError(
+                    f"point outside the field's domain (ball radius {self.domain.radius})"
+                )
+            return pts, method(pts)
+
+    def _checked_array(self, pts, out, shape, what):
+        out = np.asarray(out, dtype=float)
+        if out.shape != shape:
             raise DimensionMismatchError(
-                f"field returned shape {out.shape} for points of shape {pts.shape}"
+                f"field returned {what} of shape {out.shape} for points of shape {pts.shape}"
             )
-        if not np.isfinite(out).all():
-            bad = np.flatnonzero(~np.isfinite(out).all(axis=1))[0]
+        finite = np.isfinite(out)
+        if not finite.all():
+            bad = np.flatnonzero(~finite.all(axis=tuple(range(1, out.ndim))))[0]
             raise NonFiniteValueError(
-                f"field '{self.label}' produced a non-finite value at {pts[bad].tolist()}"
+                f"field '{self.label}' produced a non-finite {what} at {pts[bad].tolist()}"
             )
         return out
+
+    def evaluate_many(self, points) -> np.ndarray:
+        """Evaluate at each row of an (m, n) array; returns an (m, n) array."""
+        pts, out = self._checked_call(points, self._evaluate_many)
+        return self._checked_array(pts, out, pts.shape, "value")
+
+    def value_and_jacobian_many(self, points):
+        """Values (m, n) and Jacobians (m, n, n), ``jac[k, i, j] = dX_i/dx_j``."""
+        pts, (values, jac) = self._checked_call(points, self._value_and_jacobian_many)
+        m, n = pts.shape
+        values = self._checked_array(pts, values, pts.shape, "value")
+        return values, self._checked_array(pts, jac, (m, n, n), "Jacobian")
 
     def evaluate(self, point) -> np.ndarray:
         x = np.asarray(point, dtype=float)
@@ -135,14 +181,33 @@ class VectorField:
 
 
 class CallableField(VectorField):
-    """Field backed by a vectorized callable ``(m, n) -> (m, n)``."""
+    """Field backed by a vectorized callable ``(m, n) -> (m, n)``.
 
-    def __init__(self, dimension, fn: Callable[[np.ndarray], np.ndarray], label="field", domain=None):
+    ``jacobian``, if given, is a vectorized callable ``(m, n) -> (m, n, n)``
+    returning ``dX_i/dx_j`` at ``[k, i, j]``; without it the Jacobian is
+    the central-difference fallback.
+    """
+
+    def __init__(
+        self,
+        dimension,
+        fn: Callable[[np.ndarray], np.ndarray],
+        label="field",
+        domain=None,
+        jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    ):
         super().__init__(dimension, label, domain)
         self._fn = fn
+        self._jacobian = jacobian
+        self.exact_jacobian = jacobian is not None
 
     def _evaluate_many(self, points):
         return self._fn(points)
+
+    def _value_and_jacobian_many(self, points):
+        if self._jacobian is None:
+            return super()._value_and_jacobian_many(points)
+        return self._fn(points), self._jacobian(points)
 
 
 class SumField(VectorField):
@@ -156,9 +221,15 @@ class SumField(VectorField):
         )
         self.first = first
         self.second = second
+        self.exact_jacobian = first.exact_jacobian and second.exact_jacobian
 
     def _evaluate_many(self, points):
         return self.first.evaluate_many(points) + self.second.evaluate_many(points)
+
+    def _value_and_jacobian_many(self, points):
+        v1, j1 = self.first.value_and_jacobian_many(points)
+        v2, j2 = self.second.value_and_jacobian_many(points)
+        return v1 + v2, j1 + j2
 
 
 class ScaledField(VectorField):
@@ -169,9 +240,14 @@ class ScaledField(VectorField):
         super().__init__(inner.dimension, f"{factor!r}*{inner.label}", inner.domain)
         self.factor = factor
         self.inner = inner
+        self.exact_jacobian = inner.exact_jacobian
 
     def _evaluate_many(self, points):
         return self.factor * self.inner.evaluate_many(points)
+
+    def _value_and_jacobian_many(self, points):
+        values, jac = self.inner.value_and_jacobian_many(points)
+        return self.factor * values, self.factor * jac
 
 
 class ShiftedField(VectorField):
@@ -186,9 +262,14 @@ class ShiftedField(VectorField):
         super().__init__(inner.dimension, f"shift({inner.label}, {b.tolist()})", inner.domain)
         self.inner = inner
         self.offset = b
+        self.exact_jacobian = inner.exact_jacobian
 
     def _evaluate_many(self, points):
         return self.inner.evaluate_many(points) + self.offset
+
+    def _value_and_jacobian_many(self, points):
+        values, jac = self.inner.value_and_jacobian_many(points)
+        return values + self.offset, jac
 
 
 class BallRestrictedField(VectorField):
@@ -201,9 +282,42 @@ class BallRestrictedField(VectorField):
             inner.domain.intersect(Domain(inner.dimension, float(radius))),
         )
         self.inner = inner
+        self.exact_jacobian = inner.exact_jacobian
 
     def _evaluate_many(self, points):
         return self.inner.evaluate_many(points)
+
+    def _value_and_jacobian_many(self, points):
+        if not self.exact_jacobian:
+            # The stencil must respect this ball, not the inner domain.
+            return super()._value_and_jacobian_many(points)
+        return self.inner.value_and_jacobian_many(points)
+
+
+def _fd_probes(field, centers):
+    """Probes (m, 2n + 1, n) around the rows x of ``centers`` and steps (m, n).
+
+    Row 0 is x, rows 2i + 1 and 2i + 2 are x + h_i e_i and x - h_i e_i,
+    with h_i = _FD_SCALE * max(1, |x_i|).  Probes outside the field's
+    domain raise DomainError.
+    """
+    m, n = centers.shape
+    steps = _FD_SCALE * np.maximum(1.0, np.abs(centers))
+    probes = np.repeat(centers[:, None, :], 2 * n + 1, axis=1)
+    # In a flattened (2n + 1, n) block, entry (2i + 1, i) sits at offset
+    # n + i (2n + 1) and entry (2i + 2, i) at 2n + i (2n + 1).
+    flat = probes.reshape(m, (2 * n + 1) * n)
+    flat[:, n :: 2 * n + 1] += steps
+    flat[:, 2 * n :: 2 * n + 1] -= steps
+    if not field.domain.contains_all(probes):
+        raise DomainError("insufficient clearance to the ball boundary for finite differences")
+    return probes, steps
+
+
+def _fd_derivatives(values, steps):
+    """Derivatives (m, n, ...) from values (m, 2n, ...) at probe rows 1..2n."""
+    steps = steps.reshape(steps.shape + (1,) * (values.ndim - 2))
+    return (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
 
 
 def radial_component(field: VectorField, point) -> float:
@@ -259,10 +373,20 @@ def _require_dim(name, dimension, expected=None):
     return dimension
 
 
+def _constant_jacobian(matrix):
+    """Jacobian callable of a field whose Jacobian is ``matrix`` everywhere.
+
+    Like every catalog Jacobian, and the DSL's, it is built as an (n, n, m)
+    array and returned as its (m, n, n) transposed view, contiguous along
+    the points, which is the layout the homotopy route contracts fastest.
+    """
+    return lambda p: np.repeat(matrix[:, :, None], p.shape[0], axis=2).transpose(2, 0, 1)
+
+
 def _identity_entry(dimension, params):
     _check_params("identity", params)
     n = _require_dim("identity", dimension)
-    fld = CallableField(n, lambda p: p.copy(), label="identity")
+    fld = CallableField(n, lambda p: p.copy(), label="identity", jacobian=_constant_jacobian(np.eye(n)))
     return CatalogEntry(
         name="identity",
         dimension=n,
@@ -293,7 +417,12 @@ def _constant_entry(dimension, params):
     if c.ndim != 1 or not np.isfinite(c).all():
         raise CatalogError(message)
     n = _require_dim("constant", dimension, c.shape[0])
-    fld = CallableField(n, lambda p: np.tile(c, (p.shape[0], 1)), label=f"constant({c.tolist()})")
+    fld = CallableField(
+        n,
+        lambda p: np.tile(c, (p.shape[0], 1)),
+        label=f"constant({c.tolist()})",
+        jacobian=_constant_jacobian(np.zeros((n, n))),
+    )
     return CatalogEntry(
         name="constant",
         dimension=n,
@@ -320,7 +449,7 @@ def _linear_entry(dimension, params):
     sym = 0.5 * (a + a.T)
     skew = 0.5 * (a - a.T)
     min_eig = float(np.linalg.eigvalsh(sym).min())
-    fld = CallableField(n, lambda p: p @ a.T, label=f"linear(dim={n})")
+    fld = CallableField(n, lambda p: p @ a.T, label=f"linear(dim={n})", jacobian=_constant_jacobian(a))
     return CatalogEntry(
         name="linear",
         dimension=n,
@@ -337,7 +466,12 @@ def _linear_entry(dimension, params):
 def _rotation2d_entry(dimension, params):
     _check_params("rotation2d", params)
     n = _require_dim("rotation2d", dimension, 2)
-    fld = CallableField(n, lambda p: np.column_stack((-p[:, 1], p[:, 0])), label="rotation2d")
+    fld = CallableField(
+        n,
+        lambda p: np.column_stack((-p[:, 1], p[:, 0])),
+        label="rotation2d",
+        jacobian=_constant_jacobian(np.array([[0.0, -1.0], [1.0, 0.0]])),
+    )
     return CatalogEntry(
         name="rotation2d",
         dimension=n,
@@ -369,6 +503,11 @@ def _gradient_poly_entry(dimension, params):
     def evaluate(p):
         return a + p * (b + p * (c + p * d))
 
+    def jacobian(p):
+        jac = np.zeros((n, n, p.shape[0]))
+        jac[np.arange(n), np.arange(n)] = (b + p * (2.0 * c + p * (3.0 * d))).T
+        return jac.transpose(2, 0, 1)
+
     def potential(x):
         x = np.asarray(x, dtype=float)
         return float(np.sum(x * (a + x * (b / 2 + x * (c / 3 + x * d / 4)))))
@@ -376,7 +515,7 @@ def _gradient_poly_entry(dimension, params):
     # Coordinate i grows radially iff d>0, or the cubic vanishes and the
     # linear coefficient is positive; every coordinate must grow.
     grows = (d > 0) | ((d == 0) & (c == 0) & (b > 0))
-    fld = CallableField(n, evaluate, label=f"gradient_poly(dim={n})")
+    fld = CallableField(n, evaluate, label=f"gradient_poly(dim={n})", jacobian=jacobian)
     return CatalogEntry(
         name="gradient_poly",
         dimension=n,
@@ -393,8 +532,19 @@ def _gradient_poly_entry(dimension, params):
 def _cubic_radial_entry(dimension, params):
     _check_params("cubic_radial", params)
     n = _require_dim("cubic_radial", dimension)
+
+    def jacobian(p):
+        # d(|x|^2 x_i)/dx_j = |x|^2 delta_ij + 2 x_i x_j
+        pt = np.ascontiguousarray(p.T)
+        jac = 2.0 * pt[:, None, :] * pt[None, :, :]
+        jac[np.arange(n), np.arange(n)] += np.einsum("ij,ij->i", p, p)
+        return jac.transpose(2, 0, 1)
+
     fld = CallableField(
-        n, lambda p: np.einsum("ij,ij->i", p, p)[:, None] * p, label="cubic_radial"
+        n,
+        lambda p: np.einsum("ij,ij->i", p, p)[:, None] * p,
+        label="cubic_radial",
+        jacobian=jacobian,
     )
     return CatalogEntry(
         name="cubic_radial",
@@ -415,6 +565,7 @@ def _identity_plus_rotation2d_entry(dimension, params):
         n,
         lambda p: np.column_stack((p[:, 0] - p[:, 1], p[:, 1] + p[:, 0])),
         label="identity_plus_rotation2d",
+        jacobian=_constant_jacobian(np.array([[1.0, -1.0], [1.0, 1.0]])),
     )
     return CatalogEntry(
         name="identity_plus_rotation2d",

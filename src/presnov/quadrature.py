@@ -83,11 +83,13 @@ def integrate_unit(
 
     ``noise_floor`` (an array broadcastable to the components, or a
     zero-argument callable returning one) lowers the acceptance bar to
-    that level: integrands that carry evaluation noise (for example
-    embedded finite differences) cannot be resolved below their noise,
-    and insisting on it would subdivide forever.  A built-in floor of a
-    few ulps of the largest integrand value seen plays the same role for
-    plain rounding noise.
+    that level: integrands that carry evaluation noise cannot be resolved
+    below their noise, and insisting on it would subdivide forever.  The
+    one such integrand in the package is the homotopy-route gradient of a
+    field whose Jacobian is the central-difference fallback; exact
+    Jacobians pass no floor.  A built-in floor of a few ulps of the
+    largest integrand value seen plays the same role for plain rounding
+    noise.
 
     ``select`` (a callable taking an index array) switches a vector
     integrand from shared refinement to the active set (see the module
@@ -105,7 +107,9 @@ def integrate_unit(
     def evaluate(bounds):
         nonlocal scalar, run_max
         ts = np.concatenate([a + (b - a) * nodes for a, b in bounds])
-        raw = np.asarray(f(ts), dtype=float)
+        # Overflow inside f is silent: a non-finite value is raised below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            raw = np.asarray(f(ts), dtype=float)
         if raw.shape[:1] != ts.shape:
             raise ValueError("integrand returned a mismatched leading dimension")
         if not np.isfinite(raw).all():
@@ -140,7 +144,8 @@ def integrate_unit(
     eps = np.finfo(float).eps
 
     def within_bound():
-        bound = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
+        with np.errstate(over="ignore"):  # a large rel_tol may overflow to an infinite bound
+            bound = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
         bound = np.maximum(bound, 4.0 * eps * run_max)
         if noise_floor is not None:
             floor = noise_floor() if callable(noise_floor) else noise_floor

@@ -36,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConservativePart
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, NonFiniteValueError
 from .fields import VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .sampling import DEFAULT_SEED, _check_radius, _check_seed
@@ -201,13 +201,19 @@ def _check_certificate_settings(threshold, samples):
         raise ConfigError("certificate samples must be at least 1")
 
 
+def _radial_values(field, points):
+    """<X(x), x> at the rows of ``points``; raises NonFiniteValueError on overflow."""
+    radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)
+    if not np.isfinite(radial).all():
+        raise NonFiniteValueError(f"<X(x), x> of field '{field.label}' overflows")
+    return radial
+
+
 def radial_profile(field: VectorField, radius: float, directions) -> np.ndarray:
     """Profile values <X(r d), r d> / r for each unit direction d."""
     _check_radius(radius)
     dirs = np.asarray(directions, dtype=float)
-    points = radius * dirs
-    values = field.evaluate_many(points)
-    return np.einsum("ij,ij->i", values, points) / radius
+    return _radial_values(field, radius * dirs) / radius
 
 
 def _profile_table(field, radii, directions):
@@ -331,13 +337,12 @@ def boundary_certificate(
     _check_certificate_settings(threshold, samples)
     m = samples if samples is not None else default_direction_count(field.dimension)
     points = radius * unit_directions(field.dimension, m, seed)
-    radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)
+    radial = _radial_values(field, points)
     min_radial = float(radial.min())
     conservative_min = None
     discrepancy = None
     if check_conservative:
-        grad = ConservativePart(field, quadrature).evaluate_many(points)
-        radial_g = np.einsum("ij,ij->i", grad, points)
+        radial_g = _radial_values(ConservativePart(field, quadrature), points)
         conservative_min = float(radial_g.min())
         discrepancy = float(np.max(np.abs(radial - radial_g) / (1.0 + np.abs(radial))))
     return BoundaryCertificate(

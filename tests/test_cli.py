@@ -133,6 +133,25 @@ def test_numeric_error_exit_code(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--catalog", "linear", "--matrix", "2,1,-1,3", "--sample-radius", "1e308"],
+        ["--expr", "x1^3; x2", "--sample-radius", "1e200"],
+    ],
+)
+def test_overflow_is_one_error_line(argv):
+    # Overflow inside numpy must not print a RuntimeWarning ahead of the
+    # error line; the non-finite result is the error.
+    done = subprocess.run(
+        [sys.executable, "-m", "presnov", "decompose", *argv, "--sample", "1"],
+        capture_output=True, text=True, env=src_env(),
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
 def test_coercivity_identity(capsys):
     code, report, _ = run_cli(capsys, "coercivity", "--catalog", "identity", "--dim", "2",
                               "--radius-count", "8", "--directions", "64")
@@ -505,9 +524,58 @@ def _fuzz_argv(draw):
     return argv
 
 
+# Valid, cheap commands: a single-fault draw adds exactly one flag from the
+# pools to one of them, so no earlier bad flag masks the drawn value.
+_FUZZ_BASELINES = [
+    ["decompose", "--catalog", "identity", "--dim", "2", "--sample", "1"],
+    ["coercivity", "--catalog", "identity", "--dim", "2", "--radius-count", "2",
+     "--directions", "1"],
+    ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1",
+     "--multistart", "0", "--max-iterations", "5", "--cert-samples", "1"],
+    ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "1,1",
+     "--multistart", "0", "--max-iterations", "5", "--cert-samples", "1",
+     "--max-radius-exponent", "3"],
+]
+
+
+@st.composite
+def _single_fault_argv(draw):
+    argv = list(draw(st.sampled_from(_FUZZ_BASELINES)))
+    capped, optional = _FUZZ_COMMANDS[argv[0]]
+    pools = _FUZZ_COMMON | capped | optional
+    flag = draw(st.sampled_from(sorted(pools)))
+    return argv + [flag, draw(st.sampled_from(pools[flag]))]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_fuzz_argv())
 def test_cli_flag_fuzz_keeps_exit_code_contract(argv):
+    _check_exit_code_contract(argv)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_single_fault_argv())
+def test_cli_single_fault_fuzz_keeps_exit_code_contract(argv):
+    _check_exit_code_contract(argv)
+
+
+def _baseline_reading(flag):
+    for argv in _FUZZ_BASELINES:
+        capped, optional = _FUZZ_COMMANDS[argv[0]]
+        if flag in capped | optional and all(_FUZZ_UNREAD.get(arg) != flag for arg in argv):
+            return argv
+    raise LookupError(flag)
+
+
+# The random draws reach most rejected values in a run; this reaches all.
+@pytest.mark.parametrize(
+    "flag, value", sorted((flag, value) for flag, pool in _FUZZ_REJECTED.items() for value in pool)
+)
+def test_every_rejected_fuzz_value_is_a_usage_error(flag, value):
+    assert _check_exit_code_contract(_baseline_reading(flag) + [flag, value]) == 2
+
+
+def _check_exit_code_contract(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -525,3 +593,4 @@ def test_cli_flag_fuzz_keeps_exit_code_contract(argv):
         assert out.getvalue() == "", argv
     if code in (0, 4):
         assert json.loads(out.getvalue())["report_version"] == 1
+    return code

@@ -24,7 +24,6 @@ from presnov import (
     verify_decomposition,
 )
 from presnov.decomposition import _verify_split
-from presnov.equilibria import _fd_jacobian
 from presnov.quadrature import DEFAULT_QUADRATURE
 from presnov.radial import boundary_certificate
 from presnov.sampling import ball_points
@@ -198,9 +197,9 @@ def test_verify_cost_stays_flat():
     split_points = counted[0]
     counted[0] = 0
     assert verify_decomposition(field, points).passed
-    # One split of the points, one integral-route pass and one FD gradient
-    # at the order-many stacked ray nodes; a check that nested a quadrature
-    # inside another would cost hundreds of splits.
+    # One split of the points, one FD gradient at the points and one
+    # homotopy-route pass at the order-many stacked ray nodes; a check that
+    # nested a quadrature inside another would cost hundreds of splits.
     assert counted[0] <= (DEFAULT_QUADRATURE.order + 4) * split_points
 
 
@@ -285,12 +284,16 @@ def test_ball_domain_clearance():
     value, _ = compute_potential(field, [1.0, 0.0])  # boundary point is fine
     assert value == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DomainError):
-        gradient_potential(field, [1.0, 0.0])  # no room for the FD stencil
+        gradient_potential(field, [1.0, 0.0])  # no room for the FD route's stencil
     with pytest.raises(DomainError):
         compute_potential(field, [2.0, 0.0])
-    # The Newton Jacobian shares the stencil and its clearance rule.
+    # The Jacobian fallback of a field without a closed form shares the
+    # stencil and its clearance rule.
+    fallback = BallRestrictedField(CallableField(2, lambda p: p.copy()), 1.0)
     with pytest.raises(DomainError):
-        _fd_jacobian(field, np.array([1.0, 0.0]))
+        fallback.value_and_jacobian_many([[1.0, 0.0]])
+    # An exact Jacobian needs no clearance, so grad H exists up to the boundary.
+    assert np.allclose(ConservativePart(field).evaluate([1.0, 0.0]), [1.0, 0.0], rtol=0.0, atol=1e-12)
     # Certificates sample the sphere itself: the boundary is inside the
     # domain, a larger sphere is not.
     assert boundary_certificate(field, 1.0, check_conservative=False).passed

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from presnov import (
+    CallableField,
     CertificateError,
     NoCertifiedRadiusError,
     ShiftedField,
@@ -12,7 +13,6 @@ from presnov import (
     parse_field,
     perturbed_existence,
 )
-from presnov.equilibria import _fd_jacobian
 from presnov.radial import VERDICT_NOT_COERCIVE
 from presnov.sampling import ball_points
 
@@ -183,10 +183,14 @@ def test_co_existence_across_certifiable_catalog():
 def test_fd_jacobian_of_linear_field_is_exact():
     # Coordinates fall on both sides of |x_i| = 1, so both step regimes
     # (h = cbrt(eps) and h = cbrt(eps) |x_i|) of the shared stencil run.
+    # The field has no closed-form Jacobian, so value_and_jacobian_many
+    # falls back to the stencil.
     a = np.random.default_rng(4).normal(size=(4, 4))
-    field = catalog_field("linear", 4, matrix=a).field
+    field = CallableField(4, lambda p: p @ a.T)
+    assert not field.exact_jacobian
     points = ball_points(4, 200, 5.0, 3)
     assert (np.abs(points) < 1.0).any() and (np.abs(points) > 1.0).any()
-    for x in points:
+    _, jac = field.value_and_jacobian_many(points)
+    for x, jac_x in zip(points, jac):
         tol = 1e-9 * (1.0 + np.linalg.norm(a @ x))
-        assert np.max(np.abs(_fd_jacobian(field, x) - a)) <= tol
+        assert np.max(np.abs(jac_x - a)) <= tol

@@ -11,6 +11,7 @@ from presnov import (
     boundary_certificate,
     catalog_field,
     coercivity_probe,
+    gradient_potential_many,
     paired_probe,
     parse_field,
     radial_profile,
@@ -111,14 +112,22 @@ def test_paired_probe_singular_symmetric_part():
 
 
 def test_paired_probe_sharp_field_keeps_fd_potentials_on_shared_panels():
-    # grad H is a central difference of potentials H(x +/- h e_i).  They are
-    # integrated on shared panels, so their quadrature errors cancel in the
-    # difference; refining each on its own panels raises the gap between
-    # the two profiles here from 1.2e-9 to 5.0e-8 (the default schedule
-    # reaches radius 2048, where the tanh front is sharpest along a ray).
-    paired = paired_probe(parse_field("tanh(20*(x1-1)); x2; x3"))
+    # The paired probe takes grad H from the homotopy route.  The FD route,
+    # kept as its cross-check, is a central difference of potentials
+    # H(x +/- h e_i).  They are integrated on shared panels, so their
+    # quadrature errors cancel in the difference; refining each on its own
+    # panels raises the FD profile's gap at the probe's largest radius
+    # (2048, where the tanh front is sharpest along a ray) from 4.5e-11 to
+    # 5.0e-8.
+    field = parse_field("tanh(20*(x1-1)); x2; x3")
+    paired = paired_probe(field)
     assert paired.verdicts_agree
     assert paired.max_profile_discrepancy <= 1e-8
+    radius = paired.field_report.radii[-1]
+    points = radius * paired.field_report.directions
+    fd_profile = np.einsum("ij,ij->i", gradient_potential_many(field, points), points) / radius
+    phi = paired.field_report.profiles[-1]
+    assert np.max(np.abs(fd_profile - phi) / (1.0 + np.abs(phi))) <= 1e-8
 
 
 def test_boundary_certificate_identity():
