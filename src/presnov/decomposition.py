@@ -371,7 +371,7 @@ class ConservativePart(VectorField):
         self.config = config
 
     def _evaluate_many(self, points):
-        return _homotopy_gradient(self.source, points, self.config)[0]
+        return gradient_potential_integral_many(self.source, points, self.config)
 
 
 class SphereInvariantPart(VectorField):
@@ -385,9 +385,9 @@ class SphereInvariantPart(VectorField):
         self.config = config
 
     def _evaluate_many(self, points):
-        return self.source.evaluate_many(points) - _homotopy_gradient(
+        return self.source.evaluate_many(points) - gradient_potential_integral_many(
             self.source, points, self.config
-        )[0]
+        )
 
 
 @dataclass(frozen=True)

@@ -32,8 +32,10 @@ either on floats or on forward-mode duals (value, gradient) (Griewank
 and Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
 differentiates to sign, '^' with a constant exponent c to c a^(c-1) (0
 when c = 0), and '^' with a varying exponent to b a^(b-1) a' +
-a^b ln(a) b' under the same IEEE rules.  A derivative that is not
-finite, as that of sqrt(x1) at x1 = 0, raises NonFiniteValueError.
+a^b ln(a) b' under the same IEEE rules.  A zero tangent times an
+infinite local derivative is 0, so x1*sqrt(norm2) differentiates to 0 at
+the origin; a derivative that is still not finite, as that of sqrt(x1)
+at x1 = 0, raises NonFiniteValueError.
 """
 
 from __future__ import annotations
@@ -386,9 +388,21 @@ def _basis(n):
     return basis
 
 
-def _scaled(grad, factor):
-    """``grad`` (None, or broadcastable to (n, m)) times ``factor`` (m,)."""
-    return None if grad is None else grad * factor
+def _scaled(grad, factor, unbounded=False):
+    """``grad`` (None, or broadcastable to (n, m)) times ``factor`` (m,).
+
+    ``unbounded`` marks a factor that can be infinite where the value is
+    finite: the local derivative of sqrt, or of a^b with b < 1, at a = 0.
+    There a zero tangent stays zero (0 * inf = 0, the forward-mode
+    convention), as the derivative of |x| x = x sqrt(norm2) at the
+    origin is 0.
+    """
+    if grad is None:
+        return None
+    product = grad * factor
+    if unbounded and np.isinf(factor).any():
+        product = np.where(grad == 0.0, 0.0, product)
+    return product
 
 
 def _summed(first, second):
@@ -425,7 +439,7 @@ class _Duals:
         if op == "neg":
             return -v, None if g is None else -g
         f = _Reals.unary(op, v)
-        return f, _scaled(g, _FUNCTION_DERIVATIVES[op](v, f))
+        return f, _scaled(g, _FUNCTION_DERIVATIVES[op](v, f), op == "sqrt")
 
     @staticmethod
     def binary(op, a, b):
@@ -440,9 +454,11 @@ class _Duals:
         if op == "/":
             return v, _scaled(_summed(ag, _scaled(bg, -v)), 1.0 / bv)
         if bg is None:  # '^' with a constant exponent c: c a^(c-1), and 0 when c = 0
-            return v, _scaled(ag, bv * np.power(av, bv - 1.0)) if bv.any() else None
+            return v, _scaled(ag, bv * np.power(av, bv - 1.0), True) if bv.any() else None
         # '^' in general: b a^(b-1) a' + a^b ln(a) b', under IEEE rules
-        return v, _summed(_scaled(ag, bv * np.power(av, bv - 1.0)), _scaled(bg, v * np.log(av)))
+        return v, _summed(
+            _scaled(ag, bv * np.power(av, bv - 1.0), True), _scaled(bg, v * np.log(av))
+        )
 
 
 def _eval_raw(node, points, arith=_Reals):

@@ -152,6 +152,17 @@ def test_overflow_is_one_error_line(argv):
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
 
 
+def test_equilibria_of_a_field_with_sqrt_at_the_origin(capsys):
+    # The first Newton start is the origin, where sqrt(norm2) has an
+    # infinite local derivative but the field's Jacobian is finite.
+    code, report, err = run_cli(
+        capsys, "equilibria", "--expr", "x1*sqrt(norm2) + 1; x2*sqrt(norm2)", "--radius", "3",
+    )
+    assert code == 0, err
+    result = report["payload"]["field_equilibrium"]
+    assert result["success"] and np.allclose(result["point"], [-1.0, 0.0], atol=1e-12)
+
+
 def test_coercivity_identity(capsys):
     code, report, _ = run_cli(capsys, "coercivity", "--catalog", "identity", "--dim", "2",
                               "--radius-count", "8", "--directions", "64")

@@ -26,7 +26,7 @@ from presnov import (
     parse_field,
 )
 from presnov import decomposition, fields
-from presnov.dsl import ExpressionField
+from presnov.dsl import _Duals, _eval_raw
 from presnov.fields import VectorField
 from presnov.radial import ProbeConfig
 from presnov.sampling import ball_points
@@ -97,20 +97,41 @@ def test_infinite_derivative_raises():
         field.value_and_jacobian_many([[0.0, 1.0]])
 
 
+def test_zero_tangent_times_infinite_derivative_is_zero():
+    # |x| x written with sqrt or ^0.5 has Jacobian 0 at the origin, though
+    # the local derivative of sqrt at 0 is infinite.
+    for text in ("x1*sqrt(norm2); x2*sqrt(norm2)", "x1*norm2^0.5; x2*norm2^0.5"):
+        _, jac = parse_field(text).value_and_jacobian_many([[0.0, 0.0], [0.0, 2.0]])
+        assert np.array_equal(jac[0], np.zeros((2, 2)))
+        assert np.allclose(jac[1], [[2.0, 0.0], [0.0, 4.0]], rtol=1e-15, atol=0.0)
+    # On a ray with x1 = 0 the tangent of x1^2 vanishes under the sqrt.
+    _, jac = parse_field("sqrt(x1^2 + x2^2); x2").value_and_jacobian_many([[0.0, -3.0]])
+    assert np.array_equal(jac[0], [[0.0, -1.0], [0.0, 1.0]])
+
+
+@pytest.mark.parametrize("offset,zero,degenerate", [(1.0, [-1.0, 0.0], False), (0.0, [0.0, 0.0], True)])
+def test_newton_from_the_origin_of_a_sqrt_field(offset, zero, degenerate):
+    # Multistart tries the origin first, where sqrt(norm2) has an infinite
+    # local derivative; with no offset the origin is the zero, and the
+    # Jacobian there, 0, makes it degenerate.
+    field = parse_field(f"x1*sqrt(norm2) + {offset}; x2*sqrt(norm2)")
+    result = find_equilibrium(field, 3.0)
+    assert result.success and result.degenerate is degenerate
+    assert np.allclose(result.point, zero, atol=1e-12)
+
+
 def test_dual_values_are_the_plain_values_bitwise():
+    # Compared on the walker directly, so non-finite values and
+    # derivatives are compared too, not skipped.
     for seed in range(200):
         rng = np.random.Generator(np.random.Philox(4000 + seed))
-        field = ExpressionField(3, [random_ast(rng, 3, 4) for _ in range(3)])
+        exprs = [random_ast(rng, 3, 4) for _ in range(3)]
         pts = rng.uniform(-2.0, 2.0, size=(30, 3))
-        try:
-            plain = field.evaluate_many(pts)
-        except NonFiniteValueError:
-            continue
-        try:
-            values, _ = field.value_and_jacobian_many(pts)
-        except NonFiniteValueError:
-            continue  # a finite value may have an infinite derivative
-        assert np.array_equal(values, plain)
+        with np.errstate(all="ignore"):
+            for expr in exprs:
+                plain = _eval_raw(expr, pts)
+                value, _ = _eval_raw(expr, pts, _Duals)
+                assert np.array_equal(value, plain, equal_nan=True)
 
 
 def test_value_and_jacobian_checks_its_points():
