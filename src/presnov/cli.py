@@ -47,10 +47,18 @@ from .errors import (
 )
 from .fields import ShiftedField, catalog_field
 from .quadrature import QuadratureConfig
-from .radial import DEFAULT_CERTIFICATE_THRESHOLD, ProbeConfig, boundary_certificate, paired_probe
+from .radial import (
+    DEFAULT_CERTIFICATE_THRESHOLD,
+    ProbeConfig,
+    RadialProbeReport,
+    Witness,
+    boundary_certificate,
+    paired_probe,
+)
 from .equilibria import (
     DEFAULT_MARGIN_FRACTION,
     DEFAULT_MAX_RADIUS_EXPONENT,
+    EquilibriumResult,
     SolverConfig,
     find_equilibrium,
     find_equilibrium_conservative,
@@ -174,6 +182,36 @@ def _from_flags(cls, args):
     return cls(**{f.name: getattr(args, f.name) for f in dataclasses.fields(cls)})
 
 
+# Result fields that no report carries: an equilibrium's certificate is the
+# payload's own "certificate", a probe's directions, seed and config are in
+# the report's config, and a witness carries its direction, not only its index.
+_OMITTED = {
+    EquilibriumResult: ("certificate",),
+    RadialProbeReport: ("directions", "seed", "config"),
+    Witness: ("direction_index",),
+}
+_RENAMED = {
+    "field_label": "field",
+    "field_report": "field_probe",
+    "conservative_report": "conservative_probe",
+}
+
+
+def _payload(result):
+    """A result dataclass as a report object: its fields, with nested
+    results in turn, less those that are None or listed in ``_OMITTED``."""
+    omitted = _OMITTED.get(type(result), ())
+    payload = {}
+    for f in dataclasses.fields(result):
+        value = getattr(result, f.name)
+        if value is None or f.name in omitted:
+            continue
+        if dataclasses.is_dataclass(value):
+            value = _payload(value)
+        payload[_RENAMED.get(f.name, f.name)] = value
+    return payload
+
+
 def _base_report(command, field, source, config):
     return {
         "report_version": 1,
@@ -187,7 +225,7 @@ def _base_report(command, field, source, config):
 
 def _cmd_decompose(args):
     field, source = _build_field(args)
-    # The split runs before _verify_split would reject the threshold.
+    # _verify_split takes a checked threshold; check it before the split runs.
     _check_threshold(args.threshold)
     points, points_spec = _resolve_points(args, field)
     quad = _from_flags(QuadratureConfig, args)
@@ -202,20 +240,8 @@ def _cmd_decompose(args):
     split = decompose_many(field, points, quad)
     verification = _verify_split(field, split, quad, args.threshold)
     report["payload"] = {
-        "samples": [
-            {
-                "point": split.points[i],
-                "potential": split.potentials[i],
-                "potential_error": split.potential_errors[i],
-                "conservative": split.conservative[i],
-                "sphere_invariant": split.sphere_invariant[i],
-                "orthogonality_residual": split.orthogonality_residuals[i],
-                "radial_equality_residual": split.radial_equality_residuals[i],
-                "estimated_error": split.estimated_errors[i],
-            }
-            for i in range(points.shape[0])
-        ],
-        "verification": verification.as_dict(),
+        "samples": [_payload(split.sample(i)) for i in range(points.shape[0])],
+        "verification": _payload(verification),
     }
     print(
         f"decompose: {points.shape[0]} point(s), "
@@ -224,27 +250,6 @@ def _cmd_decompose(args):
         file=sys.stderr,
     )
     return report, EXIT_OK if verification.passed else EXIT_IDENTITY
-
-
-def _probe_payload(probe_report):
-    payload = {
-        "field": probe_report.field_label,
-        "radii": probe_report.radii,
-        "min_per_radius": probe_report.min_per_radius,
-        "profiles": probe_report.profiles,
-        "verdict": probe_report.verdict,
-        "note": probe_report.note,
-    }
-    if probe_report.witness is not None:
-        witness = probe_report.witness
-        payload["witness"] = {
-            "kind": witness.kind,
-            "direction": witness.direction,
-            "radii": witness.radii,
-            "profile": witness.profile,
-            "point": witness.point,
-        }
-    return payload
 
 
 def _cmd_coercivity(args):
@@ -259,13 +264,7 @@ def _cmd_coercivity(args):
     }
     report = _base_report("coercivity", field, source, config)
     paired = paired_probe(field, probe_cfg, quad)
-    report["payload"] = {
-        "field_probe": _probe_payload(paired.field_report),
-        "conservative_probe": _probe_payload(paired.conservative_report),
-        "max_profile_discrepancy": paired.max_profile_discrepancy,
-        "max_profile_discrepancy_absolute": paired.max_profile_discrepancy_absolute,
-        "verdicts_agree": paired.verdicts_agree,
-    }
+    report["payload"] = _payload(paired)
     print(
         f"coercivity: field verdict = {paired.field_report.verdict}, "
         f"conservative verdict = {paired.conservative_report.verdict}, "
@@ -279,25 +278,6 @@ def _cmd_coercivity(args):
         )
         return report, EXIT_IDENTITY
     return report, EXIT_OK
-
-
-def _equilibrium_payload(result):
-    payload = {
-        "point": result.point,
-        "residual": result.residual,
-        "success": result.success,
-        "target": result.target,
-        "ball_radius": result.ball_radius,
-        "inside_ball": result.inside_ball,
-        "starts_attempted": result.starts_attempted,
-        "iterations": result.iterations,
-        "degenerate": result.degenerate,
-        "certificate_overridden": result.certificate_overridden,
-        "warnings": list(result.warnings),
-    }
-    if result.minimizer_check is not None:
-        payload["minimizer_check"] = result.minimizer_check
-    return payload
 
 
 def _cmd_equilibria(args):
@@ -325,7 +305,7 @@ def _cmd_equilibria(args):
             threshold=args.cert_threshold,
             quadrature=quad,
         )
-        report["payload"] = {"certificate": certificate.as_dict()}
+        report["payload"] = {"certificate": _payload(certificate)}
         if not certificate.passed and not args.allow_uncertified:
             report["warnings"].append(
                 f"certificate failed at radius {args.radius}: "
@@ -364,14 +344,14 @@ def _cmd_equilibria(args):
         report["warnings"].extend(outcome.warnings)
         report["payload"] = {
             "rho": outcome.rho,
-            "certificate": outcome.certificate.as_dict(),
+            "certificate": _payload(outcome.certificate),
             "probe_verdict": outcome.probe.verdict,
         }
         result_x, result_g = outcome.field_result, outcome.conservative_result
         summary = f"equilibria: rho = {outcome.rho}, "
 
-    report["payload"]["field_equilibrium"] = _equilibrium_payload(result_x)
-    report["payload"]["conservative_equilibrium"] = _equilibrium_payload(result_g)
+    report["payload"]["field_equilibrium"] = _payload(result_x)
+    report["payload"]["conservative_equilibrium"] = _payload(result_g)
     print(
         f"{summary}field solve {'ok' if result_x.success else 'FAILED'} "
         f"(residual {result_x.residual:.3e}), conservative solve "

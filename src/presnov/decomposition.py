@@ -284,6 +284,7 @@ class DecompositionSample:
     ``conservative + sphere_invariant`` equals the field value exactly by
     construction; ``orthogonality_residual`` and
     ``radial_equality_residual`` are both <u, x> = <X, x> - <grad H, x>.
+    ``potential_error`` is the quadrature error estimate of ``potential``.
     ``estimated_error`` propagates the quadrature error estimates of the
     potential and of the homotopy-route gradient into the radial
     diagnostics.  It is quadrature error only: with an exact Jacobian
@@ -293,6 +294,7 @@ class DecompositionSample:
 
     point: np.ndarray
     potential: float
+    potential_error: float
     conservative: np.ndarray
     sphere_invariant: np.ndarray
     orthogonality_residual: float
@@ -318,6 +320,7 @@ class DecompositionSet:
         return DecompositionSample(
             point=self.points[i],
             potential=float(self.potentials[i]),
+            potential_error=float(self.potential_errors[i]),
             conservative=self.conservative[i],
             sphere_invariant=self.sphere_invariant[i],
             orthogonality_residual=float(self.orthogonality_residuals[i]),
@@ -416,17 +419,6 @@ class VerificationReport:
     max_residual_potential: float
     passed: bool
 
-    def as_dict(self):
-        return {
-            "point_count": self.point_count,
-            "threshold": self.threshold,
-            "max_orthogonality": self.max_orthogonality,
-            "max_radial_equality": self.max_radial_equality,
-            "max_idempotence": self.max_idempotence,
-            "max_residual_potential": self.max_residual_potential,
-            "passed": self.passed,
-        }
-
 
 def verify_decomposition(
     field: VectorField,
@@ -439,8 +431,10 @@ def verify_decomposition(
 
 
 def _verify_split(field, split, cfg, threshold):
-    """The checks of ``verify_decomposition`` on a split already computed."""
-    _check_threshold(threshold)
+    """The checks of ``verify_decomposition`` on a split already computed.
+
+    The caller checks ``threshold`` before it computes the split.
+    """
     pts = split.points
     m, n = pts.shape
     with np.errstate(over="ignore"):

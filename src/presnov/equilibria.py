@@ -114,7 +114,7 @@ class EquilibriumResult:
     residual: float
     success: bool
     target: str
-    ball_radius: Optional[float]
+    ball_radius: float
     inside_ball: bool
     starts_attempted: int
     iterations: int
@@ -142,8 +142,6 @@ def _jacobian(field, x):
 
 def _is_degenerate(jac):
     s = np.linalg.svd(jac, compute_uv=False)
-    if s[0] == 0.0:
-        return True
     return bool(s[-1] <= s[0] / _DEGENERATE_COND)
 
 
@@ -157,8 +155,6 @@ def _norm(x):
 
 
 def _project(x, radius):
-    if radius is None:
-        return x
     norm = _norm(x)
     limit = _PROJECTION * radius
     if norm > limit:
@@ -235,6 +231,11 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
     """
     if certificate is None:
         certificate = boundary_certificate(field, radius, seed=cfg.seed, check_conservative=False)
+    elif certificate.radius != float(radius):
+        raise ConfigError(
+            f"the certificate covers the sphere of radius {certificate.radius}, "
+            f"not the ball of radius {radius}"
+        )
     warnings = []
     overridden = not certificate.passed
     if overridden:
@@ -283,7 +284,10 @@ def find_equilibrium(
     certificate: Optional[BoundaryCertificate] = None,
     allow_uncertified: bool = False,
 ) -> EquilibriumResult:
-    """Search for a zero of the field inside the ball of the given radius."""
+    """Search for a zero of the field inside the ball of the given radius.
+
+    A given ``certificate`` must be the one of the sphere of that radius.
+    """
     return _locate(field, field, radius, config, certificate, allow_uncertified)
 
 

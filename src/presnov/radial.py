@@ -176,22 +176,6 @@ class BoundaryCertificate:
         "conservative part, by the radial equality."
     )
 
-    def as_dict(self):
-        out = {
-            "radius": self.radius,
-            "sample_count": self.sample_count,
-            "min_radial": self.min_radial,
-            "threshold": self.threshold,
-            "margin": self.margin,
-            "passed": self.passed,
-            "seed": self.seed,
-            "note": self.note,
-        }
-        if self.conservative_min_radial is not None:
-            out["conservative_min_radial"] = self.conservative_min_radial
-            out["conservative_discrepancy"] = self.conservative_discrepancy
-        return out
-
 
 def _check_certificate_settings(threshold, samples):
     """The certificate arguments that ``perturbed_existence`` passes through."""

@@ -433,6 +433,123 @@ def test_console_entry_point_subprocess():
     assert canonical(a) == canonical(b)
 
 
+def key_paths(node, prefix=""):
+    """Dotted paths of every key of a report; list items add "[]"."""
+    paths = set()
+    if isinstance(node, dict):
+        for key, value in node.items():
+            path = f"{prefix}.{key}" if prefix else key
+            paths |= {path} | key_paths(value, path)
+    elif isinstance(node, list):
+        for item in node:
+            paths |= key_paths(item, prefix + "[]")
+    return paths
+
+
+def _object(path, *keys):
+    return {path} | {f"{path}.{key}" for key in keys}
+
+
+_BASE = (
+    {"report_version", "command", "warnings", "payload", "field.source.kind"}
+    | _object("tool", "name", "version")
+    | _object("field", "label", "dimension", "source")
+    | _object("config", "seed", "quadrature")
+    | _object("config.quadrature", "order", "abs_tol", "rel_tol", "max_subdivisions")
+)
+_CATALOG = {"field.source.name", "field.source.parameters"}
+_PROBE_CONFIG = _object(
+    "config.probe", "initial_radius", "radius_factor", "radius_count", "directions", "seed",
+    "growth_floor_factor",
+)
+_PROBE = ("field", "radii", "min_per_radius", "profiles", "verdict", "note")
+_WITNESS = ("kind", "direction", "radii", "profile", "point")
+_PAIRED = {"payload.max_profile_discrepancy", "payload.max_profile_discrepancy_absolute",
+           "payload.verdicts_agree"}
+_SOLVER_CONFIG = (
+    _object("config", "solver", "certificate_samples", "certificate_threshold")
+    | _object("config.solver", "residual_tol", "max_iterations", "multistart", "seed")
+)
+_CERTIFICATE = _object(
+    "payload.certificate", "radius", "sample_count", "min_radial", "threshold", "margin",
+    "passed", "seed", "note", "conservative_min_radial", "conservative_discrepancy",
+)
+_EQUILIBRIUM = ("point", "residual", "success", "target", "ball_radius", "inside_ball",
+                "starts_attempted", "iterations", "degenerate", "certificate_overridden",
+                "warnings")
+_SOLVED = (
+    _object("payload.field_equilibrium", *_EQUILIBRIUM)
+    | _object("payload.conservative_equilibrium", *_EQUILIBRIUM, "minimizer_check")
+)
+_EQUILIBRIA = _BASE | _CATALOG | _SOLVER_CONFIG | _CERTIFICATE
+
+# One run per report branch: (argv, exit code, key paths without "timing").
+_SCHEMAS = {
+    "decompose": (
+        ["decompose", "--expr", "x1^3+0.3*x2;x2^3-0.3*x1", "--sample", "2"],
+        0,
+        _BASE | {"field.source.text", "config.threshold", "payload.samples"}
+        | _object("config.points", "kind", "count", "radius", "seed")
+        | {f"payload.samples[].{key}" for key in (
+            "point", "potential", "potential_error", "conservative", "sphere_invariant",
+            "orthogonality_residual", "radial_equality_residual", "estimated_error")}
+        | _object("payload.verification", "point_count", "threshold", "max_orthogonality",
+                  "max_radial_equality", "max_idempotence", "max_residual_potential",
+                  "passed"),
+    ),
+    "coercivity": (
+        ["coercivity", "--catalog", "identity", "--dim", "2", "--radius-count", "4",
+         "--directions", "4"],
+        0,
+        _BASE | _CATALOG | _PROBE_CONFIG | _PAIRED
+        | _object("payload.field_probe", *_PROBE)
+        | _object("payload.conservative_probe", *_PROBE),
+    ),
+    "coercivity-witness": (
+        ["coercivity", "--catalog", "rotation2d", "--radius-count", "4", "--directions", "4"],
+        0,
+        _BASE | _CATALOG | _PROBE_CONFIG | _PAIRED
+        | _object("payload.field_probe", *_PROBE, "witness")
+        | _object("payload.field_probe.witness", *_WITNESS)
+        | _object("payload.conservative_probe", *_PROBE, "witness")
+        | _object("payload.conservative_probe.witness", *_WITNESS),
+    ),
+    "radius": (
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--radius", "1"],
+        0,
+        _EQUILIBRIA | {"config.radius"} | _SOLVED,
+    ),
+    "radius-uncertified": (
+        ["equilibria", "--catalog", "rotation2d", "--radius", "1"],
+        5,
+        _EQUILIBRIA | {"config.radius"},
+    ),
+    "radius-override": (
+        ["equilibria", "--catalog", "constant", "--vector", "1,0", "--radius", "1",
+         "--allow-uncertified"],
+        3,
+        _EQUILIBRIA | {"config.radius", "field.source.parameters.value"} | _SOLVED,
+    ),
+    "perturb": (
+        ["equilibria", "--catalog", "identity", "--dim", "2", "--perturb", "3,-4"],
+        0,
+        _EQUILIBRIA | _SOLVED
+        | {"config.perturb", "config.margin_fraction", "config.max_radius_exponent",
+           "payload.rho", "payload.probe_verdict"},
+    ),
+}
+
+
+@pytest.mark.parametrize("argv, code, paths", _SCHEMAS.values(), ids=_SCHEMAS)
+def test_report_schema_is_pinned(argv, code, paths, capsys):
+    # Reproducibility compares a run with itself, so it cannot see a key
+    # that a change drops or renames; this table can.
+    got_code, report, _ = run_cli(capsys, *argv)
+    assert got_code == code
+    report.pop("timing")
+    assert key_paths(report) == paths
+
+
 # Edge values for the CLI flag fuzz.  Each pool mixes valid values with
 # negative, zero, non-finite and malformed ones.  Counts that size the work
 # (--sample, --multistart, --max-iterations, --directions, --radius-count,

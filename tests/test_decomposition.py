@@ -8,6 +8,7 @@ from presnov import (
     CallableField,
     ConservativePart,
     DomainError,
+    QuadratureConfig,
     ScaledField,
     SphereInvariantPart,
     SumField,
@@ -114,6 +115,7 @@ def test_split_reassembles_bitwise():
     )
     sample = split.sample(3)
     assert sample.potential == split.potentials[3]
+    assert sample.potential_error == split.potential_errors[3]
 
 
 def test_verify_identity_field_tight():
@@ -182,6 +184,19 @@ def test_verify_catches_broken_splits():
     assert report.max_idempotence > threshold
     assert report.max_orthogonality <= 1e-9
     assert report.max_radial_equality <= 1e-9
+
+
+def test_stencil_noise_floor_lets_opaque_rays_converge():
+    # An opaque field's homotopy integrand carries the stencil's rounding
+    # noise, of order eps |X| / step, which no subdivision resolves.
+    # Without the noise floor these rays of radius 30 exhaust 64
+    # subdivisions and raise QuadratureError.
+    field = CallableField(2, _cyclic_cubic)
+    points = ball_points(2, 200, 30.0, seed=5)
+    grads = gradient_potential_integral_many(field, points, QuadratureConfig(max_subdivisions=64))
+    twin = gradient_potential_integral_many(parse_field("x1^3 + 0.3*x2; x2^3 + 0.3*x1"), points)
+    gap = np.linalg.norm(grads - twin, axis=1) / (1.0 + np.linalg.norm(twin, axis=1))
+    assert gap.max() <= 1e-9
 
 
 def test_verify_cost_stays_flat():

@@ -4,6 +4,7 @@ import pytest
 from presnov import (
     CallableField,
     CertificateError,
+    ConfigError,
     NoCertifiedRadiusError,
     ShiftedField,
     SolverConfig,
@@ -13,7 +14,7 @@ from presnov import (
     parse_field,
     perturbed_existence,
 )
-from presnov.radial import VERDICT_NOT_COERCIVE
+from presnov.radial import VERDICT_NOT_COERCIVE, boundary_certificate
 from presnov.sampling import ball_points
 
 
@@ -83,6 +84,30 @@ def test_conservative_solve_of_shifted_gradient_field():
     assert result.inside_ball
     if np.allclose(result.point, [0.5, 0.5], atol=1e-3):
         assert result.minimizer_check is True
+
+
+@pytest.mark.parametrize("text", ["x1^3 - x1; x2^3 - x2", "x1^3 - x1; x2^3 + x2"])
+def test_minimizer_check_flags_a_maximum_and_a_saddle(text):
+    # Both fields are gradients, of H = x1^4/4 - x1^2/2 + x2^4/4 -+ x2^2/2,
+    # and the start at the origin is already a zero: a maximum of H for
+    # the first field, a saddle for the second.
+    result = find_equilibrium_conservative(parse_field(text), 2.0)
+    assert result.success
+    assert np.linalg.norm(result.point) <= 1e-10
+    assert result.minimizer_check is False
+    assert any("saddle or maximum" in w for w in result.warnings)
+
+
+def test_a_certificate_for_another_sphere_is_refused():
+    # The radius-10 certificate passes, but the unit ball holds no zero of
+    # X = x + (3, 0); the solvers must not take it for the unit sphere's.
+    field = ShiftedField(catalog_field("identity", 2).field, [3.0, 0.0])
+    certificate = boundary_certificate(field, 10.0, check_conservative=False)
+    assert certificate.passed
+    for solver in (find_equilibrium, find_equilibrium_conservative):
+        with pytest.raises(ConfigError, match="radius 10"):
+            solver(field, 1.0, certificate=certificate)
+        assert solver(field, 10, certificate=certificate).success
 
 
 def test_failure_returns_best_residual():
