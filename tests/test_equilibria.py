@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,9 @@ from presnov import (
     parse_field,
     perturbed_existence,
 )
+from presnov.decomposition import ConservativePart
+from presnov.equilibria import _ARMIJO, _MIN_STEP, _RUNGS, _newton_from, _norm, _project
+from presnov.fields import VectorField
 from presnov.radial import VERDICT_NOT_COERCIVE, boundary_certificate
 from presnov.sampling import ball_points
 
@@ -219,3 +224,124 @@ def test_fd_jacobian_of_linear_field_is_exact():
     for x, jac_x in zip(points, jac):
         tol = 1e-9 * (1.0 + np.linalg.norm(a @ x))
         assert np.max(np.abs(jac_x - a)) <= tol
+
+
+def _backtracking_newton(field, radius, cfg):
+    """Newton from the origin with one Armijo trial per field call.
+
+    Returns the point, the steps taken and the most halvings one step
+    needed.
+    """
+    x = np.zeros(field.dimension)
+    fx = field.evaluate(x)
+    res = _norm(fx)
+    taken = deepest = 0
+    while taken < cfg.max_iterations and res > cfg.residual_tol:
+        jac = field.value_and_jacobian_many(x[None, :])[1][0]
+        step = np.linalg.solve(jac, -fx)
+        directional = float((jac.T @ fx) @ step)
+        merit = 0.5 * res * res
+        alpha, halvings = 1.0, 0
+        while True:
+            assert alpha >= _MIN_STEP
+            trial = _project(x + alpha * step, radius)
+            trial_f = field.evaluate(trial)
+            trial_res = _norm(trial_f)
+            if 0.5 * trial_res * trial_res <= merit + _ARMIJO * alpha * directional:
+                break
+            alpha *= 0.5
+            halvings += 1
+        x, fx, res = trial, trial_f, trial_res
+        taken += 1
+        deepest = max(deepest, halvings)
+    assert res <= cfg.residual_tol
+    return x, taken, deepest
+
+
+def test_batched_line_search_takes_the_first_armijo_step():
+    # From the origin the Newton step of tanh(3 (x1 - 1)) overshoots the
+    # zero (1, 0) by a factor of about 30, so the full step fails the
+    # Armijo test for several halvings.
+    field = parse_field("tanh(3*(x1-1)); x2")
+    cfg = SolverConfig()
+    point, taken, deepest = _backtracking_newton(field, 4.0, cfg)
+    assert deepest >= 4
+    result = find_equilibrium(field, 4.0, cfg)
+    assert np.array_equal(result.point, point)
+    assert result.iterations == taken
+    assert result.starts_attempted == 1
+
+
+class _CountingField(VectorField):
+    """Delegates to a field and counts its calls by method."""
+
+    def __init__(self, inner):
+        super().__init__(inner.dimension, inner.label, inner.domain)
+        self.inner = inner
+        self.exact_jacobian = inner.exact_jacobian
+        self.calls = Counter()
+
+    def _evaluate_many(self, points):
+        self.calls["evaluate_many"] += 1
+        return self.inner.evaluate_many(points)
+
+    def _value_and_jacobian_many(self, points):
+        self.calls["value_and_jacobian_many"] += 1
+        return self.inner.value_and_jacobian_many(points)
+
+
+# Components of the offset below 1 keep grad H(+-h e_i) = b +- h^3 e_i
+# apart in rounding, so the stencil Hessian of H at the origin is h^2 I.
+_STALLING_OFFSET = [0.5, -0.75, 0.25]
+
+
+def test_solver_call_counts_are_pinned():
+    # Leaf field calls of a whole solve: the certificate, every start's
+    # line searches, the degeneracy check and, for grad H, the minimizer
+    # check.  A rise means the solver lost a batch or a reused Jacobian.
+    leaf = _CountingField(parse_field("tanh(3*(x1-1)); x2"))
+    assert find_equilibrium(leaf, 4.0).success
+    assert leaf.calls == {"evaluate_many": 3, "value_and_jacobian_many": 6}
+    leaf = _CountingField(catalog_field("cubic_radial", 3).field)
+    assert find_equilibrium_conservative(ShiftedField(leaf, _STALLING_OFFSET), 2.0).success
+    assert leaf.calls == {"evaluate_many": 3, "value_and_jacobian_many": 14}
+
+
+def test_a_stalled_line_search_costs_one_call_per_rung():
+    # At the origin the stencil Hessian of H is about h^2 I = 3.7e-11 I,
+    # so the Newton step is some 3e10 long and every trial of the ladder,
+    # down to _MIN_STEP, projects to one boundary point, where the merit
+    # is larger.  The 31 trials must cost one quadrature per rung, not
+    # one each.
+    leaf = _CountingField(catalog_field("cubic_radial", 3).field)
+    target = ConservativePart(ShiftedField(leaf, _STALLING_OFFSET))
+    value, jac = target.value_and_jacobian_many(np.zeros((1, 3)))
+    assert _MIN_STEP * _norm(np.linalg.solve(jac[0], -value[0])) > 2.0
+    leaf.calls.clear()
+    point, _, _, taken, converged = _newton_from(target, np.zeros(3), 2.0, SolverConfig())
+    assert taken == 0 and not converged
+    assert np.array_equal(point, np.zeros(3))
+    # The start's stencil: X(0) at its centre row, one quadrature for the
+    # rest.  Then one quadrature per rung.
+    assert leaf.calls == {"evaluate_many": 1, "value_and_jacobian_many": 1 + len(_RUNGS)}
+    assert len(_RUNGS) == 5
+
+
+@pytest.mark.parametrize("sharpness", [20, 60])
+def test_sharp_fronts_solve_as_before(sharpness):
+    # grad H + b for X = (tanh(k (x1 - 1)), x2): a zero at
+    # (1 + atanh(-b1) / k, -b2) when |b1| < 1, none otherwise, where the
+    # best residual is |b1| - 1 on the flat side of the front.  The
+    # offsets are three of a seeded sample of the radius-4 ball.
+    field = parse_field(f"tanh({sharpness}*(x1-1)); x2")
+    for b in ball_points(2, 60, 4.0, 11)[4:7]:
+        result = find_equilibrium_conservative(
+            ShiftedField(field, b), 4.0, allow_uncertified=True
+        )
+        if abs(b[0]) < 1.0:
+            assert result.success
+            zero = [1.0 + np.arctanh(-b[0]) / sharpness, -b[1]]
+            assert np.allclose(result.point, zero, atol=1e-8)
+        else:
+            assert not result.success
+            assert result.residual == pytest.approx(abs(b[0]) - 1.0, rel=1e-9)
