@@ -33,7 +33,8 @@ one-at-a-time backtracking would never have evaluated it.
 
 Because certificates are sample-based, a passing certificate does not
 guarantee the true boundary condition; when every start fails, the best
-residual found is returned with a failure status instead of raising.
+residual found (within ``residual_tol``, the earliest start winning ties)
+is returned with a failure status instead of raising.
 
 ``perturbed_existence`` implements the constant-perturbation workflow:
 for a (probed) coercive field X and a constant vector b, search a
@@ -127,6 +128,11 @@ class EquilibriumResult:
     start whose point is returned.  ``minimizer_check`` is set only by the
     conservative solve: True when the located point is a local
     near-minimizer of the potential along probe directions.
+
+    When no start converges, the result is a failed start's: starts run
+    in order (the origin first), and a later one replaces the kept one
+    only when its residual is lower by more than ``residual_tol``, so
+    starts whose residuals tie up to rounding return the earliest.
     """
 
     point: np.ndarray
@@ -270,7 +276,8 @@ def _solve_multistart(field, radius, cfg):
         x, res, jac, iters, converged = _newton_from(field, start, radius, cfg)
         if converged:
             return x, res, jac, index + 1, iters, True
-        if best is None or res < best[1]:
+        # Residuals that tie up to rounding keep the earlier start.
+        if best is None or res < best[1] - cfg.residual_tol:
             best = (x, res, jac, iters)
     x, res, jac, iters = best
     return x, res, jac, len(starts), iters, False

@@ -22,6 +22,11 @@ what the line-integral potential machinery requires.
 
 The catalog holds fields whose potential, conservative part, and
 sphere-invariant part are known in closed form, for use as test oracles.
+Five entries (identity, constant, linear, rotation2d and
+identity_plus_rotation2d) are affine, X(x) = A x + c, built by
+``_affine_entry``: the conservative part sym(A) x + c is the gradient of
+H(x) = x^T sym(A) x / 2 + <c, x>, the sphere-invariant part is skew(A) x,
+and X and grad H are coercive exactly when sym(A) is positive definite.
 """
 
 from __future__ import annotations
@@ -383,19 +388,27 @@ def _constant_jacobian(matrix):
     return lambda p: np.repeat(matrix[:, :, None], p.shape[0], axis=2).transpose(2, 0, 1)
 
 
+def _affine_entry(name, n, A, c, label, description, parameters=None):
+    """The affine field X(x) = A x + c with its closed forms (module docstring)."""
+    sym, skew = 0.5 * (A + A.T), 0.5 * (A - A.T)
+    return CatalogEntry(
+        name=name,
+        dimension=n,
+        field=CallableField(n, lambda p: p @ A.T + c, label=label, jacobian=_constant_jacobian(A)),
+        potential=lambda x: 0.5 * float(x @ (sym @ x)) + float(c @ x),
+        conservative=lambda x: sym @ np.asarray(x, dtype=float) + c,
+        sphere_invariant=lambda x: skew @ np.asarray(x, dtype=float),
+        coercive=bool(np.linalg.eigvalsh(sym).min() > 0.0),
+        parameters=parameters or {},
+        description=description,
+    )
+
+
 def _identity_entry(dimension, params):
     _check_params("identity", params)
     n = _require_dim("identity", dimension)
-    fld = CallableField(n, lambda p: p.copy(), label="identity", jacobian=_constant_jacobian(np.eye(n)))
-    return CatalogEntry(
-        name="identity",
-        dimension=n,
-        field=fld,
-        potential=lambda x: 0.5 * float(x @ x),
-        conservative=lambda x: np.asarray(x, dtype=float).copy(),
-        sphere_invariant=lambda x: np.zeros(n),
-        coercive=True,
-        description="X(x) = x; purely conservative.",
+    return _affine_entry(
+        "identity", n, np.eye(n), np.zeros(n), "identity", "X(x) = x; purely conservative."
     )
 
 
@@ -417,22 +430,9 @@ def _constant_entry(dimension, params):
     if c.ndim != 1 or not np.isfinite(c).all():
         raise CatalogError(message)
     n = _require_dim("constant", dimension, c.shape[0])
-    fld = CallableField(
-        n,
-        lambda p: np.tile(c, (p.shape[0], 1)),
-        label=f"constant({c.tolist()})",
-        jacobian=_constant_jacobian(np.zeros((n, n))),
-    )
-    return CatalogEntry(
-        name="constant",
-        dimension=n,
-        field=fld,
-        potential=lambda x: float(c @ x),
-        conservative=lambda x: c.copy(),
-        sphere_invariant=lambda x: np.zeros(n),
-        coercive=False,
-        parameters={"value": c.tolist()},
-        description="X(x) = c; gradient of <c, x>, bounded radial profile.",
+    return _affine_entry(
+        "constant", n, np.zeros((n, n)), c, f"constant({c.tolist()})",
+        "X(x) = c; gradient of <c, x>, bounded radial profile.", {"value": c.tolist()},
     )
 
 
@@ -446,41 +446,18 @@ def _linear_entry(dimension, params):
     if a.ndim != 2 or a.shape[0] != a.shape[1] or not np.isfinite(a).all():
         raise CatalogError(message)
     n = _require_dim("linear", dimension, a.shape[0])
-    sym = 0.5 * (a + a.T)
-    skew = 0.5 * (a - a.T)
-    min_eig = float(np.linalg.eigvalsh(sym).min())
-    fld = CallableField(n, lambda p: p @ a.T, label=f"linear(dim={n})", jacobian=_constant_jacobian(a))
-    return CatalogEntry(
-        name="linear",
-        dimension=n,
-        field=fld,
-        potential=lambda x: 0.5 * float(x @ (sym @ x)),
-        conservative=lambda x: sym @ np.asarray(x, dtype=float),
-        sphere_invariant=lambda x: skew @ np.asarray(x, dtype=float),
-        coercive=min_eig > 0.0,
-        parameters={"matrix": a.tolist()},
-        description="X(x) = A x; splits into sym(A) x + skew(A) x.",
+    return _affine_entry(
+        "linear", n, a, np.zeros(n), f"linear(dim={n})",
+        "X(x) = A x; splits into sym(A) x + skew(A) x.", {"matrix": a.tolist()},
     )
 
 
 def _rotation2d_entry(dimension, params):
     _check_params("rotation2d", params)
     n = _require_dim("rotation2d", dimension, 2)
-    fld = CallableField(
-        n,
-        lambda p: np.column_stack((-p[:, 1], p[:, 0])),
-        label="rotation2d",
-        jacobian=_constant_jacobian(np.array([[0.0, -1.0], [1.0, 0.0]])),
-    )
-    return CatalogEntry(
-        name="rotation2d",
-        dimension=n,
-        field=fld,
-        potential=lambda x: 0.0,
-        conservative=lambda x: np.zeros(2),
-        sphere_invariant=lambda x: np.array([-x[1], x[0]], dtype=float),
-        coercive=False,
-        description="X(x, y) = (-y, x); purely sphere-invariant.",
+    return _affine_entry(
+        "rotation2d", n, np.array([[0.0, -1.0], [1.0, 0.0]]), np.zeros(n), "rotation2d",
+        "X(x, y) = (-y, x); purely sphere-invariant.",
     )
 
 
@@ -561,21 +538,9 @@ def _cubic_radial_entry(dimension, params):
 def _identity_plus_rotation2d_entry(dimension, params):
     _check_params("identity_plus_rotation2d", params)
     n = _require_dim("identity_plus_rotation2d", dimension, 2)
-    fld = CallableField(
-        n,
-        lambda p: np.column_stack((p[:, 0] - p[:, 1], p[:, 1] + p[:, 0])),
-        label="identity_plus_rotation2d",
-        jacobian=_constant_jacobian(np.array([[1.0, -1.0], [1.0, 1.0]])),
-    )
-    return CatalogEntry(
-        name="identity_plus_rotation2d",
-        dimension=n,
-        field=fld,
-        potential=lambda x: 0.5 * float(x @ x),
-        conservative=lambda x: np.asarray(x, dtype=float).copy(),
-        sphere_invariant=lambda x: np.array([-x[1], x[0]], dtype=float),
-        coercive=True,
-        description="Coercive composite: identity plus a planar rotation.",
+    return _affine_entry(
+        "identity_plus_rotation2d", n, np.array([[1.0, -1.0], [1.0, 1.0]]), np.zeros(n),
+        "identity_plus_rotation2d", "Coercive composite: identity plus a planar rotation.",
     )
 
 

@@ -81,15 +81,15 @@ def integrate_unit(
     Raises QuadratureError if the subdivision budget is exhausted and
     NonFiniteValueError if the integrand returns NaN or infinity.
 
-    ``noise_floor`` (an array broadcastable to the components, or a
-    zero-argument callable returning one) lowers the acceptance bar to
-    that level: integrands that carry evaluation noise cannot be resolved
-    below their noise, and insisting on it would subdivide forever.  The
-    one such integrand in the package is the homotopy-route gradient of a
-    field whose Jacobian is the central-difference fallback; exact
-    Jacobians pass no floor.  A built-in floor of a few ulps of the
-    largest integrand value seen plays the same role for plain rounding
-    noise.
+    ``noise_floor`` (a zero-argument callable returning an array
+    broadcastable to the components, called at every acceptance test)
+    lowers the acceptance bar to that level: integrands that carry
+    evaluation noise cannot be resolved below their noise, and insisting
+    on it would subdivide forever.  The one such integrand in the package
+    is the homotopy-route gradient of a field whose Jacobian is the
+    central-difference fallback; exact Jacobians pass no floor.  A
+    built-in floor of a few ulps of the largest integrand value seen plays
+    the same role for plain rounding noise.
 
     ``select`` (a callable taking an index array) switches a vector
     integrand from shared refinement to the active set (see the module
@@ -148,8 +148,7 @@ def integrate_unit(
             bound = np.maximum(config.abs_tol, config.rel_tol * np.abs(total))
         bound = np.maximum(bound, 4.0 * eps * run_max)
         if noise_floor is not None:
-            floor = noise_floor() if callable(noise_floor) else noise_floor
-            floor = np.broadcast_to(np.asarray(floor, dtype=float), result.shape)
+            floor = np.broadcast_to(np.asarray(noise_floor(), dtype=float), result.shape)
             bound = np.maximum(bound, floor[rows])
         return np.maximum(err_total, 0.0) <= bound
 

@@ -231,7 +231,8 @@ def _find_witness(radii, profiles, directions):
         ceiling = p[:tail_start].max()
         tail = p[tail_start:]
         tail_slack = _FLAT_TOL * (1.0 + abs(ceiling))
-        if np.all(tail <= ceiling + tail_slack):
+        # A schedule too short to have a tail shows nothing bounded.
+        if tail.size and np.all(tail <= ceiling + tail_slack):
             return Witness(
                 kind="bounded",
                 direction_index=j,

@@ -16,6 +16,7 @@ from presnov import (
     parse_field,
     perturbed_existence,
 )
+from presnov import equilibria
 from presnov.decomposition import ConservativePart
 from presnov.equilibria import _ARMIJO, _MIN_STEP, _RUNGS, _newton_from, _norm, _project
 from presnov.fields import VectorField
@@ -125,6 +126,30 @@ def test_failure_returns_best_residual():
         # The merit gradient of a constant field is zero, so every start
         # stops before its first Newton step.
         assert result.iterations == 0
+
+
+@pytest.mark.parametrize(
+    "residuals,kept",
+    [
+        # Ties up to rounding keep the earliest start.
+        ([1.0, 1.0 - 1e-15, 1.0 - 2e-15], 0),
+        # A drop larger than residual_tol (1e-10) displaces it.
+        ([1.0, 1.0 - 2e-10, 1.0 - 2e-10 - 1e-15], 1),
+    ],
+)
+def test_failed_multistart_keeps_the_earliest_of_tied_starts(monkeypatch, residuals, kept):
+    starts = []
+
+    def newton_from(field, x0, radius, cfg):
+        starts.append(np.array(x0))
+        return starts[-1], residuals[len(starts) - 1], None, len(starts), False
+
+    monkeypatch.setattr(equilibria, "_newton_from", newton_from)
+    field = catalog_field("identity", 2).field
+    cfg = SolverConfig(multistart=len(residuals) - 1)
+    x, res, _, attempted, iters, converged = equilibria._solve_multistart(field, 1.0, cfg)
+    assert not converged and attempted == len(residuals)
+    assert x is starts[kept] and res == residuals[kept] and iters == kept + 1
 
 
 def test_both_targets_report_failure_and_degeneracy_alike():

@@ -104,6 +104,56 @@ def test_catalog_sphere_invariant_orthogonal(name, kwargs):
         assert abs(float(u @ x)) <= bound
 
 
+# The affine entries, X(x) = A x + c, with A, c, the coercivity flag, the
+# label and the parameters written out.  The seeded matrix has a
+# symmetric part with eigenvalues near -2.96, -1.62 and 1.49.
+_SEEDED = np.random.default_rng(8).normal(size=(3, 3))
+_ROTATION = np.array([[0.0, -1.0], [1.0, 0.0]])
+AFFINE_INSTANCES = [
+    ("identity", dict(dimension=1), np.eye(1), np.zeros(1), True, "identity", {}),
+    ("identity", dict(dimension=2), np.eye(2), np.zeros(2), True, "identity", {}),
+    ("identity", dict(dimension=3), np.eye(3), np.zeros(3), True, "identity", {}),
+    (
+        "constant", dict(value=[1.0, -2.0, 0.5]), np.zeros((3, 3)), np.array([1.0, -2.0, 0.5]),
+        False, "constant([1.0, -2.0, 0.5])", {"value": [1.0, -2.0, 0.5]},
+    ),
+    (
+        "linear", dict(matrix=_SEEDED), _SEEDED, np.zeros(3),
+        False, "linear(dim=3)", {"matrix": _SEEDED.tolist()},
+    ),
+    (
+        "linear", dict(matrix=_SEEDED + 4.0 * np.eye(3)), _SEEDED + 4.0 * np.eye(3), np.zeros(3),
+        True, "linear(dim=3)", {"matrix": (_SEEDED + 4.0 * np.eye(3)).tolist()},
+    ),
+    ("rotation2d", dict(), _ROTATION, np.zeros(2), False, "rotation2d", {}),
+    (
+        "identity_plus_rotation2d", dict(), np.eye(2) + _ROTATION, np.zeros(2),
+        True, "identity_plus_rotation2d", {},
+    ),
+]
+
+
+@pytest.mark.parametrize("name,kwargs,A,c,coercive,label,parameters", AFFINE_INSTANCES)
+def test_affine_entries_match_their_matrix(name, kwargs, A, c, coercive, label, parameters):
+    entry = _instantiate(name, kwargs)
+    n = A.shape[0]
+    points = ball_points(n, 40, 4.0, seed=6)
+    points[0] = 0.0
+    points[1, 0] = -0.0
+    values, jac = entry.field.value_and_jacobian_many(points)
+    close = dict(rtol=1e-14, atol=1e-13)
+    np.testing.assert_allclose(values, np.einsum("ij,kj->ki", A, points) + c, **close)
+    np.testing.assert_array_equal(jac, np.broadcast_to(A, (points.shape[0], n, n)))
+    sym, skew = (A + A.T) / 2, (A - A.T) / 2
+    for x in points:
+        np.testing.assert_allclose(entry.potential(x), x @ sym @ x / 2 + c @ x, **close)
+        np.testing.assert_allclose(entry.conservative(x), sym @ x + c, **close)
+        np.testing.assert_allclose(entry.sphere_invariant(x), skew @ x, **close)
+    assert entry.coercive is coercive
+    assert (entry.name, entry.dimension, entry.field.label) == (name, n, label)
+    assert entry.parameters == parameters
+
+
 def test_catalog_identity_entry_ground_truth():
     entry = catalog_field("identity", 4)
     x = np.array([1.0, 2.0, -1.0, 0.5])

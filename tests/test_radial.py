@@ -16,7 +16,7 @@ from presnov import (
     parse_field,
     radial_profile,
 )
-from presnov.radial import VERDICT_COERCIVE, VERDICT_NOT_COERCIVE
+from presnov.radial import VERDICT_COERCIVE, VERDICT_INCONCLUSIVE, VERDICT_NOT_COERCIVE
 from presnov.sampling import unit_directions
 
 FAST_PROBE = ProbeConfig(radius_count=8, directions=64)
@@ -50,6 +50,14 @@ def test_probe_identity_coercive():
     assert report.verdict == VERDICT_COERCIVE
     assert report.witness is None
     assert np.all(np.diff(report.min_per_radius) > 0)
+
+
+def test_a_two_radius_schedule_has_no_bounded_witness():
+    # The last third of two radii is empty, which bounds nothing: the
+    # identity's profile doubles, short of the growth floor of 4.
+    report = coercivity_probe(catalog_field("identity", 2).field, ProbeConfig(radius_count=2))
+    assert report.verdict == VERDICT_INCONCLUSIVE
+    assert report.witness is None
 
 
 def test_probe_rotation_not_coercive():
