@@ -106,6 +106,14 @@ def _as_points(field, points):
     return pts
 
 
+def _as_point(point):
+    """One point of shape (n,), as the one row of a points array."""
+    x = np.asarray(point, dtype=float)
+    if x.ndim != 1:
+        raise DimensionMismatchError(f"expected a single point of shape (n,), got {x.shape}")
+    return x[None, :]
+
+
 def _check_threshold(threshold):
     if not 0.0 < threshold < np.inf:
         raise ConfigError("threshold must be positive and finite")
@@ -162,10 +170,7 @@ def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFA
 
     The potential at the origin is exactly 0.0 without integrating.
     """
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatchError("expected a single point of shape (n,)")
-    values, errors = potential_many(field, x[None, :], config)
+    values, errors = potential_many(field, _as_point(point), config)
     return float(values[0]), float(errors[0])
 
 
@@ -184,8 +189,7 @@ def gradient_potential_many(
 
 
 def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    x = np.asarray(point, dtype=float)
-    return gradient_potential_many(field, x[None, :], config)[0]
+    return gradient_potential_many(field, _as_point(point), config)[0]
 
 
 def _homotopy_gradient(field, pts, cfg):
@@ -268,8 +272,7 @@ def _gradient_integrand(field, base):
 def gradient_potential_integral(
     field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE
 ):
-    x = np.asarray(point, dtype=float)
-    return gradient_potential_integral_many(field, x[None, :], config)[0]
+    return gradient_potential_integral_many(field, _as_point(point), config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -352,10 +355,7 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAUL
 
 
 def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatchError("expected a single point of shape (n,)")
-    return decompose_many(field, x[None, :], config).sample(0)
+    return decompose_many(field, _as_point(point), config).sample(0)
 
 
 class ConservativePart(VectorField):

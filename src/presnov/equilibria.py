@@ -24,17 +24,22 @@ backtracking would take, so iterates and step counts are the same.  The
 first rung, the full step, is evaluated with its Jacobian.  Most steps
 (about 62% in the benchmark's ``solve`` workload) accept it, and its
 Jacobian then drives the next step and, at the returned point, the
-near-singularity check; only a point accepted from a later rung computes
-its Jacobian separately.  For ``ConservativePart`` each call is one
-quadrature, which is what the batching saves.  Every trial of a rung is
-evaluated, so a non-finite value at any of them, or a non-finite
-Jacobian at the full step, raises NonFiniteValueError, even where
-one-at-a-time backtracking would never have evaluated it.
+near-singularity and minimizer checks; only a point accepted from a
+later rung computes its Jacobian separately.  For ``ConservativePart``
+each call is one quadrature, which is what the batching saves.  Every
+trial of a rung is evaluated, so a non-finite value at any of them, or
+a non-finite Jacobian at the full step, raises NonFiniteValueError, even
+where one-at-a-time backtracking would never have evaluated it.
 
 Because certificates are sample-based, a passing certificate does not
 guarantee the true boundary condition; when every start fails, the best
 residual found (within ``residual_tol``, the earliest start winning ties)
 is returned with a failure status instead of raising.
+
+A successful conservative solve also checks the second-order necessary
+condition for a minimizer of H, which the existence argument provides:
+the Hessian of H at the point (the target's Jacobian, already held) is
+positive semidefinite up to ``_PSD_TOL``.  A failed solve fails it.
 
 ``perturbed_existence`` implements the constant-perturbation workflow:
 for a (probed) coercive field X and a constant vector b, search a
@@ -46,12 +51,12 @@ and grad H + b = 0 inside that ball.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .decomposition import ConservativePart, potential_many
+from .decomposition import ConservativePart
 from .errors import CertificateError, ConfigError, NoCertifiedRadiusError
 from .fields import ShiftedField, VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
@@ -65,8 +70,7 @@ from .radial import (
     boundary_certificate,
     coercivity_probe,
 )
-from .sampling import DEFAULT_SEED, _check_seed, ball_points
-from .sampling import default_direction_count, unit_directions
+from .sampling import DEFAULT_SEED, _check_seed, ball_points, default_direction_count
 
 __all__ = [
     "SolverConfig",
@@ -85,6 +89,8 @@ _MIN_STEP = 2.0**-30  # the line search stalls below this step fraction
 _LADDER = np.ldexp(1.0, -np.arange(1 - round(math.log2(_MIN_STEP))))
 _RUNGS = tuple(_LADDER[2**k - 1 : 2 ** (k + 1) - 1] for k in range(_LADDER.size.bit_length()))
 _DEGENERATE_COND = 1e12
+# Above the stencil Hessian's noise: quadrature tolerance / _FD_SCALE ~ 2e-5.
+_PSD_TOL = 1e-4
 
 # By default perturbed_existence searches the radii 2^k, k = 0..40, for a
 # sphere whose certificate margin is at least 0.1 r^2.
@@ -126,8 +132,9 @@ class EquilibriumResult:
     (condition estimate above 1e12), which distinguishes isolated zeros
     from continua.  ``iterations`` counts the Newton steps taken from the
     start whose point is returned.  ``minimizer_check`` is set only by the
-    conservative solve: True when the located point is a local
-    near-minimizer of the potential along probe directions.
+    conservative solve: True when it succeeded and the stencil Hessian of
+    H at the point meets the second-order necessary condition for a
+    minimizer, min eig >= -1e-4 (1 + max |eig|) of its symmetric part.
 
     When no start converges, the result is a failed start's: starts run
     in order (the origin first), and a later one replaces the kept one
@@ -168,6 +175,11 @@ def _jacobian(field, x):
 def _is_degenerate(jac):
     s = np.linalg.svd(jac, compute_uv=False)
     return bool(s[-1] <= s[0] / _DEGENERATE_COND)
+
+
+def _is_positive_semidefinite(jac):
+    eigs = np.linalg.eigvalsh(0.5 * (jac + jac.T))
+    return bool(eigs[0] >= -_PSD_TOL * (1.0 + np.abs(eigs).max()))
 
 
 def _norm(x):
@@ -315,12 +327,21 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
             "no start reached the residual tolerance; best residual returned "
             "(sampled certificates cannot guarantee the true boundary condition)"
         )
-    degenerate = _is_degenerate(_jacobian(target, x) if jac is None else jac)
+    jac = _jacobian(target, x) if jac is None else jac
+    degenerate = _is_degenerate(jac)
     if degenerate:
         warnings.append(
             "near-singular Jacobian at the returned point: the equilibrium may "
             "belong to a continuum rather than being isolated"
         )
+    minimizer = None
+    if isinstance(target, ConservativePart):
+        minimizer = success and _is_positive_semidefinite(jac)
+        if success and not minimizer:
+            warnings.append(
+                "the Hessian of the potential at the located critical point has a "
+                "negative eigenvalue: not a local minimizer (saddle or maximum)"
+            )
     return EquilibriumResult(
         point=x,
         residual=res,
@@ -333,6 +354,7 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
         degenerate=degenerate,
         certificate=certificate,
         certificate_overridden=overridden,
+        minimizer_check=minimizer,
         warnings=tuple(warnings),
     )
 
@@ -351,22 +373,6 @@ def find_equilibrium(
     return _locate(field, field, radius, config, certificate, allow_uncertified)
 
 
-def _near_minimizer_check(source, x, radius, quad_cfg, seed):
-    """Is H(x) <= H(x + delta d) + tol along probe directions?"""
-    n = x.size
-    delta = 1e-3 * radius
-    axes = np.vstack((np.eye(n), -np.eye(n)))
-    extra = unit_directions(n, max(4, n), seed)
-    directions = np.vstack((axes, extra))
-    probes = x[None, :] + delta * directions
-    probes = probes[source.domain.contains(probes)]
-    # H(x) rides in the probes' quadrature call as its first row.
-    values, _ = potential_many(source, np.vstack((x, probes)), quad_cfg)
-    h0 = values[0]
-    tol = 1e-9 * (1.0 + abs(h0))
-    return bool(np.all(h0 <= values[1:] + tol))
-
-
 def find_equilibrium_conservative(
     field: VectorField,
     radius: float,
@@ -379,20 +385,12 @@ def find_equilibrium_conservative(
 
     The certificate is evaluated on the original field: by the radial
     equality it certifies the conservative part simultaneously.  The
-    located point is additionally checked to be a local near-minimizer
-    of the potential.
+    point's Hessian of H decides ``minimizer_check``, False for a failed
+    solve, whose point is not critical (see ``EquilibriumResult``).
     """
-    result = _locate(
+    return _locate(
         ConservativePart(field, quadrature), field, radius, config, certificate, allow_uncertified
     )
-    minimizer = _near_minimizer_check(field, result.point, radius, quadrature, config.seed)
-    warnings = result.warnings
-    if not minimizer:
-        warnings += (
-            "the located critical point is not a local near-minimizer of the "
-            "potential along probe directions (saddle or maximum)",
-        )
-    return replace(result, minimizer_check=minimizer, warnings=warnings)
 
 
 def perturbed_existence(

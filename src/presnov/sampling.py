@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, DimensionMismatchError
 
 __all__ = [
     "default_direction_count",
@@ -31,7 +31,9 @@ def _generator(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seed))
 
 
-def _check_count(count):
+def _check_sample_shape(dimension, count):
+    if dimension < 1:
+        raise DimensionMismatchError("dimension must be at least 1")
     if count < 1:
         raise ConfigError("sample count must be at least 1")
 
@@ -65,7 +67,7 @@ def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.
     and the rest are normalized Gaussian draws; in higher dimensions all
     directions are normalized Gaussian draws.
     """
-    _check_count(count)
+    _check_sample_shape(dimension, count)
     rng = _generator(seed)
     if dimension == 2 and count >= 2:
         k = count // 2
@@ -78,7 +80,7 @@ def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.
 
 def ball_points(dimension: int, count: int, radius: float, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform seeded points in the open ball of the given radius."""
-    _check_count(count)
+    _check_sample_shape(dimension, count)
     _check_radius(radius)
     rng = _generator(seed)
     directions = _gaussian_directions(dimension, count, rng)

@@ -7,6 +7,7 @@ from presnov import (
     BallRestrictedField,
     CallableField,
     ConservativePart,
+    DimensionMismatchError,
     DomainError,
     QuadratureConfig,
     ScaledField,
@@ -81,6 +82,16 @@ def test_gradient_integral_route_examples():
     assert np.allclose(gradient_potential_integral(rot, [0.3, 0.7]), [0.0, 0.0], atol=1e-9)
     lin = catalog_field("linear", matrix=[[1.0, 2.0], [0.0, 1.0]]).field
     assert np.allclose(gradient_potential_integral(lin, [0.0, 1.0]), [1.0, 1.0], atol=1e-9)
+
+
+@pytest.mark.parametrize(
+    "wrapper", [compute_potential, gradient_potential, gradient_potential_integral, decompose]
+)
+@pytest.mark.parametrize("point", [3.0, [[1.0, 2.0]]])
+def test_single_point_wrappers_reject_other_shapes(wrapper, point):
+    field = catalog_field("identity", 2).field
+    with pytest.raises(DimensionMismatchError, match="single point"):
+        wrapper(field, point)
 
 
 def test_decompose_linear_example():

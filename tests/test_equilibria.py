@@ -104,6 +104,18 @@ def test_minimizer_check_flags_a_maximum_and_a_saddle(text):
     assert any("saddle or maximum" in w for w in result.warnings)
 
 
+def test_minimizer_check_reads_the_hessian_not_a_probe_step():
+    # H = x1^2/2 - 25000 x1^4 + x2^2/2 has a strict minimizer at the origin
+    # with Hessian I, but its basin is only about 0.003 wide in x1: a
+    # potential probe a step 1e-3 r = 0.01 away lands past the ridge.
+    field = parse_field("x1 - 100000*x1^3; x2")
+    result = find_equilibrium_conservative(field, 10.0, allow_uncertified=True)
+    assert result.success
+    assert np.linalg.norm(result.point) <= 1e-10
+    assert result.minimizer_check is True
+    assert not any("saddle or maximum" in w for w in result.warnings)
+
+
 def test_a_certificate_for_another_sphere_is_refused():
     # The radius-10 certificate passes, but the unit ball holds no zero of
     # X = x + (3, 0); the solvers must not take it for the unit sphere's.
@@ -322,14 +334,15 @@ _STALLING_OFFSET = [0.5, -0.75, 0.25]
 
 def test_solver_call_counts_are_pinned():
     # Leaf field calls of a whole solve: the certificate, every start's
-    # line searches, the degeneracy check and, for grad H, the minimizer
-    # check.  A rise means the solver lost a batch or a reused Jacobian.
+    # line searches and the degeneracy check, whose Jacobian (for grad H,
+    # the Hessian of H) also decides the minimizer check.  A rise means
+    # the solver lost a batch or a reused Jacobian.
     leaf = _CountingField(parse_field("tanh(3*(x1-1)); x2"))
     assert find_equilibrium(leaf, 4.0).success
     assert leaf.calls == {"evaluate_many": 3, "value_and_jacobian_many": 6}
     leaf = _CountingField(catalog_field("cubic_radial", 3).field)
     assert find_equilibrium_conservative(ShiftedField(leaf, _STALLING_OFFSET), 2.0).success
-    assert leaf.calls == {"evaluate_many": 3, "value_and_jacobian_many": 14}
+    assert leaf.calls == {"evaluate_many": 2, "value_and_jacobian_many": 14}
 
 
 def test_a_stalled_line_search_costs_one_call_per_rung():
@@ -370,3 +383,5 @@ def test_sharp_fronts_solve_as_before(sharpness):
         else:
             assert not result.success
             assert result.residual == pytest.approx(abs(b[0]) - 1.0, rel=1e-9)
+            # The point is not critical, however flat H is around it.
+            assert result.minimizer_check is False

@@ -14,7 +14,7 @@ from presnov import (
     catalog_names,
     radial_component,
 )
-from presnov.sampling import ball_points
+from presnov.sampling import ball_points, unit_directions
 
 
 def test_evaluate_identity():
@@ -234,6 +234,14 @@ def test_combinators_evaluate_structurally():
 def test_sum_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
         SumField(catalog_field("identity", 2).field, catalog_field("identity", 3).field)
+
+
+@pytest.mark.parametrize("dimension", [0, -1])
+def test_samplers_reject_a_dimension_below_one(dimension):
+    with pytest.raises(DimensionMismatchError):
+        unit_directions(dimension, 4)
+    with pytest.raises(DimensionMismatchError):
+        ball_points(dimension, 4, 1.0)
 
 
 def test_evaluate_rejects_wrong_dimension_and_nonfinite():
