@@ -21,6 +21,16 @@ for DSL and catalog fields, the central-difference stencil of ``fields``
 otherwise.  ``gradient_potential_integral_many``, ``decompose_many``,
 ``ConservativePart`` and ``SphereInvariantPart`` all use it.
 
+For a field whose ``ray_degree`` d is known and whose Jacobian is exact,
+the integrand is a polynomial of degree <= d in t, and the route
+integrates it on one panel of ceil((d + 1) / 2) Gauss-Legendre nodes,
+which is exact (for polynomial fields H = sum_d <X_d(x), x> / (d + 2)
+over the homogeneous parts X_d: the Poincare homotopy operator on
+polynomial forms).  A stencil Jacobian is not polynomial in t, since
+its step scales with |t x_i|, so such fields keep the adaptive scheme
+and its noise floor.  Potentials, and so the finite-difference route,
+always integrate adaptively.
+
 ``gradient_potential_many`` (central finite differences of H) is kept
 only as an independent cross-check of that route: it differentiates H
 itself, so it shares no formula with the homotopy route.
@@ -62,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import ConfigError, DimensionMismatchError, DomainError
 from .fields import _FD_SCALE, VectorField, _fd_derivatives, _fd_probes
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
@@ -195,8 +205,18 @@ def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEF
 def _homotopy_gradient(field, pts, cfg):
     """grad H and its quadrature error estimates at the rows of ``pts``.
 
-    At the origin grad H is X(0) exactly, with no integral.
+    At the origin grad H is X(0) exactly, with no integral.  A polynomial
+    field with an exact Jacobian is integrated on one exact Gauss panel
+    (module docstring).
     """
+    # An origin-centred ball holds the segment [0, x] iff it holds x; a
+    # few Gauss nodes alone could miss a ray that leaves the ball.
+    with np.errstate(over="ignore"):  # an overflowing norm is outside any ball
+        inside = field.domain.contains_all(pts)
+    if not inside:
+        raise DomainError(f"point outside the field's domain (ball radius {field.domain.radius})")
+    # A stencil Jacobian is not polynomial in t: its step depends on t x.
+    degree = field.ray_degree if field.exact_jacobian else None
     m, n = pts.shape
     grads = np.empty((m, n))
     errors = np.zeros((m, n))
@@ -209,7 +229,9 @@ def _homotopy_gradient(field, pts, cfg):
     for chunk in _chunks(rays.size, per_point):
         rows = rays[chunk]
         integrand, noise_floor, select = _gradient_integrand(field, pts[rows])
-        val, err = integrate_unit(integrand, cfg, noise_floor=noise_floor, select=select)
+        val, err = integrate_unit(
+            integrand, cfg, noise_floor=noise_floor, select=select, degree=degree
+        )
         grads[rows] = val.reshape(-1, n)
         errors[rows] = err.reshape(-1, n)
     return grads, errors

@@ -36,6 +36,15 @@ a^b ln(a) b' under the same IEEE rules.  A zero tangent times an
 infinite local derivative is 0, so x1*sqrt(norm2) differentiates to 0 at
 the origin; a derivative that is still not finite, as that of sqrt(x1)
 at x1 = 0, raises NonFiniteValueError.
+
+The ray degree of a field, the degree of the polynomial t -> X(t x), is
+bounded from the AST by a static rule: a constant has degree 0, a
+variable 1 and norm2 2; negation keeps the degree, '+' and '-' take the
+max and '*' the sum; '/' by a constant subexpression keeps the degree,
+and '^' with a non-negative integer literal exponent multiplies it.
+Anything else (functions, other divisions and powers) is not known to
+be a polynomial.  The bound is never below the true degree and equals
+it unless terms cancel.
 """
 
 from __future__ import annotations
@@ -494,6 +503,35 @@ def evaluate_ast(node: Expr, point) -> float:
     return value
 
 
+def _ray_degree(node):
+    """Degree of t -> node(t x) by the rule of the module docstring, or None."""
+    kind = type(node)
+    if kind is Const:
+        return 0
+    if kind is Var:
+        return 1
+    if kind is Norm2:
+        return 2
+    if kind is Unary:
+        return _ray_degree(node.operand) if node.op == "neg" else None
+    left = _ray_degree(node.left)
+    if left is None:
+        return None
+    if node.op == "^":
+        exponent = node.right
+        if type(exponent) is Const and exponent.value >= 0 and float(exponent.value).is_integer():
+            return left * int(exponent.value)
+        return None
+    right = _ray_degree(node.right)
+    if right is None:
+        return None
+    if node.op in "+-":
+        return max(left, right)
+    if node.op == "*":
+        return left + right
+    return left if right == 0 else None  # '/'
+
+
 # ---------------------------------------------------------------------------
 # Pretty-printing with minimal parentheses
 # ---------------------------------------------------------------------------
@@ -564,6 +602,8 @@ class ExpressionField(VectorField):
         super().__init__(dimension, label=" ".join(label.split("\n")))
         self.expressions = expressions
         self.source = source
+        degrees = [_ray_degree(e) for e in expressions]
+        self.ray_degree = None if None in degrees else max(degrees)
 
     def _evaluate_many(self, points):
         return np.column_stack([_eval_raw(expr, points) for expr in self.expressions])

@@ -16,6 +16,12 @@ central-difference stencil of the package (``_fd_probes``,
 route of ``decomposition``.  Combinators propagate both the Jacobian and
 whether it is exact.
 
+``ray_degree`` is the degree of the polynomial t -> X(t x), or None when
+the field is not known to be a polynomial.  The DSL derives it from the
+expression, catalog entries declare it, ``CallableField`` takes it as a
+keyword and the combinators propagate it.  The homotopy route of
+``decomposition`` uses it to integrate with one exact Gauss panel.
+
 Domains are either all of R^n or a closed ball centered at the origin;
 both contain the segment from the origin to any of their points, which is
 what the line-integral potential machinery requires.
@@ -113,6 +119,8 @@ class VectorField:
 
     # True when value_and_jacobian_many is exact rather than the stencil.
     exact_jacobian = False
+    # Degree of the polynomial t -> X(t x), None when not known to be one.
+    ray_degree: Optional[int] = None
 
     def _evaluate_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -190,7 +198,9 @@ class CallableField(VectorField):
 
     ``jacobian``, if given, is a vectorized callable ``(m, n) -> (m, n, n)``
     returning ``dX_i/dx_j`` at ``[k, i, j]``; without it the Jacobian is
-    the central-difference fallback.
+    the central-difference fallback.  ``ray_degree``, if given, declares
+    ``fn`` a polynomial of at most that degree along every ray from the
+    origin.
     """
 
     def __init__(
@@ -200,11 +210,13 @@ class CallableField(VectorField):
         label="field",
         domain=None,
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        ray_degree: Optional[int] = None,
     ):
         super().__init__(dimension, label, domain)
         self._fn = fn
         self._jacobian = jacobian
         self.exact_jacobian = jacobian is not None
+        self.ray_degree = ray_degree
 
     def _evaluate_many(self, points):
         return self._fn(points)
@@ -227,6 +239,8 @@ class SumField(VectorField):
         self.first = first
         self.second = second
         self.exact_jacobian = first.exact_jacobian and second.exact_jacobian
+        if first.ray_degree is not None and second.ray_degree is not None:
+            self.ray_degree = max(first.ray_degree, second.ray_degree)
 
     def _evaluate_many(self, points):
         return self.first.evaluate_many(points) + self.second.evaluate_many(points)
@@ -246,6 +260,7 @@ class ScaledField(VectorField):
         self.factor = factor
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
+        self.ray_degree = inner.ray_degree
 
     def _evaluate_many(self, points):
         return self.factor * self.inner.evaluate_many(points)
@@ -268,6 +283,7 @@ class ShiftedField(VectorField):
         self.inner = inner
         self.offset = b
         self.exact_jacobian = inner.exact_jacobian
+        self.ray_degree = inner.ray_degree
 
     def _evaluate_many(self, points):
         return self.inner.evaluate_many(points) + self.offset
@@ -288,6 +304,7 @@ class BallRestrictedField(VectorField):
         )
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
+        self.ray_degree = inner.ray_degree
 
     def _evaluate_many(self, points):
         return self.inner.evaluate_many(points)
@@ -394,7 +411,9 @@ def _affine_entry(name, n, A, c, label, description, parameters=None):
     return CatalogEntry(
         name=name,
         dimension=n,
-        field=CallableField(n, lambda p: p @ A.T + c, label=label, jacobian=_constant_jacobian(A)),
+        field=CallableField(
+            n, lambda p: p @ A.T + c, label=label, jacobian=_constant_jacobian(A), ray_degree=1
+        ),
         potential=lambda x: 0.5 * float(x @ (sym @ x)) + float(c @ x),
         conservative=lambda x: sym @ np.asarray(x, dtype=float) + c,
         sphere_invariant=lambda x: skew @ np.asarray(x, dtype=float),
@@ -492,7 +511,9 @@ def _gradient_poly_entry(dimension, params):
     # Coordinate i grows radially iff d>0, or the cubic vanishes and the
     # linear coefficient is positive; every coordinate must grow.
     grows = (d > 0) | ((d == 0) & (c == 0) & (b > 0))
-    fld = CallableField(n, evaluate, label=f"gradient_poly(dim={n})", jacobian=jacobian)
+    fld = CallableField(
+        n, evaluate, label=f"gradient_poly(dim={n})", jacobian=jacobian, ray_degree=3
+    )
     return CatalogEntry(
         name="gradient_poly",
         dimension=n,
@@ -522,6 +543,7 @@ def _cubic_radial_entry(dimension, params):
         lambda p: np.einsum("ij,ij->i", p, p)[:, None] * p,
         label="cubic_radial",
         jacobian=jacobian,
+        ray_degree=3,
     )
     return CatalogEntry(
         name="cubic_radial",

@@ -7,6 +7,8 @@ how many points other code has drawn.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatchError
@@ -32,10 +34,20 @@ def _generator(seed: int) -> np.random.Generator:
 
 
 def _check_sample_shape(dimension, count):
+    """``dimension`` and ``count`` as Python ints, each at least 1."""
+    try:
+        dimension = operator.index(dimension)
+    except TypeError:
+        raise DimensionMismatchError(f"dimension must be an integer, got {dimension!r}") from None
     if dimension < 1:
         raise DimensionMismatchError("dimension must be at least 1")
+    try:
+        count = operator.index(count)
+    except TypeError:
+        raise ConfigError(f"sample count must be an integer, got {count!r}") from None
     if count < 1:
         raise ConfigError("sample count must be at least 1")
+    return dimension, count
 
 
 def _check_radius(radius):
@@ -67,7 +79,7 @@ def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.
     and the rest are normalized Gaussian draws; in higher dimensions all
     directions are normalized Gaussian draws.
     """
-    _check_sample_shape(dimension, count)
+    dimension, count = _check_sample_shape(dimension, count)
     rng = _generator(seed)
     if dimension == 2 and count >= 2:
         k = count // 2
@@ -80,7 +92,7 @@ def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.
 
 def ball_points(dimension: int, count: int, radius: float, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform seeded points in the open ball of the given radius."""
-    _check_sample_shape(dimension, count)
+    dimension, count = _check_sample_shape(dimension, count)
     _check_radius(radius)
     rng = _generator(seed)
     directions = _gaussian_directions(dimension, count, rng)

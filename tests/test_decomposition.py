@@ -327,6 +327,15 @@ def test_ball_domain_clearance():
         boundary_certificate(field, 2.0, check_conservative=False)
 
 
+def test_exact_route_rejects_rays_that_leave_the_ball():
+    # One Gauss node at t = 0.5 lies inside the unit ball for x = (2, 0);
+    # the endpoint check must reject the ray before the exact rule runs.
+    field = BallRestrictedField(catalog_field("identity", 2).field, 1.0)
+    assert field.ray_degree == 1 and field.exact_jacobian
+    with pytest.raises(DomainError):
+        gradient_potential_integral_many(field, [[2.0, 0.0]])
+
+
 def test_estimated_error_is_reported():
     field = parse_field("x1^3; x2")
     sample = decompose(field, [2.0, 1.0])

@@ -4,6 +4,7 @@ import pytest
 from presnov import (
     BallRestrictedField,
     CatalogError,
+    ConfigError,
     DimensionMismatchError,
     DomainError,
     NonFiniteValueError,
@@ -242,6 +243,19 @@ def test_samplers_reject_a_dimension_below_one(dimension):
         unit_directions(dimension, 4)
     with pytest.raises(DimensionMismatchError):
         ball_points(dimension, 4, 1.0)
+
+
+def test_samplers_reject_non_integer_shapes():
+    with pytest.raises(DimensionMismatchError):
+        unit_directions(2.5, 3)
+    with pytest.raises(DimensionMismatchError):
+        ball_points(2.0, 3, 1.0)
+    with pytest.raises(ConfigError):
+        unit_directions(2, 3.0)
+    with pytest.raises(ConfigError):
+        ball_points(2, 3.0, 1.0)
+    # Integer types that are not Python ints still pass.
+    assert unit_directions(np.int64(2), np.int32(3)).shape == (3, 2)
 
 
 def test_evaluate_rejects_wrong_dimension_and_nonfinite():

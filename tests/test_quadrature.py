@@ -105,3 +105,68 @@ def test_random_polynomials_match_antiderivative(coeffs):
     expected = float((coeffs / (powers + 1)).sum())
     value, _ = integrate_unit(f)
     assert value == pytest.approx(expected, abs=1e-12, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=-5.0, max_value=5.0).map(lambda c: round(c, 6)), min_size=1, max_size=12
+    ),
+    st.integers(min_value=0, max_value=3),
+)
+def test_declared_degree_is_one_exact_panel(coeffs, slack):
+    # A polynomial of degree d, declared as degree d + slack, next to the
+    # constant 1.
+    coeffs = np.asarray(coeffs)
+    powers = np.arange(len(coeffs))
+    calls = []
+
+    def f(t):
+        calls.append(t.size)
+        return np.column_stack(((coeffs * t[:, None] ** powers).sum(axis=1), t**0))
+
+    def select(rows):
+        raise AssertionError("select called on the exact panel")
+
+    value, err = integrate_unit(f, select=select, degree=len(coeffs) - 1 + slack)
+    expected = float((coeffs / (powers + 1)).sum())
+    scale = float((np.abs(coeffs) / (powers + 1)).sum())
+    assert calls == [math.ceil((len(coeffs) + slack) / 2)]
+    assert abs(value[0] - expected) <= 1e-14 * scale
+    assert value[1] == pytest.approx(1.0, abs=1e-15)
+    assert np.all(np.isfinite(err)) and err[1] > 0.0
+
+
+def test_declared_degree_returns_scalars_for_scalar_integrands():
+    value, err = integrate_unit(lambda t: 3.0 * t**2, degree=2)
+    assert isinstance(value, float) and isinstance(err, float)
+    assert value == pytest.approx(1.0, rel=1e-15)
+    assert 0.0 < err <= 1e-14
+
+
+def test_declared_degree_keeps_the_checks():
+    with pytest.raises(NonFiniteValueError):
+        integrate_unit(lambda t: np.full_like(t, np.nan), degree=3)
+    with pytest.raises(ValueError, match="leading dimension"):
+        integrate_unit(lambda t: t[:1], degree=3)
+    with pytest.raises(ValueError, match="non-negative"):
+        integrate_unit(lambda t: t, degree=-1)
+
+
+def test_degrees_beyond_one_hundred_nodes_fall_back_to_the_adaptive_scheme():
+    # Degree 200 needs 101 nodes, one more than leggauss is tested to.
+    def f(t):
+        return np.column_stack((np.cos(7.0 * t), t**3))
+
+    calls = []
+
+    def counted(t):
+        calls.append(t.size)
+        return f(t)
+
+    adaptive = integrate_unit(f)
+    fallback = integrate_unit(counted, degree=200)
+    assert calls[0] == 3 * QuadratureConfig().order
+    for got, want in zip(fallback, adaptive):
+        assert np.array_equal(got, want)
+    assert integrate_unit(lambda t: t**199, degree=199)[0] == pytest.approx(1.0 / 200, rel=1e-13)
