@@ -33,7 +33,16 @@ always integrate adaptively.
 
 ``gradient_potential_many`` (central finite differences of H) is kept
 only as an independent cross-check of that route: it differentiates H
-itself, so it shares no formula with the homotopy route.
+itself, so it shares no formula with the homotopy route.  Its entry i
+at x is one integral of the difference quotient of the potential
+integrand,
+
+    (<X(t p), p> - <X(t q), q>) / 2 h_i,   p, q = x +/- h_i e_i,
+
+which by linearity is (H(p) - H(q)) / 2 h_i, with the quadrature error
+bounded on the quotient itself rather than on each potential.  The
+quotient's rounding, 4 eps max |<X(t p), p>| / h_i over the nodes seen,
+is its noise floor.
 
 ``verify_decomposition`` checks a split with flat computations on the
 sample points and on the Gauss nodes t_k x of their rays; no check
@@ -48,22 +57,18 @@ nests a quadrature inside another:
   Gauss-Legendre nodes of one panel on [0, 1], with u = X - grad H from
   one homotopy-route gradient over the stacked node points.
 
-Both routes are batched over points: the integrand components are
-stacked into one vector-valued adaptive quadrature so a single field
-call covers all Gauss nodes of a panel.
-
-Which integrals share quadrature panels:
-
-* ``potential_many`` and the homotopy route refine each component on
-  its own (the active set of ``integrate_unit``): one ray per potential,
-  one (point, coordinate) entry per homotopy-route component.  These are
-  independent integrals, so a ray that converges on the first panels
-  stops being evaluated while a ray through a sharp feature is refined.
-* The finite-difference route keeps all the potentials of a batch on
-  shared panels.  Its derivative (H(x + h e_i) - H(x - h e_i)) / 2h is
-  accurate only because the two potentials are integrated on the same
-  nodes, so their quadrature errors, each up to the tolerance, cancel
-  instead of being divided by the small step 2h.
+Every route is a batch of line integrals along the rays [0, x], all
+integrated by ``_ray_integrals``: one vector-valued adaptive quadrature per
+batch, so a single field call covers all Gauss nodes of a panel, with
+one component per potential, per homotopy-route entry or per
+finite-difference entry.  Each component is refined on its own (the
+active set of ``integrate_unit``): a component retires once it meets
+its bound, and a ray is evaluated while any of its components is
+active, so a ray that converges on the first panels stops paying for a
+ray through a sharp feature.  ``_ray_integrals`` also checks every point
+against the field's domain: an origin-centred ball holds the segment
+[0, x] iff it holds x, and the quadrature nodes alone could miss a ray
+that leaves the ball.
 """
 
 from __future__ import annotations
@@ -129,50 +134,72 @@ def _check_threshold(threshold):
         raise ConfigError("threshold must be positive and finite")
 
 
-def _chunks(total, size):
-    for start in range(0, total, size):
-        yield np.arange(start, min(start + size, total))
+def _ray_integrals(field, pts, rays, width, integrand, cfg, degree=None, floors=None):
+    """Integrals over t in [0, 1] of ``width`` components on the rays ``pts[rays]``.
 
-
-def _potential_integrand(field, base):
-    """Integrand <X(t x), x> on the rays x = rows of ``base``, and its select."""
-    n = field.dimension
-    live = base
-
-    def integrand(ts):
-        probe = (ts[:, None, None] * live[None, :, :]).reshape(-1, n)
-        vals = field.evaluate_many(probe).reshape(ts.size, live.shape[0], n)
-        return np.einsum("qbn,bn->qb", vals, live)
-
-    def select(rows):
-        nonlocal live
-        live = base[rows]
-
-    return integrand, select
-
-
-def _potentials(field, pts, cfg, shared):
-    """Potentials and error estimates at the rows of ``pts``.
-
-    Each ray is its own integral unless ``shared``, when the rays of a
-    chunk are refined on common panels (see the module docstring).
+    Returns values and error estimates of shape (m, width), zero on the
+    rows of ``pts`` not listed in ``rays``.  ``integrand(ts, rows)``
+    returns the components at the nodes ts on the rays of ``pts[rows]``,
+    shape (ts.size, len(rows), width).  An integrand that carries
+    evaluation noise raises ``floors[rows]``, of shape (m, width), to the
+    noise it has seen, and those are the components' acceptance floors.
+    Each component is refined on its own (the active set of
+    ``integrate_unit``), and a ray is evaluated while any of its
+    components is active.
     """
-    m = pts.shape[0]
-    values = np.zeros(m)
-    errors = np.zeros(m)
+    # An origin-centred ball holds the segment [0, x] iff it holds x; the
+    # quadrature nodes alone could miss a ray that leaves the ball.
+    with np.errstate(over="ignore"):  # an overflowing norm is outside any ball
+        inside = field.domain.contains_all(pts)
+    if not inside:
+        raise DomainError(f"point outside the field's domain (ball radius {field.domain.radius})")
+    values = np.zeros((pts.shape[0], width))
+    errors = np.zeros((pts.shape[0], width))
+    per_chunk = max(1, _MAX_COMPONENTS // width)  # one quadrature component per entry
+    for start in range(0, rays.size, per_chunk):
+        chunk = rays[start : start + per_chunk]
+        live = slice(None)  # rays with an active component
+        cols = slice(None)  # the active components among the live rays' entries
+
+        def f(ts):
+            return integrand(ts, chunk[live]).reshape(ts.size, -1)[:, cols]
+
+        def select(rows):
+            nonlocal live, cols
+            owners = rows // width
+            live = np.unique(owners)
+            if width > 1:  # with one component per ray, the live rays are the active ones
+                cols = np.searchsorted(live, owners) * width + rows % width
+
+        noise_floor = None if floors is None else lambda: floors[chunk].reshape(-1)
+        val, err = integrate_unit(f, cfg, noise_floor=noise_floor, select=select, degree=degree)
+        values[chunk] = val.reshape(-1, width)
+        errors[chunk] = err.reshape(-1, width)
+    return values, errors
+
+
+def _radial_values(field, ts, xs):
+    """<X(t x), x> at the nodes ts on the rays x along the last axis of ``xs``."""
+    nodes = ts.reshape((-1,) + (1,) * xs.ndim) * xs
+    vals = field.evaluate_many(nodes.reshape(-1, xs.shape[-1])).reshape(nodes.shape)
+    return np.einsum("q...n,...n->q...", vals, xs)
+
+
+def _potentials(field, pts, cfg):
+    """Potentials and error estimates at the rows of ``pts``."""
     with np.errstate(over="ignore"):  # an overflowing norm is still off the origin
         off_origin = np.flatnonzero(np.linalg.norm(pts, axis=1) >= ORIGIN_RADIUS)
-    for chunk in _chunks(off_origin.size, _MAX_COMPONENTS):
-        integrand, select = _potential_integrand(field, pts[off_origin[chunk]])
-        val, err = integrate_unit(integrand, cfg, select=None if shared else select)
-        values[off_origin[chunk]] = val
-        errors[off_origin[chunk]] = err
-    return values, errors
+
+    def integrand(ts, rows):
+        return _radial_values(field, ts, pts[rows])[:, :, None]
+
+    values, errors = _ray_integrals(field, pts, off_origin, 1, integrand, cfg)
+    return values[:, 0], errors[:, 0]
 
 
 def potential_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
     """Potential and quadrature error estimate at each row of ``points``."""
-    return _potentials(field, _as_points(field, points), config, shared=False)
+    return _potentials(field, _as_points(field, points), config)
 
 
 def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -188,14 +215,28 @@ def gradient_potential_many(
     field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
 ):
     """Gradient of the potential at each row of ``points``: central
-    differences of H, the cross-check route."""
+    differences of H, the cross-check route.
+
+    Entry i at x is one integral of the difference quotient
+    (<X(t p), p> - <X(t q), q>) / 2 h_i over p, q = x +/- h_i e_i, so the
+    quadrature error is controlled on the derivative itself.  The
+    quotient's rounding, 4 eps max |<X(t p), p>| / h_i over the nodes
+    seen, is its noise floor.
+    """
     pts = _as_points(field, points)
     m, n = pts.shape
     probes, steps = _fd_probes(field, pts)
-    # Shared panels: the quadrature errors of H(x + h e_i) and H(x - h e_i)
-    # cancel in their difference (module docstring).
-    values, _ = _potentials(field, probes[:, 1:].reshape(m * 2 * n, n), config, shared=True)
-    return _fd_derivatives(values.reshape(m, 2 * n), steps)
+    pairs = probes[:, 1:]
+    floors = np.zeros((m, n))
+
+    def integrand(ts, rows):
+        radial = _radial_values(field, ts, pairs[rows])
+        peaks = np.abs(radial).max(axis=0).reshape(-1, n, 2).max(axis=2)
+        floors[rows] = np.maximum(floors[rows], 4.0 * np.finfo(float).eps * peaks / steps[rows])
+        # _fd_derivatives differences along axis 1, so the nodes go last.
+        return _fd_derivatives(radial.transpose(1, 2, 0), steps[rows]).transpose(2, 0, 1)
+
+    return _ray_integrals(field, pts, np.arange(m), n, integrand, config, floors=floors)[0]
 
 
 def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -205,35 +246,37 @@ def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEF
 def _homotopy_gradient(field, pts, cfg):
     """grad H and its quadrature error estimates at the rows of ``pts``.
 
-    At the origin grad H is X(0) exactly, with no integral.  A polynomial
-    field with an exact Jacobian is integrated on one exact Gauss panel
-    (module docstring).
+    The integrand is X(t x) + t J(t x)^T x, one component per gradient
+    entry.  At the origin grad H is X(0) exactly, with no integral.  A
+    polynomial field with an exact Jacobian is integrated on one exact
+    Gauss panel (module docstring).
     """
-    # An origin-centred ball holds the segment [0, x] iff it holds x; a
-    # few Gauss nodes alone could miss a ray that leaves the ball.
-    with np.errstate(over="ignore"):  # an overflowing norm is outside any ball
-        inside = field.domain.contains_all(pts)
-    if not inside:
-        raise DomainError(f"point outside the field's domain (ball radius {field.domain.radius})")
+    m, n = pts.shape
+    noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(pts).sum(axis=1)
+    floors = None if field.exact_jacobian else np.zeros((m, n))
+
+    def integrand(ts, rows):
+        xs = pts[rows]
+        q, b = ts.size, xs.shape[0]
+        # Row k = q_i * b + b_i is node t_{q_i} xs[b_i].
+        nodes = (ts[:, None, None] * xs[None, :, :]).reshape(q * b, n)
+        vals, jac = field.value_and_jacobian_many(nodes)
+        vals = vals.reshape(q, b, n)
+        # (J^T x)_i = sum_j x_j dX_j/dx_i, as the row vector x^T J.
+        jac_t_x = np.matmul(xs[None, :, None, :], jac.reshape(q, b, n, n))[:, :, 0]
+        if floors is not None:
+            # The stencil's rounding, eps |X| / step, shared by a point's entries.
+            noise = noise_scale[rows] * np.abs(vals).max(axis=(0, 2))
+            floors[rows] = np.maximum(floors[rows], noise[:, None])
+        return vals + ts[:, None, None] * jac_t_x
+
+    at_origin = ~pts.any(axis=1)
+    rays = np.flatnonzero(~at_origin)
     # A stencil Jacobian is not polynomial in t: its step depends on t x.
     degree = field.ray_degree if field.exact_jacobian else None
-    m, n = pts.shape
-    grads = np.empty((m, n))
-    errors = np.zeros((m, n))
-    at_origin = ~pts.any(axis=1)
+    grads, errors = _ray_integrals(field, pts, rays, n, integrand, cfg, degree, floors)
     if at_origin.any():
         grads[at_origin] = field.evaluate_many(pts[at_origin])
-    rays = np.flatnonzero(~at_origin)
-    # One quadrature component per gradient entry; keep batches bounded.
-    per_point = max(1, _MAX_COMPONENTS // n)
-    for chunk in _chunks(rays.size, per_point):
-        rows = rays[chunk]
-        integrand, noise_floor, select = _gradient_integrand(field, pts[rows])
-        val, err = integrate_unit(
-            integrand, cfg, noise_floor=noise_floor, select=select, degree=degree
-        )
-        grads[rows] = val.reshape(-1, n)
-        errors[rows] = err.reshape(-1, n)
     return grads, errors
 
 
@@ -250,45 +293,6 @@ def gradient_potential_integral_many(
     integrator as its acceptance floor.
     """
     return _homotopy_gradient(field, _as_points(field, points), config)[0]
-
-
-def _gradient_integrand(field, base):
-    """Integrand X(t x) + t J(t x)^T x on the rows x of ``base``, its noise
-    floor (None for an exact Jacobian) and its select.
-
-    Component b_i n + j is entry j at point b_i.  A point is evaluated
-    while any of its entries is active.
-    """
-    n = base.shape[1]
-    peaks = np.zeros(base.shape[0])  # largest |X| over each point's nodes
-    noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(base).sum(axis=1)
-    live = slice(None)  # points with an active entry
-    cols = slice(None)  # the active entries among the live points' b n
-
-    def integrand(ts):
-        sub = base[live]
-        q, b = ts.size, sub.shape[0]
-        # Row k = q_i * b + b_i is node t_{q_i} sub[b_i].
-        nodes = (ts[:, None, None] * sub[None, :, :]).reshape(q * b, n)
-        vals, jac = field.value_and_jacobian_many(nodes)
-        vals = vals.reshape(q, b, n)
-        if not field.exact_jacobian:
-            peaks[live] = np.maximum(peaks[live], np.abs(vals).max(axis=(0, 2)))
-        # (J^T x)_i = sum_j x_j dX_j/dx_i, as the row vector x^T J.
-        jac_t_x = np.matmul(sub[None, :, None, :], jac.reshape(q, b, n, n))[:, :, 0]
-        g = vals + ts[:, None, None] * jac_t_x
-        return g.reshape(q, b * n)[:, cols]
-
-    def noise_floor():
-        return np.repeat(noise_scale * peaks, n)
-
-    def select(rows):
-        nonlocal live, cols
-        owners = rows // n
-        live = np.unique(owners)
-        cols = np.searchsorted(live, owners) * n + rows % n
-
-    return integrand, None if field.exact_jacobian else noise_floor, select
 
 
 def gradient_potential_integral(

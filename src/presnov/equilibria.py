@@ -70,7 +70,8 @@ from .radial import (
     boundary_certificate,
     coercivity_probe,
 )
-from .sampling import DEFAULT_SEED, _check_seed, ball_points, default_direction_count
+from .sampling import DEFAULT_SEED, _check_integer_fields, _check_seed, ball_points
+from .sampling import default_direction_count
 
 __all__ = [
     "SolverConfig",
@@ -114,6 +115,7 @@ class SolverConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
+        _check_integer_fields(self, "max_iterations", "multistart")
         # An infinite tolerance would accept every start where it begins.
         if not 0.0 < self.residual_tol < np.inf:
             raise ConfigError("residual_tol must be positive and finite")

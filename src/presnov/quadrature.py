@@ -11,21 +11,15 @@ until every component's accumulated estimate meets its own bound,
 ``max(abs_tol, rel_tol * |integral|)``, raised to a few ulps of the
 largest integrand value seen and to an optional noise floor.
 
-Components are refined in one of two ways:
-
-* shared (the default): every component is evaluated on every panel, and
-  the panel whose worst component has the largest error is split next.
-  Use it when the components must carry correlated errors, as the
-  potentials of one central difference do.
-* active set (``select`` given): a component retires as soon as it meets
-  its bound.  Its value and error are frozen, and later splits evaluate,
-  sum and re-estimate only the components still active, with panel
-  priorities taken over those.  Use it when the components are
-  independent integrals, such as one line integral per sample point:
-  a ray that has converged then stops paying for the sharp ones
-  (Gander and Gautschi, "Adaptive Quadrature - Revisited", BIT 2000).
-
-In both ways ``max_subdivisions`` bounds the panel splits of the call.
+A vector integrand is refined as an active set: a component retires as
+soon as it meets its bound.  Its value and error are frozen, and later
+splits sum and re-estimate only the components still active, with panel
+priorities taken over those, so a component that has converged stops
+paying for the hard ones (Gander and Gautschi, "Adaptive Quadrature -
+Revisited", BIT 2000).  A caller whose components are costly to evaluate
+passes ``select`` and then evaluates only the active ones; otherwise
+``f`` keeps returning every component and the inactive ones are dropped.
+``max_subdivisions`` bounds the panel splits of the call.
 
 A caller that knows the integrand is a polynomial of degree d in t
 passes ``degree=d``.  Gauss-Legendre with k = ceil((d + 1) / 2) nodes is
@@ -46,6 +40,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, QuadratureError
+from .sampling import _check_integer_fields
 
 __all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE", "integrate_unit"]
 
@@ -64,6 +59,7 @@ class QuadratureConfig:
     max_subdivisions: int = 4096
 
     def __post_init__(self):
+        _check_integer_fields(self, "order", "max_subdivisions")
         if not 2 <= self.order <= _MAX_ORDER:
             raise ConfigError("panel order must be between 2 and 100")
         # An infinite rel_tol times a zero integral is a NaN bound that never accepts.
@@ -109,20 +105,21 @@ def integrate_unit(
     broadcastable to the components, called at every acceptance test)
     lowers the acceptance bar to that level: integrands that carry
     evaluation noise cannot be resolved below their noise, and insisting
-    on it would subdivide forever.  The one such integrand in the package
-    is the homotopy-route gradient of a field whose Jacobian is the
-    central-difference fallback; exact Jacobians pass no floor.  A
-    built-in floor of a few ulps of the largest integrand value seen plays
-    the same role for plain rounding noise.
+    on it would subdivide forever.  In the package such integrands are
+    the finite-difference route's difference quotients and the
+    homotopy-route gradient of a field whose Jacobian is the
+    central-difference fallback.  A built-in floor of a few ulps of the
+    largest integrand value seen plays the same role for plain rounding
+    noise.
 
-    ``select`` (a callable taking an index array) switches a vector
-    integrand from shared refinement to the active set (see the module
+    ``select`` (a callable taking an index array) lets a vector
+    integrand evaluate only its active components (see the module
     docstring).  Whenever components retire and others remain,
     ``integrate_unit`` calls ``select(rows)`` with the sorted indices,
     among all ``k`` components, of those still active; every later
     ``f(ts)`` must return exactly those columns, in that order.  The
     returned arrays and ``noise_floor`` still cover all ``k`` components.
-    Without ``select`` the components share one subdivision.
+    Without ``select``, ``f`` returns all ``k`` columns on every call.
 
     ``degree`` (a non-negative integer) declares every component a
     polynomial of at most that degree in t.  The call then makes one
@@ -150,8 +147,11 @@ def integrate_unit(
             scalar = raw.ndim == 1
         if raw.ndim == 1:
             raw = raw[:, None]
-        if run_max is not None and raw.shape[1] != run_max.size:
-            raise ValueError("integrand returned the wrong number of components")
+        if run_max is not None:
+            if raw.shape[1] != (result.size if select is None else run_max.size):
+                raise ValueError("integrand returned the wrong number of components")
+            if select is None:
+                raw = raw[:, rows]
         peak = np.abs(raw).max(axis=0)
         run_max = peak if run_max is None else np.maximum(run_max, peak)
         p = config.order
@@ -185,7 +185,7 @@ def integrate_unit(
         return np.maximum(err_total, 0.0) <= bound
 
     while not (done := within_bound()).all():
-        if select is not None and done.any():
+        if done.any():
             # Retire the converged components and drop them from every panel.
             result[rows[done]] = total[done]
             result_err[rows[done]] = err_total[done]
@@ -196,7 +196,8 @@ def integrate_unit(
                 for _, c, a, b, v, e, l, r in heap
             ]
             heapq.heapify(heap)
-            select(rows)
+            if select is not None:
+                select(rows)
         if splits >= config.max_subdivisions:
             raise QuadratureError(
                 f"quadrature did not converge within {config.max_subdivisions} subdivisions "

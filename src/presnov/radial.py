@@ -39,7 +39,7 @@ from .decomposition import ConservativePart
 from .errors import ConfigError, DomainError, NonFiniteValueError
 from .fields import VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .sampling import DEFAULT_SEED, _check_radius, _check_seed
+from .sampling import DEFAULT_SEED, _check_integer_fields, _check_radius, _check_seed
 from .sampling import default_direction_count, unit_directions
 
 __all__ = [
@@ -83,6 +83,7 @@ class ProbeConfig:
     growth_floor_factor: float = 4.0
 
     def __post_init__(self):
+        _check_integer_fields(self, "radius_count", "directions")
         if not self.initial_radius > 0.0:
             raise ConfigError("initial_radius must be positive")
         if not self.radius_factor > 1.0:
@@ -251,7 +252,8 @@ def _verdict(radii, profiles, directions, cfg):
     mins = profiles.min(axis=1)
     slack = _FLAT_TOL * (1.0 + np.abs(mins[:-1]))
     strictly_increasing = bool(np.all(mins[1:] > mins[:-1] + slack))
-    floor_ok = mins[-1] > 0.0 and mins[-1] >= cfg.growth_floor_factor * abs(mins[0])
+    with np.errstate(over="ignore"):  # an overflowing floor is one no profile meets
+        floor_ok = mins[-1] > 0.0 and mins[-1] >= cfg.growth_floor_factor * abs(mins[0])
     if strictly_increasing and floor_ok:
         return VERDICT_COERCIVE, None
     return VERDICT_INCONCLUSIVE, None

@@ -28,6 +28,18 @@ def _check_seed(seed):
         raise ConfigError("seeds must be non-negative integers")
 
 
+def _check_integer_fields(config, *names):
+    """Store the named fields of a frozen config as Python ints (None stays None)."""
+    for name in names:
+        value = getattr(config, name)
+        if value is None:
+            continue
+        try:
+            object.__setattr__(config, name, operator.index(value))
+        except TypeError:
+            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+
+
 def _generator(seed: int) -> np.random.Generator:
     _check_seed(seed)
     return np.random.Generator(np.random.Philox(seed))

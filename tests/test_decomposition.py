@@ -231,9 +231,10 @@ def test_verify_cost_stays_flat():
 
 def test_converged_rays_stop_paying_for_sharp_ones():
     # One sharp tanh front: the rays that cross it need many panels, the
-    # others three.  Shared refinement made all 200 rays pay the worst
-    # ray's 624 nodes (124800 leaf points for the potentials, 688000 for
-    # the integral route).
+    # others three.  Every ray integral is refined as an active set; with
+    # shared panels all 200 rays would pay the worst ray's 624 nodes
+    # (124800 leaf points for the potentials, 688000 for the integral
+    # route).
     sharp = parse_field("tanh(20*(x1-1)); x2")
     counted = [0]
 
@@ -334,6 +335,41 @@ def test_exact_route_rejects_rays_that_leave_the_ball():
     assert field.ray_degree == 1 and field.exact_jacobian
     with pytest.raises(DomainError):
         gradient_potential_integral_many(field, [[2.0, 0.0]])
+
+
+def test_potentials_reject_points_just_outside_the_ball():
+    # The adaptive nodes stop at t = 0.9974, inside the unit ball for
+    # x = (1.002, 0); the ray's endpoint must be checked as well.
+    field = BallRestrictedField(catalog_field("identity", 2).field, 1.0)
+    with pytest.raises(DomainError):
+        potential_many(field, [[1.002, 0.0]])
+    with pytest.raises(DomainError):
+        decompose_many(field, [[0.5, 0.0], [1.002, 0.0]])
+
+
+def test_fd_route_refines_each_entry_on_its_own():
+    # Each FD-route entry is one integral of a difference quotient, so
+    # the entries whose rays miss the tanh front converge on the first
+    # three panels.  Shared panels cost 499200 leaf points on the sharp
+    # field; smooth fields need 48 nodes per probe ray either way.
+    trig = "sin(x1)*exp(-0.1*x2^2) + 0.5*x1; cos(x1 + x2) - 0.3*tanh(x2)"
+    points = ball_points(2, 200, 3.0, seed=5)
+    for text, leaf_points in [
+        ("tanh(20*(x1-1)); x2", 157_696),
+        ("x1^3 + 0.3*x2; x2^3 + 0.3*x1", 38_400),
+        (trig, 38_400),
+    ]:
+        inner = parse_field(text)
+        counted = [0]
+
+        def counting(p, inner=inner):
+            counted[0] += p.shape[0]
+            return inner.evaluate_many(p)
+
+        grads = gradient_potential_many(CallableField(2, counting), points)
+        assert counted[0] == leaf_points, text
+        exact = gradient_potential_integral_many(inner, points)
+        assert np.allclose(grads, exact, rtol=1e-8, atol=1e-8), text
 
 
 def test_estimated_error_is_reported():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from presnov.errors import NonFiniteValueError, QuadratureError
+from presnov.equilibria import SolverConfig
+from presnov.errors import ConfigError, NonFiniteValueError, QuadratureError
 from presnov.quadrature import QuadratureConfig, integrate_unit
+from presnov.radial import ProbeConfig
 
 
 def test_polynomial_exact():
@@ -64,6 +66,35 @@ def test_select_retires_converged_components():
         assert err[i] <= max(cfg.abs_tol, cfg.rel_tol * abs(value[i]))
 
 
+def test_without_select_the_integrator_drops_retired_columns():
+    # f keeps returning every column; the retired ones must not steer the
+    # refinement, so the result is the active-set result.
+    def f(t):
+        return np.column_stack((np.tanh(40.0 * (t - 0.6)), t**2, np.cos(t)))
+
+    live = [np.arange(3)]
+
+    def f_selected(t):
+        return f(t)[:, live[0]]
+
+    def select(rows):
+        live[0] = rows
+
+    value, err = integrate_unit(f)
+    selected, selected_err = integrate_unit(f_selected, select=select)
+    assert live[0].tolist() == [0]
+    assert np.allclose(value, selected, rtol=1e-14, atol=1e-15)
+    assert np.allclose(err, selected_err, rtol=1e-6, atol=1e-15)
+    calls = []
+
+    def shrinking(t):
+        calls.append(t.size)
+        return f(t)[:, : 3 - min(len(calls) - 1, 1)]
+
+    with pytest.raises(ValueError, match="number of components"):
+        integrate_unit(shrinking)
+
+
 def test_select_that_is_ignored_is_an_error():
     # After select(rows), f must return only the active columns.
     def f(t):
@@ -78,6 +109,25 @@ def test_config_validation():
         QuadratureConfig(order=1)
     with pytest.raises(ValueError):
         QuadratureConfig(abs_tol=0.0)
+
+
+@pytest.mark.parametrize(
+    "config, name, value",
+    [
+        (QuadratureConfig, "order", 16.0),
+        (QuadratureConfig, "max_subdivisions", 4096.0),
+        (ProbeConfig, "radius_count", 3.5),
+        (ProbeConfig, "directions", 2.5),
+        (SolverConfig, "max_iterations", 10.0),
+        (SolverConfig, "multistart", "3"),
+    ],
+)
+def test_integer_settings_reject_non_integers(config, name, value):
+    with pytest.raises(ConfigError, match=name):
+        config(**{name: value})
+    # numpy integers are integers, stored as Python ints.
+    stored = getattr(config(**{name: np.int64(3)}), name)
+    assert stored == 3 and type(stored) is int
 
 
 def test_subdivision_budget_exhausted():

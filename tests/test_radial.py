@@ -60,6 +60,13 @@ def test_a_two_radius_schedule_has_no_bounded_witness():
     assert report.witness is None
 
 
+def test_an_overflowing_growth_floor_is_never_met():
+    # 1e308 times the first profile overflows; no profile meets that floor.
+    cfg = ProbeConfig(initial_radius=2.0, radius_count=2, directions=1, growth_floor_factor=1e308)
+    report = coercivity_probe(catalog_field("identity", 2).field, cfg)
+    assert report.verdict == VERDICT_INCONCLUSIVE
+
+
 def test_probe_rotation_not_coercive():
     report = coercivity_probe(catalog_field("rotation2d").field, FAST_PROBE)
     assert report.verdict == VERDICT_NOT_COERCIVE
@@ -122,11 +129,12 @@ def test_paired_probe_singular_symmetric_part():
 def test_paired_probe_sharp_field_keeps_fd_potentials_on_shared_panels():
     # The paired probe takes grad H from the homotopy route.  The FD route,
     # kept as its cross-check, is a central difference of potentials
-    # H(x +/- h e_i).  They are integrated on shared panels, so their
-    # quadrature errors cancel in the difference; refining each on its own
-    # panels raises the FD profile's gap at the probe's largest radius
-    # (2048, where the tanh front is sharpest along a ray) from 4.5e-11 to
-    # 5.0e-8.
+    # H(x +/- h e_i), integrated as one difference quotient per entry, so
+    # the quadrature error is bounded on the derivative itself.  At the
+    # probe's largest radius (2048, where the tanh front is sharpest along
+    # a ray) the FD profile's gap is 1.7e-11.  Shared panels for all the
+    # potentials gave 4.5e-11, and refining each potential on its own
+    # panels, whose errors are then divided by 2h, gave 5.0e-8.
     field = parse_field("tanh(20*(x1-1)); x2; x3")
     paired = paired_probe(field)
     assert paired.verdicts_agree

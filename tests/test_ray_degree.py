@@ -2,6 +2,8 @@
 their propagation through combinators, and the exact homotopy route they
 switch on."""
 
+import copy
+
 import numpy as np
 import pytest
 import sympy
@@ -20,9 +22,7 @@ from presnov import (
     gradient_potential_integral_many,
     parse_field,
 )
-from presnov.decomposition import _gradient_integrand
 from presnov.dsl import Binary, Const, Norm2, Unary, Var, _ray_degree, parse_expression
-from presnov.quadrature import integrate_unit
 from presnov.sampling import ball_points
 
 _DIM = 3
@@ -155,9 +155,9 @@ def test_ray_degree_of_catalog_entries_and_combinators(field, degree):
 
 def _adaptive_gradient(field, points):
     """The homotopy route with the adaptive scheme, whatever the degree."""
-    integrand, noise_floor, select = _gradient_integrand(field, points)
-    values, _ = integrate_unit(integrand, noise_floor=noise_floor, select=select)
-    return values.reshape(points.shape)
+    undeclared = copy.copy(field)
+    undeclared.ray_degree = None
+    return gradient_potential_integral_many(undeclared, points)
 
 
 @pytest.mark.parametrize(
