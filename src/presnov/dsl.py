@@ -59,6 +59,7 @@ import numpy as np
 
 from .errors import NonFiniteValueError, ParseError
 from .fields import VectorField
+from .sampling import _as_integer
 
 __all__ = [
     "Expr",
@@ -304,7 +305,7 @@ def parse_expressions(text: str, dimension: Optional[int] = None):
     found = _segment_count(tokens)
     if found == 0:
         raise ParseError("empty field definition", 1, 1)
-    n = found if dimension is None else int(dimension)
+    n = found if dimension is None else _as_integer(dimension, "field dimension", ParseError)
     if n < 1:
         raise ParseError("field dimension must be at least 1", 1, 1)
     if found != n:
@@ -334,7 +335,7 @@ def parse_expression(text: str, dimension: int) -> Expr:
     if _segment_count(tokens) != 1:
         eof = tokens[-1]
         raise ParseError("expected exactly one expression", eof.line, eof.column)
-    parser = _Parser(tokens, int(dimension))
+    parser = _Parser(tokens, _as_integer(dimension, "dimension", ParseError))
     while parser.peek().kind == "sep":
         parser.advance()
     node = parser.expr()

@@ -21,20 +21,24 @@ The backtracking is batched.  Its ladder alpha = 1, 1/2, ...,
 each evaluated in one field call, and the first trial in ladder order
 that passes the Armijo test is taken: the step one-at-a-time
 backtracking would take, so iterates and step counts are the same.  The
-first rung, the full step, is evaluated with its Jacobian.  Most steps
-(about 62% in the benchmark's ``solve`` workload) accept it, and its
-Jacobian then drives the next step and, at the returned point, the
-near-singularity and minimizer checks; only a point accepted from a
-later rung computes its Jacobian separately.  For ``ConservativePart``
-each call is one quadrature, which is what the batching saves.  Every
-trial of a rung is evaluated, so a non-finite value at any of them, or
-a non-finite Jacobian at the full step, raises NonFiniteValueError, even
-where one-at-a-time backtracking would never have evaluated it.
+first rung, the full step, is evaluated with its Jacobian, and most
+steps (about 62% in the benchmark's ``solve`` workload) accept it; a
+point accepted from a later rung gets its Jacobian from one more call.
+So every accepted point carries its Jacobian, which drives the next
+step and, at the returned point, the near-singularity and minimizer
+checks.  For ``ConservativePart`` each call is one quadrature, which is
+what the batching saves.  Every trial of a rung is evaluated, so a
+non-finite value at any of them, or a non-finite Jacobian at an accepted
+point, raises NonFiniteValueError, even where one-at-a-time backtracking
+would never have evaluated it.
 
+Armijo acceptance never raises the merit, so each start returns its last
+iterate, whose residual is the lowest of its run up to rounding.
 Because certificates are sample-based, a passing certificate does not
-guarantee the true boundary condition; when every start fails, the best
-residual found (within ``residual_tol``, the earliest start winning ties)
-is returned with a failure status instead of raising.
+guarantee the true boundary condition; when every start fails, the
+lowest of the starts' residuals (within ``residual_tol``, the earliest
+start winning ties) is returned with a failure status instead of
+raising.
 
 A successful conservative solve also checks the second-order necessary
 condition for a minimizer of H, which the existence argument provides:
@@ -70,7 +74,7 @@ from .radial import (
     boundary_certificate,
     coercivity_probe,
 )
-from .sampling import DEFAULT_SEED, _check_integer_fields, _check_seed, ball_points
+from .sampling import DEFAULT_SEED, _as_integer, _check_integer_fields, _check_seed, ball_points
 from .sampling import default_direction_count
 
 __all__ = [
@@ -115,7 +119,7 @@ class SolverConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _check_integer_fields(self, "max_iterations", "multistart")
+        _check_integer_fields(self, "max_iterations", "multistart", "seed")
         # An infinite tolerance would accept every start where it begins.
         if not 0.0 < self.residual_tol < np.inf:
             raise ConfigError("residual_tol must be positive and finite")
@@ -138,10 +142,11 @@ class EquilibriumResult:
     H at the point meets the second-order necessary condition for a
     minimizer, min eig >= -1e-4 (1 + max |eig|) of its symmetric part.
 
-    When no start converges, the result is a failed start's: starts run
-    in order (the origin first), and a later one replaces the kept one
-    only when its residual is lower by more than ``residual_tol``, so
-    starts whose residuals tie up to rounding return the earliest.
+    When no start converges, the result is the last iterate of a failed
+    start: starts run in order (the origin first), and a later one
+    replaces the kept one only when its residual is lower by more than
+    ``residual_tol``, so starts whose residuals tie up to rounding return
+    the earliest.
     """
 
     point: np.ndarray
@@ -168,10 +173,6 @@ class PerturbedExistenceResult:
     field_result: EquilibriumResult
     conservative_result: EquilibriumResult
     warnings: tuple = ()
-
-
-def _jacobian(field, x):
-    return field.value_and_jacobian_many(x[None, :])[1][0]
 
 
 def _is_degenerate(jac):
@@ -204,10 +205,11 @@ def _project(x, radius):
 def _armijo_step(field, x, step, merit, directional, radius):
     """The first trial of the Armijo ladder that passes, or None if none does.
 
-    Returns the accepted point, its value, its residual and its Jacobian,
-    which is None unless the full step was accepted.  Each rung of
-    ``_RUNGS`` is one field call; the full step's call also returns the
-    Jacobian, so that an accepted full step needs no other.
+    Returns the accepted point, its value, its residual and its Jacobian.
+    Each rung of ``_RUNGS`` is one field call; the full step's call also
+    returns the Jacobian, and a point accepted from a later rung gets its
+    Jacobian from one more call, which the next step, or the checks at a
+    returned point, needs.
     """
     for rung in _RUNGS:
         trials = np.array([_project(x + alpha * step, radius) for alpha in rung])
@@ -218,36 +220,36 @@ def _armijo_step(field, x, step, merit, directional, radius):
         for k, alpha in enumerate(rung):
             res = _norm(values[k])
             if 0.5 * res * res <= merit + _ARMIJO * alpha * directional:
-                return trials[k], values[k], res, None if jacs is None else jacs[k]
+                if jacs is None:
+                    jac = field.value_and_jacobian_many(trials[k : k + 1])[1][0]
+                else:
+                    jac = jacs[k]
+                return trials[k], values[k], res, jac
     return None
 
 
 def _newton_from(field, x0, radius, cfg):
     """One damped-Newton run.
 
-    Returns (point, residual, Jacobian at the point or None, steps taken,
-    converged).  The start's value comes with its Jacobian.  Each step
-    runs the Armijo ladder alpha = 1, 1/2, ..., ``_MIN_STEP`` in rungs of
-    1, 2, 4, ... trials, one field call per rung, and takes the first
-    trial in ladder order that passes: the step one-at-a-time
-    backtracking would take.  The full step is evaluated with its
-    Jacobian, which drives the next step when it is accepted; a point
-    accepted from a later rung computes its Jacobian when the next step
-    needs it.  Every trial of a rung is evaluated, so a non-finite value
-    at any of them, or a non-finite Jacobian at the full step, raises
+    Returns (point, residual, Jacobian at the point, steps taken,
+    converged) for the last iterate.  The start's value comes with its
+    Jacobian, and so does every accepted point (see ``_armijo_step``).
+    Each step runs the Armijo ladder alpha = 1, 1/2, ..., ``_MIN_STEP``
+    in rungs of 1, 2, 4, ... trials, one field call per rung, and takes
+    the first trial in ladder order that passes: the step one-at-a-time
+    backtracking would take.  The line search runs only along a descent
+    direction, so an accepted step never raises the merit |X|^2 / 2 and
+    the last iterate has the lowest residual of the run, up to ties.
+    Every trial of a rung is evaluated, so a non-finite value at any of
+    them, or a non-finite Jacobian at an accepted point, raises
     NonFiniteValueError.
     """
     x = _project(np.array(x0, dtype=float), radius)
     values, jacs = field.value_and_jacobian_many(x[None, :])
     fx, jac = values[0], jacs[0]
     res = _norm(fx)
-    best_x, best_res, best_jac = x, res, jac
     taken = 0
     while taken < cfg.max_iterations and res > cfg.residual_tol:
-        if jac is None:
-            jac = _jacobian(field, x)
-            if best_x is x:  # the best point so far, kept without its Jacobian
-                best_jac = jac
         merit_grad = jac.T @ fx
         try:
             step = np.linalg.solve(jac, -fx)
@@ -269,18 +271,14 @@ def _newton_from(field, x0, radius, cfg):
             break  # line search stalled
         x, fx, res, jac = accepted
         taken += 1
-        if res < best_res:
-            best_x, best_res, best_jac = x, res, jac
-    if res <= cfg.residual_tol:
-        return x, res, jac, taken, True
-    return best_x, best_res, best_jac, taken, False
+    return x, res, jac, taken, res <= cfg.residual_tol
 
 
 def _solve_multistart(field, radius, cfg):
     """Newton from the origin, then from seeded points of the ball.
 
-    Returns (point, residual, Jacobian at the point or None, starts
-    attempted, steps taken, converged).
+    Returns (point, residual, Jacobian at the point, starts attempted,
+    steps taken, converged).
     """
     starts = [np.zeros(field.dimension)]
     if cfg.multistart > 0:
@@ -329,7 +327,6 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
             "no start reached the residual tolerance; best residual returned "
             "(sampled certificates cannot guarantee the true boundary condition)"
         )
-    jac = _jacobian(target, x) if jac is None else jac
     degenerate = _is_degenerate(jac)
     if degenerate:
         warnings.append(
@@ -418,6 +415,7 @@ def perturbed_existence(
     radius is the first certified one, not necessarily the smallest that
     would certify.
     """
+    max_radius_exponent = _as_integer(max_radius_exponent, "max_radius_exponent")
     # 2.0**1024 overflows a double.
     if not 0 <= max_radius_exponent <= 1023:
         raise ConfigError("max_radius_exponent must be between 0 and 1023")

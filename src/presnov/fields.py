@@ -42,7 +42,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import CatalogError, DimensionMismatchError, DomainError, NonFiniteValueError
+from .errors import CatalogError, ConfigError, DimensionMismatchError, DomainError
+from .errors import NonFiniteValueError
+from .sampling import _as_integer
 
 __all__ = [
     "Domain",
@@ -73,6 +75,9 @@ class Domain:
     radius: Optional[float] = None
 
     def __post_init__(self):
+        object.__setattr__(
+            self, "dimension", _as_integer(self.dimension, "dimension", DimensionMismatchError)
+        )
         if self.dimension < 1:
             raise DimensionMismatchError("dimension must be at least 1")
         if self.radius is not None:
@@ -108,7 +113,7 @@ class VectorField:
     """Base class for immutable vector fields on R^n."""
 
     def __init__(self, dimension: int, label: str = "field", domain: Optional[Domain] = None):
-        dimension = int(dimension)
+        dimension = _as_integer(dimension, "field dimension", DimensionMismatchError)
         if dimension < 1:
             raise DimensionMismatchError("field dimension must be at least 1")
         if domain is not None and domain.dimension != dimension:
@@ -216,6 +221,10 @@ class CallableField(VectorField):
         self._fn = fn
         self._jacobian = jacobian
         self.exact_jacobian = jacobian is not None
+        if ray_degree is not None:
+            ray_degree = _as_integer(ray_degree, "ray_degree")
+            if ray_degree < 0:
+                raise ConfigError("a polynomial degree must be non-negative")
         self.ray_degree = ray_degree
 
     def _evaluate_many(self, points):
@@ -387,7 +396,7 @@ def _require_dim(name, dimension, expected=None):
         if expected is None:
             raise CatalogError(f"catalog entry '{name}' needs an explicit dimension")
         return expected
-    dimension = int(dimension)
+    dimension = _as_integer(dimension, "dimension", CatalogError)
     if dimension < 1:
         raise CatalogError("dimension must be at least 1")
     if expected is not None and dimension != expected:

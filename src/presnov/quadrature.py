@@ -33,14 +33,13 @@ scheme.
 from __future__ import annotations
 
 import heapq
-import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, QuadratureError
-from .sampling import _check_integer_fields
+from .sampling import _as_integer, _check_integer_fields
 
 __all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE", "integrate_unit"]
 
@@ -129,7 +128,7 @@ def integrate_unit(
     estimate.  A degree that needs more than 100 nodes is ignored.
     """
     if degree is not None:
-        degree = operator.index(degree)
+        degree = _as_integer(degree, "degree")
         if degree < 0:
             raise ConfigError("a polynomial degree must be non-negative")
         order = degree // 2 + 1  # ceil((degree + 1) / 2)

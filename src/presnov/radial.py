@@ -83,7 +83,7 @@ class ProbeConfig:
     growth_floor_factor: float = 4.0
 
     def __post_init__(self):
-        _check_integer_fields(self, "radius_count", "directions")
+        _check_integer_fields(self, "radius_count", "directions", "seed")
         if not self.initial_radius > 0.0:
             raise ConfigError("initial_radius must be positive")
         if not self.radius_factor > 1.0:

@@ -23,40 +23,44 @@ __all__ = [
 DEFAULT_SEED = 0
 
 
+def _as_integer(value, name, error=ConfigError):
+    """``value`` as a Python int; ``error`` (given the message) if it is not an integer.
+
+    The package's one integer rule: ``operator.index`` accepts Python and
+    numpy integers and rejects floats, even integral ones.
+    """
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _check_seed(seed):
+    """``seed`` as a Python int, checked non-negative."""
+    seed = _as_integer(seed, "seed")
     if seed < 0:
         raise ConfigError("seeds must be non-negative integers")
+    return seed
 
 
 def _check_integer_fields(config, *names):
     """Store the named fields of a frozen config as Python ints (None stays None)."""
     for name in names:
         value = getattr(config, name)
-        if value is None:
-            continue
-        try:
-            object.__setattr__(config, name, operator.index(value))
-        except TypeError:
-            raise ConfigError(f"{name} must be an integer, got {value!r}") from None
+        if value is not None:
+            object.__setattr__(config, name, _as_integer(value, name))
 
 
 def _generator(seed: int) -> np.random.Generator:
-    _check_seed(seed)
-    return np.random.Generator(np.random.Philox(seed))
+    return np.random.Generator(np.random.Philox(_check_seed(seed)))
 
 
 def _check_sample_shape(dimension, count):
     """``dimension`` and ``count`` as Python ints, each at least 1."""
-    try:
-        dimension = operator.index(dimension)
-    except TypeError:
-        raise DimensionMismatchError(f"dimension must be an integer, got {dimension!r}") from None
+    dimension = _as_integer(dimension, "dimension", DimensionMismatchError)
     if dimension < 1:
         raise DimensionMismatchError("dimension must be at least 1")
-    try:
-        count = operator.index(count)
-    except TypeError:
-        raise ConfigError(f"sample count must be an integer, got {count!r}") from None
+    count = _as_integer(count, "sample count")
     if count < 1:
         raise ConfigError("sample count must be at least 1")
     return dimension, count

@@ -140,6 +140,29 @@ def test_failure_returns_best_residual():
         assert result.iterations == 0
 
 
+def test_a_start_returns_its_last_iterate_with_its_jacobian(monkeypatch):
+    # exp(x1); x2^2 + 1 has no zero: shifted by this offset, the run ends
+    # on a plateau of residual 1.40991 where accepted steps tie.  The start
+    # must still return its last accepted point, count exactly its
+    # accepted steps, and carry that point's own Jacobian.
+    field = ShiftedField(parse_field("exp(x1); x2^2 + 1"), ball_points(2, 10, 2.0, 5)[0])
+    accepted = []
+    armijo_step = equilibria._armijo_step
+
+    def recording(*args):
+        outcome = armijo_step(*args)
+        if outcome is not None:
+            accepted.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(equilibria, "_armijo_step", recording)
+    x, res, jac, taken, converged = _newton_from(field, np.zeros(2), 3.0, SolverConfig())
+    assert not converged and res == pytest.approx(1.40991, abs=1e-5)
+    assert taken == len(accepted) > 100
+    assert x is accepted[-1][0] and res == accepted[-1][2]
+    assert np.array_equal(jac, field.value_and_jacobian_many(x[None, :])[1][0])
+
+
 @pytest.mark.parametrize(
     "residuals,kept",
     [

@@ -3,16 +3,25 @@ import pytest
 
 from presnov import (
     BallRestrictedField,
+    CallableField,
     CatalogError,
     ConfigError,
     DimensionMismatchError,
+    Domain,
     DomainError,
     NonFiniteValueError,
+    ParseError,
+    ProbeConfig,
     ScaledField,
     ShiftedField,
+    SolverConfig,
     SumField,
     catalog_field,
     catalog_names,
+    integrate_unit,
+    parse_expression,
+    parse_expressions,
+    perturbed_existence,
     radial_component,
 )
 from presnov.sampling import ball_points, unit_directions
@@ -256,6 +265,75 @@ def test_samplers_reject_non_integer_shapes():
         ball_points(2, 3.0, 1.0)
     # Integer types that are not Python ints still pass.
     assert unit_directions(np.int64(2), np.int32(3)).shape == (3, 2)
+
+
+def _identity(points):
+    return points
+
+
+def _identity_jacobian(points):
+    return np.broadcast_to(np.eye(points.shape[1]), (*points.shape, points.shape[1]))
+
+
+# Every integer argument follows one rule (operator.index), and a
+# non-integer raises the error class its owner raises for an
+# out-of-range value.
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: ProbeConfig(seed=2.5), ConfigError),
+        (lambda: SolverConfig(seed=1.5), ConfigError),
+        (lambda: ball_points(2, 3, 1.0, 2.5), ConfigError),
+        (lambda: unit_directions(2, 3, 0.5), ConfigError),
+        (lambda: CallableField(2.5, _identity), DimensionMismatchError),
+        (lambda: Domain(2.5), DimensionMismatchError),
+        (lambda: catalog_field("gradient_poly", 2.9), CatalogError),
+        (lambda: parse_expression("x1", 1.9), ParseError),
+        (lambda: parse_expressions("x1; x2", 2.0), ParseError),
+        (
+            lambda: CallableField(2, _identity, jacobian=_identity_jacobian, ray_degree=2.5),
+            ConfigError,
+        ),
+        (lambda: integrate_unit(lambda t: t, degree=2.5), ConfigError),
+        (
+            lambda: perturbed_existence(
+                catalog_field("identity", 2).field, [1.0, 0.0], max_radius_exponent=3.0
+            ),
+            ConfigError,
+        ),
+    ],
+    ids=[
+        "ProbeConfig.seed",
+        "SolverConfig.seed",
+        "ball_points.seed",
+        "unit_directions.seed",
+        "CallableField.dimension",
+        "Domain.dimension",
+        "catalog_field.dimension",
+        "parse_expression.dimension",
+        "parse_expressions.dimension",
+        "CallableField.ray_degree",
+        "integrate_unit.degree",
+        "perturbed_existence.max_radius_exponent",
+    ],
+)
+def test_integer_arguments_reject_non_integers(build, error):
+    with pytest.raises(error, match="must be an integer"):
+        build()
+
+
+def test_integer_arguments_accept_numpy_integers():
+    field = CallableField(
+        np.int64(2), _identity, jacobian=_identity_jacobian, ray_degree=np.int32(1)
+    )
+    assert type(field.dimension) is int and type(field.ray_degree) is int
+    assert type(Domain(np.int64(2)).dimension) is int
+    assert type(SolverConfig(seed=np.int64(3)).seed) is int
+
+
+def test_callable_field_rejects_a_negative_ray_degree():
+    with pytest.raises(ConfigError, match="non-negative"):
+        CallableField(2, _identity, ray_degree=-1)
 
 
 def test_evaluate_rejects_wrong_dimension_and_nonfinite():

@@ -126,7 +126,7 @@ def test_paired_probe_singular_symmetric_part():
     assert paired.max_profile_discrepancy <= 1e-6
 
 
-def test_paired_probe_sharp_field_keeps_fd_potentials_on_shared_panels():
+def test_paired_probe_sharp_field_fd_profile_matches_field_profile_at_largest_radius():
     # The paired probe takes grad H from the homotopy route.  The FD route,
     # kept as its cross-check, is a central difference of potentials
     # H(x +/- h e_i), integrated as one difference quotient per entry, so
