@@ -463,15 +463,17 @@ def _verify_split(field, split, cfg, threshold):
     """
     pts = split.points
     m, n = pts.shape
+    # Row norms by hypot, which overflows only where the norm itself does;
+    # np.linalg.norm squares the entries first.
     with np.errstate(over="ignore"):
-        scale = (1.0 + np.linalg.norm(pts, axis=1)) * (
-            1.0 + np.linalg.norm(split.field_values, axis=1)
+        scale = (1.0 + np.hypot.reduce(pts, axis=1)) * (
+            1.0 + np.hypot.reduce(split.field_values, axis=1)
         )
     radial = np.einsum("ij,ij->i", split.field_values - split.conservative, pts)
     max_orth = max_radial = float(np.max(np.abs(radial) / scale))
 
     grad_fd = gradient_potential_many(field, pts, cfg)
-    idem = np.linalg.norm(split.conservative - grad_fd, axis=1)
+    idem = np.hypot.reduce(split.conservative - grad_fd, axis=1)
     max_idem = float(np.max(idem / scale))
 
     # <u(t x), x> = <u(t x), t x> / t on every node of the ray.  The split
@@ -483,7 +485,9 @@ def _verify_split(field, split, cfg, threshold):
     residual_potentials = (ws / ts) @ on_rays
     max_res_pot = float(np.max(np.abs(residual_potentials) / scale))
 
-    passed = max(max_orth, max_radial, max_idem, max_res_pot) <= threshold
+    # Each maximum is tested on its own: a NaN fails its test, where
+    # Python's max would skip a NaN that is not its first argument.
+    passed = all(v <= threshold for v in (max_orth, max_radial, max_idem, max_res_pot))
     return VerificationReport(
         point_count=m,
         threshold=threshold,

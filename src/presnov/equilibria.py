@@ -61,7 +61,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConservativePart
-from .errors import CertificateError, ConfigError, NoCertifiedRadiusError
+from .errors import CertificateError, ConfigError, NoCertifiedRadiusError, NonFiniteValueError
 from .fields import ShiftedField, VectorField
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .radial import (
@@ -242,7 +242,8 @@ def _newton_from(field, x0, radius, cfg):
     the last iterate has the lowest residual of the run, up to ties.
     Every trial of a rung is evaluated, so a non-finite value at any of
     them, or a non-finite Jacobian at an accepted point, raises
-    NonFiniteValueError.
+    NonFiniteValueError, and so does a merit gradient J^T X that
+    overflows.
     """
     x = _project(np.array(x0, dtype=float), radius)
     values, jacs = field.value_and_jacobian_many(x[None, :])
@@ -250,7 +251,12 @@ def _newton_from(field, x0, radius, cfg):
     res = _norm(fx)
     taken = 0
     while taken < cfg.max_iterations and res > cfg.residual_tol:
-        merit_grad = jac.T @ fx
+        with np.errstate(over="ignore", invalid="ignore"):
+            merit_grad = jac.T @ fx
+        if not np.isfinite(merit_grad).all():
+            raise NonFiniteValueError(
+                f"merit gradient J^T X of field '{field.label}' overflows at {x.tolist()}"
+            )
         try:
             step = np.linalg.solve(jac, -fx)
             if not np.isfinite(step).all():

@@ -184,13 +184,17 @@ class VectorField:
         values = self._checked_array(pts, values, pts.shape, "value")
         return values, self._checked_array(pts, jac, (m, n, n), "Jacobian")
 
-    def evaluate(self, point) -> np.ndarray:
+    def _point_row(self, point) -> np.ndarray:
+        """One point of shape (n,) as a (1, n) array."""
         x = np.asarray(point, dtype=float)
         if x.ndim != 1 or x.shape[0] != self.dimension:
             raise DimensionMismatchError(
                 f"expected a point of shape ({self.dimension},), got {x.shape}"
             )
-        return self.evaluate_many(x[None, :])[0]
+        return x[None, :]
+
+    def evaluate(self, point) -> np.ndarray:
+        return self.evaluate_many(self._point_row(point))[0]
 
     __call__ = evaluate
 
@@ -351,10 +355,20 @@ def _fd_derivatives(values, steps):
     return (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
 
 
+def _radial_values(field, points):
+    """<X(x), x> at the rows of ``points``; raises NonFiniteValueError on overflow."""
+    radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)
+    if not np.isfinite(radial).all():
+        raise NonFiniteValueError(f"<X(x), x> of field '{field.label}' overflows")
+    return radial
+
+
 def radial_component(field: VectorField, point) -> float:
-    """Inner product of the field value with the position vector."""
-    x = np.asarray(point, dtype=float)
-    return float(field.evaluate(x) @ x)
+    """Inner product of the field value with the position vector.
+
+    Raises NonFiniteValueError when it overflows.
+    """
+    return float(_radial_values(field, field._point_row(point))[0])
 
 
 # ---------------------------------------------------------------------------

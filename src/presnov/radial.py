@@ -13,14 +13,22 @@ of seeded directions:
 * ``not-coercive-witness``: some direction shows a profile that is
   non-increasing across at least three consecutive radii, or that stops
   making progress over the last third of the schedule (bounded above by
-  the constant fitted to its earlier values);
+  the maximum of its earlier values);
 * ``inconclusive`` otherwise.
 
-Profile comparisons use a relative slack well above the tolerance at
-which the profiles of a field and of its conservative part agree, so the
-paired probe cannot split verdicts on numerical noise: the two profiles
-are pointwise equal up to quadrature/differentiation error because
-<X(x), x> = <grad H(x), x> everywhere.
+Every verdict rests on one non-increase rule (``_no_rise``): a value b
+does not rise above a value a when b <= a + _FLAT_TOL * (1 + |a|).  It is
+applied as array tests over the whole (radius x direction) profile
+table: a non-increasing witness is two consecutive steps along a
+direction that do not rise, a bounded witness is a tail that does not
+rise above the maximum of the earlier profile values, and the per-radius
+minima increase strictly when every one of their steps rises.  The witness
+is the first direction, in sample order, with either kind, and
+non-increasing wins over bounded within it.  The slack is well above the
+tolerance at which the profiles of a field and of its conservative part
+agree, so the paired probe cannot split verdicts on numerical noise: the
+two profiles are pointwise equal up to quadrature/differentiation error
+because <X(x), x> = <grad H(x), x> everywhere.
 
 The boundary certificate samples one sphere and reports the minimum of
 <X(x), x>; strict positivity of that minimum is sampled evidence (never
@@ -36,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConservativePart
-from .errors import ConfigError, DomainError, NonFiniteValueError
-from .fields import VectorField
+from .errors import ConfigError, DomainError
+from .fields import VectorField, _radial_values
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .sampling import DEFAULT_SEED, _check_integer_fields, _check_radius, _check_seed
 from .sampling import default_direction_count, unit_directions
@@ -186,14 +194,6 @@ def _check_certificate_settings(threshold, samples):
         raise ConfigError("certificate samples must be at least 1")
 
 
-def _radial_values(field, points):
-    """<X(x), x> at the rows of ``points``; raises NonFiniteValueError on overflow."""
-    radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)
-    if not np.isfinite(radial).all():
-        raise NonFiniteValueError(f"<X(x), x> of field '{field.label}' overflows")
-    return radial
-
-
 def radial_profile(field: VectorField, radius: float, directions) -> np.ndarray:
     """Profile values <X(r d), r d> / r for each unit direction d."""
     _check_radius(radius)
@@ -201,75 +201,62 @@ def radial_profile(field: VectorField, radius: float, directions) -> np.ndarray:
     return _radial_values(field, radius * dirs) / radius
 
 
-def _profile_table(field, radii, directions):
-    profiles = np.empty((radii.size, directions.shape[0]))
-    for k, r in enumerate(radii):
-        profiles[k] = radial_profile(field, float(r), directions)
-    return profiles
+def _no_rise(before, after):
+    """The one non-increase rule: True where ``after`` does not rise above ``before``."""
+    return after <= before + _FLAT_TOL * (1.0 + np.abs(before))
 
 
 def _find_witness(radii, profiles, directions):
-    count = radii.size
-    tail_start = max(2, (2 * count) // 3)
-    for j in range(directions.shape[0]):
-        p = profiles[:, j]
-        slack = _FLAT_TOL * (1.0 + np.abs(p[:-1]))
-        nonincr = p[1:] <= p[:-1] + slack
-        # Three consecutive radii means two consecutive non-increasing steps.
-        run = 0
-        for k, flag in enumerate(nonincr):
-            run = run + 1 if flag else 0
-            if run >= 2:
-                window = slice(k - 1, k + 2)
-                return Witness(
-                    kind="non-increasing",
-                    direction_index=j,
-                    direction=directions[j],
-                    radii=radii[window].copy(),
-                    profile=p[window].copy(),
-                    point=radii[k + 1] * directions[j],
-                )
-        ceiling = p[:tail_start].max()
-        tail = p[tail_start:]
-        tail_slack = _FLAT_TOL * (1.0 + abs(ceiling))
-        # A schedule too short to have a tail shows nothing bounded.
-        if tail.size and np.all(tail <= ceiling + tail_slack):
-            return Witness(
-                kind="bounded",
-                direction_index=j,
-                direction=directions[j],
-                radii=radii.copy(),
-                profile=p.copy(),
-                point=radii[-1] * directions[j],
-            )
-    return None
+    """The first direction whose profile column shows a witness, or None."""
+    # Three consecutive radii means two consecutive steps that do not rise.
+    fails = _no_rise(profiles[:-1], profiles[1:])
+    runs = fails[:-1] & fails[1:]
+    tail_start = max(2, (2 * radii.size) // 3)
+    ceilings = profiles[:tail_start].max(axis=0)
+    # A schedule too short to have a tail shows nothing bounded.
+    bounded = (tail_start < radii.size) & _no_rise(ceilings, profiles[tail_start:]).all(axis=0)
+    hits = np.flatnonzero(runs.any(axis=0) | bounded)
+    if hits.size == 0:
+        return None
+    j = int(hits[0])
+    if runs[:, j].any():
+        k = int(np.argmax(runs[:, j]))
+        kind, window = "non-increasing", slice(k, k + 3)
+    else:
+        kind, window = "bounded", slice(None)
+    return Witness(
+        kind=kind,
+        direction_index=j,
+        direction=directions[j],
+        radii=radii[window].copy(),
+        profile=profiles[window, j].copy(),
+        point=radii[window][-1] * directions[j],
+    )
 
 
-def _verdict(radii, profiles, directions, cfg):
-    witness = _find_witness(radii, profiles, directions)
+def _verdict(mins, witness, cfg):
     if witness is not None:
-        return VERDICT_NOT_COERCIVE, witness
-    mins = profiles.min(axis=1)
-    slack = _FLAT_TOL * (1.0 + np.abs(mins[:-1]))
-    strictly_increasing = bool(np.all(mins[1:] > mins[:-1] + slack))
+        return VERDICT_NOT_COERCIVE
+    strictly_increasing = not _no_rise(mins[:-1], mins[1:]).any()
     with np.errstate(over="ignore"):  # an overflowing floor is one no profile meets
         floor_ok = mins[-1] > 0.0 and mins[-1] >= cfg.growth_floor_factor * abs(mins[0])
     if strictly_increasing and floor_ok:
-        return VERDICT_COERCIVE, None
-    return VERDICT_INCONCLUSIVE, None
+        return VERDICT_COERCIVE
+    return VERDICT_INCONCLUSIVE
 
 
 def _probe_with_directions(field, cfg, directions):
     radii = cfg.radii()
-    profiles = _profile_table(field, radii, directions)
-    verdict, witness = _verdict(radii, profiles, directions, cfg)
+    profiles = np.stack([radial_profile(field, float(r), directions) for r in radii])
+    mins = profiles.min(axis=1)
+    witness = _find_witness(radii, profiles, directions)
     return RadialProbeReport(
         field_label=field.label,
         radii=radii,
         directions=directions,
         profiles=profiles,
-        min_per_radius=profiles.min(axis=1),
-        verdict=verdict,
+        min_per_radius=mins,
+        verdict=_verdict(mins, witness, cfg),
         witness=witness,
         seed=cfg.seed,
         config=cfg,

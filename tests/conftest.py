@@ -12,8 +12,12 @@ ROOT = Path(__file__).resolve().parents[1]
 
 def src_env():
     """Environment for a child interpreter that imports presnov from src/,
-    whether or not the package is installed."""
-    return os.environ | {"PYTHONPATH": str(ROOT / "src")}
+    whether or not the package is installed, and that treats a leaked
+    RuntimeWarning as an error, as the in-process suite does."""
+    return os.environ | {
+        "PYTHONPATH": str(ROOT / "src"),
+        "PYTHONWARNINGS": "error::RuntimeWarning",
+    }
 
 
 _FUNC_NAMES = ("sin", "cos", "exp", "tanh", "abs", "sqrt")

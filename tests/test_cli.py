@@ -136,20 +136,41 @@ def test_numeric_error_exit_code(capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["--catalog", "linear", "--matrix", "2,1,-1,3", "--sample-radius", "1e308"],
-        ["--expr", "x1^3; x2", "--sample-radius", "1e200"],
+        ["decompose", "--catalog", "linear", "--matrix", "2,1,-1,3", "--sample-radius", "1e308",
+         "--sample", "1"],
+        ["decompose", "--expr", "x1^3; x2", "--sample-radius", "1e200", "--sample", "1"],
+        # Newton's merit gradient J^T X overflows at the first start.
+        ["equilibria", "--expr", "1e200*x1 + 1e200; x2", "--radius", "3", "--allow-uncertified"],
+        ["equilibria", "--expr", "1e160*x1^3 + 1e150; x2", "--radius", "3",
+         "--allow-uncertified"],
     ],
 )
 def test_overflow_is_one_error_line(argv):
     # Overflow inside numpy must not print a RuntimeWarning ahead of the
     # error line; the non-finite result is the error.
     done = subprocess.run(
-        [sys.executable, "-m", "presnov", "decompose", *argv, "--sample", "1"],
+        [sys.executable, "-m", "presnov", *argv],
         capture_output=True, text=True, env=src_env(),
     )
     assert done.returncode == 3
     assert done.stdout == ""
     assert done.stderr.startswith("error: ") and done.stderr.count("\n") == 1
+
+
+def test_verification_of_a_huge_field_is_finite_standard_json(capsys):
+    # |X| = 1e300 is finite, so the verification norms must be too: norms
+    # that square the entries made max_idempotence inf/inf = NaN, which
+    # passed and was written as the non-standard JSON token NaN.
+    code = main(["decompose", "--expr", "1e300*x1; x2", "--at", "1,1"])
+    captured = capsys.readouterr()
+    assert code == 0
+    report = json.loads(captured.out, parse_constant=lambda token: pytest.fail(token))
+    verification = report["payload"]["verification"]
+    assert verification["passed"] is True
+    for key in ("max_orthogonality", "max_radial_equality", "max_idempotence",
+                "max_residual_potential"):
+        assert 0.0 <= verification[key] <= 1e-10
+    assert "verification PASS" in captured.err
 
 
 def test_equilibria_of_a_field_with_sqrt_at_the_origin(capsys):

@@ -25,6 +25,7 @@ from presnov import (
     potential_many,
     verify_decomposition,
 )
+from presnov import decomposition
 from presnov.decomposition import _verify_split
 from presnov.quadrature import DEFAULT_QUADRATURE
 from presnov.radial import boundary_certificate
@@ -195,6 +196,22 @@ def test_verify_catches_broken_splits():
     assert report.max_idempotence > threshold
     assert report.max_orthogonality <= 1e-9
     assert report.max_radial_equality <= 1e-9
+
+
+def test_verify_fails_on_a_nan_maximum(monkeypatch):
+    # A NaN idempotence residual must fail verification, also when it is
+    # not the first of the four maxima (Python's max skips such a NaN).
+    field = catalog_field("identity", 2).field
+    split = decompose_many(field, [[1.0, 0.5], [0.3, -2.0]])
+
+    def gradient_with_nan_row(field, pts, cfg):
+        return np.where(np.arange(len(pts))[:, None] == 1, np.nan, pts)
+
+    monkeypatch.setattr(decomposition, "gradient_potential_many", gradient_with_nan_row)
+    report = _verify_split(field, split, DEFAULT_QUADRATURE, 1e-6)
+    assert np.isnan(report.max_idempotence)
+    assert report.max_orthogonality <= 1e-12
+    assert not report.passed
 
 
 def test_stencil_noise_floor_lets_opaque_rays_converge():

@@ -8,6 +8,7 @@ from presnov import (
     CertificateError,
     ConfigError,
     NoCertifiedRadiusError,
+    NonFiniteValueError,
     ShiftedField,
     SolverConfig,
     catalog_field,
@@ -138,6 +139,14 @@ def test_failure_returns_best_residual():
         # The merit gradient of a constant field is zero, so every start
         # stops before its first Newton step.
         assert result.iterations == 0
+
+
+def test_an_overflowing_merit_gradient_is_a_non_finite_error():
+    # J^T X is 1e400 at the origin, the first start; numpy would warn and
+    # the descent fallback would carry NaN into the next trial points.
+    field = parse_field("1e200*x1 + 1e200; x2")
+    with pytest.raises(NonFiniteValueError, match="merit gradient"):
+        find_equilibrium(field, 3.0, allow_uncertified=True)
 
 
 def test_a_start_returns_its_last_iterate_with_its_jacobian(monkeypatch):

@@ -18,10 +18,13 @@ from presnov import (
     SumField,
     catalog_field,
     catalog_names,
+    decompose_many,
     integrate_unit,
     parse_expression,
     parse_expressions,
+    parse_field,
     perturbed_existence,
+    potential_many,
     radial_component,
 )
 from presnov.sampling import ball_points, unit_directions
@@ -74,6 +77,11 @@ def test_radial_component_shift_rule():
         assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
+def test_radial_component_overflow_is_a_non_finite_error():
+    with pytest.raises(NonFiniteValueError, match="overflows"):
+        radial_component(parse_field("x1; x2"), [1e200, 1e200])
+
+
 # ---------------------------------------------------------------------------
 # Catalog ground truths
 # ---------------------------------------------------------------------------
@@ -86,6 +94,8 @@ CATALOG_INSTANCES = [
     ("gradient_poly", dict(dimension=3)),
     ("cubic_radial", dict(dimension=3)),
     ("identity_plus_rotation2d", dict()),
+    # Non-zero a and c exercise every term of the closed-form potential.
+    ("gradient_poly", dict(dimension=2, coeffs=[[0.5, -1.0, 0.7, 0.3], [-0.4, 2.0, -0.6, 1.0]])),
 ]
 
 
@@ -102,6 +112,22 @@ def test_catalog_closed_forms_sum_to_field(name, kwargs):
         value = entry.field.evaluate(x)
         total = entry.conservative(x) + entry.sphere_invariant(x)
         assert np.allclose(total, value, rtol=1e-12, atol=1e-12 * (1 + np.abs(value).max()))
+
+
+@pytest.mark.parametrize("name,kwargs", CATALOG_INSTANCES)
+def test_catalog_closed_forms_match_the_library(name, kwargs):
+    # The closed forms are the benchmark's references, so they are checked
+    # against the library's potentials and splits, not only against X.
+    entry = _instantiate(name, kwargs)
+    points = ball_points(entry.dimension, 30, 4.0, seed=5)
+    split = decompose_many(entry.field, points)
+    potentials, _ = potential_many(entry.field, points)
+    for k, x in enumerate(points):
+        vec_scale = 1.0 + np.linalg.norm(split.field_values[k])
+        scale = (1.0 + np.linalg.norm(x)) * vec_scale
+        assert abs(entry.potential(x) - potentials[k]) <= 1e-10 * scale
+        assert np.abs(entry.conservative(x) - split.conservative[k]).max() <= 1e-10 * vec_scale
+        assert np.abs(entry.sphere_invariant(x) - split.sphere_invariant[k]).max() <= 1e-10 * vec_scale
 
 
 @pytest.mark.parametrize("name,kwargs", CATALOG_INSTANCES)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from presnov import (
     BallRestrictedField,
+    CallableField,
     DomainError,
     ProbeConfig,
     ScaledField,
@@ -16,7 +19,13 @@ from presnov import (
     parse_field,
     radial_profile,
 )
-from presnov.radial import VERDICT_COERCIVE, VERDICT_INCONCLUSIVE, VERDICT_NOT_COERCIVE
+from presnov.radial import (
+    _FLAT_TOL,
+    VERDICT_COERCIVE,
+    VERDICT_INCONCLUSIVE,
+    VERDICT_NOT_COERCIVE,
+    _find_witness,
+)
 from presnov.sampling import unit_directions
 
 FAST_PROBE = ProbeConfig(radius_count=8, directions=64)
@@ -80,6 +89,88 @@ def test_probe_constant_not_coercive():
     )
     assert report.verdict == VERDICT_NOT_COERCIVE
     assert report.witness.kind in ("non-increasing", "bounded")
+
+
+def test_probe_finds_a_bounded_witness():
+    # X(y) = sign(y) h(|y|) has the profile h(r) along both directions of
+    # the line.  h rises and falls in turn, so no two steps in a row fail
+    # to rise, but its tail 1.5, 2.5 stays below the ceiling 3 of the
+    # first four radii.
+    radii = 2.0 ** np.arange(6)
+    h = np.array([0.0, 3.0, 1.0, 2.0, 1.5, 2.5])
+    field = CallableField(1, lambda p: np.sign(p) * np.interp(np.abs(p), radii, h))
+    report = coercivity_probe(field, ProbeConfig(radius_count=6, directions=2))
+    assert report.verdict == VERDICT_NOT_COERCIVE
+    witness = report.witness
+    assert witness.kind == "bounded"
+    assert witness.direction_index == 0
+    assert np.array_equal(witness.radii, radii)
+    assert np.array_equal(witness.profile, h)
+    assert np.array_equal(np.abs(witness.point), [32.0])
+    assert np.array_equal(witness.point, 32.0 * witness.direction)
+
+
+def _reference_witness(radii, profiles, directions):
+    """The witness search as a loop over directions with a run counter."""
+    count = radii.size
+    tail_start = max(2, (2 * count) // 3)
+    for j in range(directions.shape[0]):
+        p = profiles[:, j]
+        slack = _FLAT_TOL * (1.0 + np.abs(p[:-1]))
+        nonincr = p[1:] <= p[:-1] + slack
+        run = 0
+        for k, flag in enumerate(nonincr):
+            run = run + 1 if flag else 0
+            if run >= 2:
+                window = slice(k - 1, k + 2)
+                return ("non-increasing", j, radii[window], p[window], radii[k + 1] * directions[j])
+        ceiling = p[:tail_start].max()
+        tail = p[tail_start:]
+        if tail.size and np.all(tail <= ceiling + _FLAT_TOL * (1.0 + abs(ceiling))):
+            return ("bounded", j, radii, p, radii[-1] * directions[j])
+    return None
+
+
+def _column(moves):
+    """A profile column: fresh values, exact slack ties with the previous
+    value or with the running maximum, and values one ulp above a tie."""
+    column = []
+    for kind, value in moves:
+        if not column or kind == "fresh":
+            column.append(value)
+            continue
+        base = column[-1] if kind in ("tie", "above") else max(column)
+        tie = base + _FLAT_TOL * (1.0 + abs(base))
+        column.append(float(np.nextafter(tie, np.inf)) if kind == "above" else tie)
+    return column
+
+
+_MOVES = st.tuples(
+    st.sampled_from(["fresh", "fresh", "tie", "ceiling", "above"]),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 1e6]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(2, 7).flatmap(
+    lambda count: st.lists(st.lists(_MOVES, min_size=count, max_size=count), min_size=1, max_size=4)
+))
+def test_witness_search_matches_the_per_direction_loop(columns):
+    profiles = np.array([_column(moves) for moves in columns]).T
+    count, width = profiles.shape
+    radii = 2.0 ** np.arange(count)
+    directions = np.linspace(-1.0, 1.0, 2 * width).reshape(width, 2)
+    expected = _reference_witness(radii, profiles, directions)
+    got = _find_witness(radii, profiles, directions)
+    if expected is None:
+        assert got is None
+        return
+    kind, j, w_radii, w_profile, w_point = expected
+    assert (got.kind, got.direction_index) == (kind, j)
+    assert np.array_equal(got.direction, directions[j])
+    assert np.array_equal(got.radii, w_radii)
+    assert np.array_equal(got.profile, w_profile)
+    assert np.array_equal(got.point, w_point)
 
 
 def test_probe_rejects_ball_domains():
