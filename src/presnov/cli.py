@@ -433,9 +433,12 @@ def build_parser():
     return parser
 
 
+# Built once per process: parse_args keeps no state between calls.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
         report, code = args.handler(args)

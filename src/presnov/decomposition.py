@@ -24,12 +24,12 @@ otherwise.  ``gradient_potential_integral_many``, ``decompose_many``,
 For a field whose ``ray_degree`` d is known and whose Jacobian is exact,
 the integrand is a polynomial of degree <= d in t, and the route
 integrates it on one panel of ceil((d + 1) / 2) Gauss-Legendre nodes,
-which is exact (for polynomial fields H = sum_d <X_d(x), x> / (d + 2)
-over the homogeneous parts X_d: the Poincare homotopy operator on
-polynomial forms).  A stencil Jacobian is not polynomial in t, since
-its step scales with |t x_i|, so such fields keep the adaptive scheme
-and its noise floor.  Potentials, and so the finite-difference route,
-always integrate adaptively.
+which is exact (for polynomial fields H = sum_d <X_d(x), x> / (d + 1)
+over the homogeneous parts X_d, since <X_d(t x), x> = t^d <X_d(x), x>:
+the Poincare homotopy operator on polynomial forms).  A stencil
+Jacobian is not polynomial in t, since its step scales with |t x_i|, so
+such fields keep the adaptive scheme and its noise floor.  Potentials,
+and so the finite-difference route, always integrate adaptively.
 
 ``gradient_potential_many`` (central finite differences of H) is kept
 only as an independent cross-check of that route: it differentiates H
@@ -82,7 +82,6 @@ from .fields import _FD_SCALE, VectorField, _fd_derivatives, _fd_probes
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
 __all__ = [
-    "ORIGIN_RADIUS",
     "DecompositionSample",
     "DecompositionSet",
     "VerificationReport",
@@ -98,10 +97,6 @@ __all__ = [
     "ConservativePart",
     "SphereInvariantPart",
 ]
-
-# Below this norm the potential is pinned to exactly zero (its analytic
-# value), which keeps normalized residuals away from 0/0.
-ORIGIN_RADIUS = 1e-12
 
 # Cap on simultaneous components of one vector-valued quadrature.
 _MAX_COMPONENTS = 2048
@@ -119,14 +114,6 @@ def _as_points(field, points):
     if pts.shape[0] == 0 or not np.isfinite(pts).all():
         raise ConfigError("points must be a non-empty array of finite coordinates")
     return pts
-
-
-def _as_point(point):
-    """One point of shape (n,), as the one row of a points array."""
-    x = np.asarray(point, dtype=float)
-    if x.ndim != 1:
-        raise DimensionMismatchError(f"expected a single point of shape (n,), got {x.shape}")
-    return x[None, :]
 
 
 def _check_threshold(threshold):
@@ -186,14 +173,16 @@ def _radial_values(field, ts, xs):
 
 
 def _potentials(field, pts, cfg):
-    """Potentials and error estimates at the rows of ``pts``."""
-    with np.errstate(over="ignore"):  # an overflowing norm is still off the origin
-        off_origin = np.flatnonzero(np.linalg.norm(pts, axis=1) >= ORIGIN_RADIUS)
+    """Potentials and error estimates at the rows of ``pts``.
+
+    H(0) = 0 exactly, with no integral; every other point integrates.
+    """
 
     def integrand(ts, rows):
         return _radial_values(field, ts, pts[rows])[:, :, None]
 
-    values, errors = _ray_integrals(field, pts, off_origin, 1, integrand, cfg)
+    rays = np.flatnonzero(pts.any(axis=1))
+    values, errors = _ray_integrals(field, pts, rays, 1, integrand, cfg)
     return values[:, 0], errors[:, 0]
 
 
@@ -207,7 +196,7 @@ def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFA
 
     The potential at the origin is exactly 0.0 without integrating.
     """
-    values, errors = potential_many(field, _as_point(point), config)
+    values, errors = potential_many(field, field._point_row(point), config)
     return float(values[0]), float(errors[0])
 
 
@@ -240,7 +229,7 @@ def gradient_potential_many(
 
 
 def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    return gradient_potential_many(field, _as_point(point), config)[0]
+    return gradient_potential_many(field, field._point_row(point), config)[0]
 
 
 def _homotopy_gradient(field, pts, cfg):
@@ -298,7 +287,7 @@ def gradient_potential_integral_many(
 def gradient_potential_integral(
     field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE
 ):
-    return gradient_potential_integral_many(field, _as_point(point), config)[0]
+    return gradient_potential_integral_many(field, field._point_row(point), config)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +370,7 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAUL
 
 
 def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    return decompose_many(field, _as_point(point), config).sample(0)
+    return decompose_many(field, field._point_row(point), config).sample(0)
 
 
 class ConservativePart(VectorField):

@@ -1,5 +1,18 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "PresnovError",
+    "DimensionMismatchError",
+    "NonFiniteValueError",
+    "DomainError",
+    "QuadratureError",
+    "ConfigError",
+    "CatalogError",
+    "ParseError",
+    "CertificateError",
+    "NoCertifiedRadiusError",
+]
+
 
 class PresnovError(Exception):
     """Base class for all package-specific errors."""

@@ -189,7 +189,7 @@ class VectorField:
         x = np.asarray(point, dtype=float)
         if x.ndim != 1 or x.shape[0] != self.dimension:
             raise DimensionMismatchError(
-                f"expected a point of shape ({self.dimension},), got {x.shape}"
+                f"expected a single point of shape ({self.dimension},), got {x.shape}"
             )
         return x[None, :]
 

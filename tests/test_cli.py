@@ -444,6 +444,23 @@ def test_reports_reproducible_in_process(capsys):
     assert canonical(first) == canonical(second)
 
 
+def test_main_keeps_no_flags_between_calls(capsys):
+    # main reuses one parser per process: a flag of one call must not
+    # reach the next.
+    plain = ["decompose", "--catalog", "identity", "--dim", "2", "--sample", "4"]
+    tuned = ["decompose", "--expr", "x1^3 + 0.3*x2; x2^3 + 0.3*x1", "--shift", "0.5,0",
+             "--sample", "6", "--sample-radius", "3", "--seed", "9", "--quad-order", "20",
+             "--abs-tol", "1e-11", "--rel-tol", "1e-11", "--max-subdivisions", "1000",
+             "--threshold", "1e-5"]
+    reports = [run_cli(capsys, *argv)[1] for argv in (plain, tuned, plain)]
+    child = subprocess.run([sys.executable, "-m", "presnov", *plain],
+                           capture_output=True, text=True, env=src_env())
+    assert child.returncode == 0
+    first, second, third = map(canonical, reports)
+    assert first == third == canonical(json.loads(child.stdout))
+    assert second != first
+
+
 def test_console_entry_point_subprocess():
     cmd = [sys.executable, "-m", "presnov", "decompose", "--catalog", "identity",
            "--dim", "2", "--sample", "4", "--seed", "0"]

@@ -7,13 +7,15 @@ import copy
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from presnov import (
     BallRestrictedField,
     CallableField,
     ConservativePart,
+    DEFAULT_QUADRATURE,
+    ExpressionField,
     ScaledField,
     ShiftedField,
     SphereInvariantPart,
@@ -21,6 +23,7 @@ from presnov import (
     catalog_field,
     gradient_potential_integral_many,
     parse_field,
+    potential_many,
 )
 from presnov.dsl import Binary, Const, Norm2, Unary, Var, _ray_degree, parse_expression
 from presnov.sampling import ball_points
@@ -87,6 +90,54 @@ def test_ray_degree_bounds_the_degree_along_rays(node):
 @given(_polynomial_asts(signed=False))
 def test_ray_degree_is_exact_without_cancellation(node):
     assert _ray_degree(node) == _degree_in_t(node)
+
+
+def _magnitude(node, x):
+    """A bound on every intermediate value of evaluating ``node`` at x:
+    the node with every literal and coordinate made non-negative."""
+    if isinstance(node, Const):
+        return abs(node.value)
+    if isinstance(node, Var):
+        return abs(x[node.index])
+    if isinstance(node, Norm2):
+        return float(x @ x)
+    if isinstance(node, Unary):
+        return _magnitude(node.operand, x)
+    left, right = _magnitude(node.left, x), _magnitude(node.right, x)
+    if node.op == "*":
+        return left * right
+    if node.op == "/":
+        return left / right
+    if node.op == "^":
+        return left**right
+    return left + right
+
+
+_POINTS = ball_points(_DIM, 4, 2.0, seed=31)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_polynomial_asts(signed=True), min_size=_DIM, max_size=_DIM))
+def test_potentials_of_polynomial_fields_match_exact_references(nodes):
+    field = ExpressionField(_DIM, nodes)
+    # Below this degree the integrand's first Gauss panel is exact.
+    assume(field.ray_degree < 2 * DEFAULT_QUADRATURE.order)
+    components = [_sympy(node) for node in nodes]
+    along_ray = sum(c.subs({x: _T * x for x in _X}, simultaneous=True) * x
+                    for c, x in zip(components, _X))
+    integral = sympy.integrate(sympy.expand(along_ray), (_T, 0, 1))
+    # H = sum_d <X_d(x), x> / (d + 1) over the homogeneous parts X_d.
+    homogeneous = sum(
+        coeff * sympy.prod(v**k for v, k in zip(_X, monom)) * x / (sum(monom) + 1)
+        for c, x in zip(components, _X)
+        for monom, coeff in sympy.Poly(sympy.expand(c), *_X).terms()
+    )
+    values = potential_many(field, _POINTS)[0]
+    for point, value in zip(_POINTS, values):
+        exact = dict(zip(_X, map(sympy.Rational, point)))
+        scale = sum(_magnitude(node, point) * abs(x) for node, x in zip(nodes, point))
+        for reference in (integral, homogeneous):
+            assert abs(value - float(reference.subs(exact))) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(
