@@ -65,10 +65,14 @@ finite-difference entry.  Each component is refined on its own (the
 active set of ``integrate_unit``): a component retires once it meets
 its bound, and a ray is evaluated while any of its components is
 active, so a ray that converges on the first panels stops paying for a
-ray through a sharp feature.  ``_ray_integrals`` also checks every point
-against the field's domain: an origin-centred ball holds the segment
-[0, x] iff it holds x, and the quadrature nodes alone could miss a ray
-that leaves the ball.
+ray through a sharp feature.
+
+The split functions check their points with the rule of field
+evaluation, ``VectorField._checked_points``, so an empty array gives an
+empty result.  The domain is R^n or an origin-centred ball, which holds
+the segment [0, x] iff it holds x, so no ray integral checks its rays
+again.  ``verify_decomposition`` alone refuses an empty sample
+(ConfigError), since its report is a set of maxima.
 """
 
 from __future__ import annotations
@@ -77,7 +81,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError, DomainError
+from .errors import ConfigError
 from .fields import _FD_SCALE, VectorField, _fd_derivatives, _fd_probes
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
@@ -105,41 +109,27 @@ _MAX_COMPONENTS = 2048
 DEFAULT_VERIFY_THRESHOLD = 1e-6
 
 
-def _as_points(field, points):
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != field.dimension:
-        raise DimensionMismatchError(
-            f"expected points of shape (m, {field.dimension}), got {pts.shape}"
-        )
-    if pts.shape[0] == 0 or not np.isfinite(pts).all():
-        raise ConfigError("points must be a non-empty array of finite coordinates")
-    return pts
-
-
 def _check_threshold(threshold):
     if not 0.0 < threshold < np.inf:
         raise ConfigError("threshold must be positive and finite")
 
 
-def _ray_integrals(field, pts, rays, width, integrand, cfg, degree=None, floors=None):
+def _ray_integrals(pts, rays, width, integrand, cfg, degree=None, floors=None):
     """Integrals over t in [0, 1] of ``width`` components on the rays ``pts[rays]``.
 
     Returns values and error estimates of shape (m, width), zero on the
     rows of ``pts`` not listed in ``rays``.  ``integrand(ts, rows)``
     returns the components at the nodes ts on the rays of ``pts[rows]``,
-    shape (ts.size, len(rows), width).  An integrand that carries
+    shape (ts.size, len(rows), width).  Nothing here checks the domain:
+    the callers' points passed ``VectorField._checked_points``, the
+    finite-difference route's stencil probes passed ``_fd_probes``, and a
+    domain that holds x holds the ray [0, x].  An integrand that carries
     evaluation noise raises ``floors[rows]``, of shape (m, width), to the
     noise it has seen, and those are the components' acceptance floors.
     Each component is refined on its own (the active set of
     ``integrate_unit``), and a ray is evaluated while any of its
     components is active.
     """
-    # An origin-centred ball holds the segment [0, x] iff it holds x; the
-    # quadrature nodes alone could miss a ray that leaves the ball.
-    with np.errstate(over="ignore"):  # an overflowing norm is outside any ball
-        inside = field.domain.contains_all(pts)
-    if not inside:
-        raise DomainError(f"point outside the field's domain (ball radius {field.domain.radius})")
     values = np.zeros((pts.shape[0], width))
     errors = np.zeros((pts.shape[0], width))
     per_chunk = max(1, _MAX_COMPONENTS // width)  # one quadrature component per entry
@@ -165,7 +155,7 @@ def _ray_integrals(field, pts, rays, width, integrand, cfg, degree=None, floors=
     return values, errors
 
 
-def _radial_values(field, ts, xs):
+def _ray_radial_values(field, ts, xs):
     """<X(t x), x> at the nodes ts on the rays x along the last axis of ``xs``."""
     nodes = ts.reshape((-1,) + (1,) * xs.ndim) * xs
     vals = field.evaluate_many(nodes.reshape(-1, xs.shape[-1])).reshape(nodes.shape)
@@ -179,16 +169,16 @@ def _potentials(field, pts, cfg):
     """
 
     def integrand(ts, rows):
-        return _radial_values(field, ts, pts[rows])[:, :, None]
+        return _ray_radial_values(field, ts, pts[rows])[:, :, None]
 
     rays = np.flatnonzero(pts.any(axis=1))
-    values, errors = _ray_integrals(field, pts, rays, 1, integrand, cfg)
+    values, errors = _ray_integrals(pts, rays, 1, integrand, cfg)
     return values[:, 0], errors[:, 0]
 
 
 def potential_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
     """Potential and quadrature error estimate at each row of ``points``."""
-    return _potentials(field, _as_points(field, points), config)
+    return _potentials(field, field._checked_points(points), config)
 
 
 def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -212,20 +202,20 @@ def gradient_potential_many(
     quotient's rounding, 4 eps max |<X(t p), p>| / h_i over the nodes
     seen, is its noise floor.
     """
-    pts = _as_points(field, points)
+    pts = field._checked_points(points)
     m, n = pts.shape
     probes, steps = _fd_probes(field, pts)
     pairs = probes[:, 1:]
     floors = np.zeros((m, n))
 
     def integrand(ts, rows):
-        radial = _radial_values(field, ts, pairs[rows])
+        radial = _ray_radial_values(field, ts, pairs[rows])
         peaks = np.abs(radial).max(axis=0).reshape(-1, n, 2).max(axis=2)
         floors[rows] = np.maximum(floors[rows], 4.0 * np.finfo(float).eps * peaks / steps[rows])
         # _fd_derivatives differences along axis 1, so the nodes go last.
         return _fd_derivatives(radial.transpose(1, 2, 0), steps[rows]).transpose(2, 0, 1)
 
-    return _ray_integrals(field, pts, np.arange(m), n, integrand, config, floors=floors)[0]
+    return _ray_integrals(pts, np.arange(m), n, integrand, config, floors=floors)[0]
 
 
 def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -263,7 +253,7 @@ def _homotopy_gradient(field, pts, cfg):
     rays = np.flatnonzero(~at_origin)
     # A stencil Jacobian is not polynomial in t: its step depends on t x.
     degree = field.ray_degree if field.exact_jacobian else None
-    grads, errors = _ray_integrals(field, pts, rays, n, integrand, cfg, degree, floors)
+    grads, errors = _ray_integrals(pts, rays, n, integrand, cfg, degree, floors)
     if at_origin.any():
         grads[at_origin] = field.evaluate_many(pts[at_origin])
     return grads, errors
@@ -281,7 +271,7 @@ def gradient_potential_integral_many(
     resolve below; the per-point noise estimate is then handed to the
     integrator as its acceptance floor.
     """
-    return _homotopy_gradient(field, _as_points(field, points), config)[0]
+    return _homotopy_gradient(field, field._checked_points(points), config)[0]
 
 
 def gradient_potential_integral(
@@ -348,7 +338,7 @@ class DecompositionSet:
 
 
 def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    pts = _as_points(field, points)
+    pts = field._checked_points(points)
     values = field.evaluate_many(pts)
     potentials, pot_errors = potential_many(field, pts, config)
     grads, grad_errors = _homotopy_gradient(field, pts, config)
@@ -442,7 +432,11 @@ def verify_decomposition(
     threshold: float = DEFAULT_VERIFY_THRESHOLD,
 ) -> VerificationReport:
     _check_threshold(threshold)
-    return _verify_split(field, decompose_many(field, points, config), config, threshold)
+    pts = field._checked_points(points)
+    if pts.shape[0] == 0:
+        # The report is a set of maxima, and an empty sample has none.
+        raise ConfigError("verify_decomposition needs at least one point")
+    return _verify_split(field, decompose_many(field, pts, config), config, threshold)
 
 
 def _verify_split(field, split, cfg, threshold):

@@ -294,6 +294,21 @@ def _segment_count(tokens):
     return count
 
 
+def _parse_segments(tokens, dimension):
+    """The expressions of the non-blank segments of ``tokens``, in order."""
+    parser = _Parser(tokens, dimension)
+    exprs = []
+    while True:
+        while parser.peek().kind == "sep":
+            parser.advance()
+        if parser.peek().kind == "eof":
+            return exprs
+        exprs.append(parser.expr())
+        trailing = parser.peek()
+        if trailing.kind not in ("sep", "eof"):
+            parser.error(f"unexpected {trailing.text!r} after expression")
+
+
 def parse_expressions(text: str, dimension: Optional[int] = None):
     """Parse DSL source into a list of expression ASTs.
 
@@ -315,18 +330,7 @@ def parse_expressions(text: str, dimension: Optional[int] = None):
             eof.line,
             eof.column,
         )
-    parser = _Parser(tokens, n)
-    exprs = []
-    while True:
-        while parser.peek().kind == "sep":
-            parser.advance()
-        if parser.peek().kind == "eof":
-            break
-        exprs.append(parser.expr())
-        trailing = parser.peek()
-        if trailing.kind not in ("sep", "eof"):
-            parser.error(f"unexpected {trailing.text!r} after expression")
-    return exprs
+    return _parse_segments(tokens, n)
 
 
 def parse_expression(text: str, dimension: int) -> Expr:
@@ -335,16 +339,7 @@ def parse_expression(text: str, dimension: int) -> Expr:
     if _segment_count(tokens) != 1:
         eof = tokens[-1]
         raise ParseError("expected exactly one expression", eof.line, eof.column)
-    parser = _Parser(tokens, _as_integer(dimension, "dimension", ParseError))
-    while parser.peek().kind == "sep":
-        parser.advance()
-    node = parser.expr()
-    while parser.peek().kind == "sep":
-        parser.advance()
-    trailing = parser.peek()
-    if trailing.kind != "eof":
-        parser.error(f"unexpected {trailing.text!r} after expression")
-    return node
+    return _parse_segments(tokens, _as_integer(dimension, "dimension", ParseError))[0]
 
 
 # ---------------------------------------------------------------------------

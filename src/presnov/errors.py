@@ -23,7 +23,7 @@ class DimensionMismatchError(PresnovError, ValueError):
 
 
 class NonFiniteValueError(PresnovError, ArithmeticError):
-    """An evaluation produced NaN or an infinity."""
+    """A point or an evaluation's result is NaN or infinite."""
 
 
 class DomainError(PresnovError, ValueError):

@@ -3,8 +3,10 @@
 A field is an immutable object with a fixed dimension that maps points to
 vectors.  Evaluation is batched: subclasses implement ``_evaluate_many`` on
 an ``(m, n)`` array and the base class adds dimension, finiteness, and
-domain checks.  Combinators (sum, scalar multiple, constant shift, ball
-restriction) evaluate structurally, with no simplification.
+domain checks (``_checked_points``, the package's one point-array check,
+which the split functions of ``decomposition`` share).  Combinators
+(sum, scalar multiple, constant shift, ball restriction) evaluate
+structurally, with no simplification.
 
 ``value_and_jacobian_many`` returns the values together with the
 Jacobians ``jac[k, i, j] = dX_i/dx_j``, under the same checks.  Fields
@@ -94,7 +96,11 @@ class Domain:
         """Mask over the last axis of ``points``: which points lie in the domain."""
         if self.radius is None:
             return np.ones(np.shape(points)[:-1], dtype=bool)
-        return np.linalg.norm(points, axis=-1) <= self.radius * (1.0 + _BALL_SLACK)
+        # hypot overflows only where the norm itself does, and an infinite
+        # norm is outside any ball; np.linalg.norm squares the entries first.
+        with np.errstate(over="ignore"):
+            norms = np.hypot.reduce(points, axis=-1)
+        return norms <= self.radius * (1.0 + _BALL_SLACK)
 
     def contains_all(self, points: np.ndarray) -> bool:
         return self.radius is None or bool(np.all(self.contains(points)))
@@ -138,11 +144,14 @@ class VectorField:
         # _fd_derivatives gives dX_j/dx_i at [k, i, j]; the Jacobian is its transpose.
         return values[:, 0], _fd_derivatives(values[:, 1:], steps).transpose(0, 2, 1)
 
-    def _checked_call(self, points, method):
-        """Run ``method`` on checked points; returns the points and its output.
+    def _checked_points(self, points) -> np.ndarray:
+        """``points`` as an (m, n) float array of finite points of the domain.
 
-        Overflow and invalid operations inside the call are silent: every
-        non-finite result is raised by the caller as NonFiniteValueError.
+        The package's one point-array check: a wrong shape raises
+        DimensionMismatchError, a NaN or infinite coordinate
+        NonFiniteValueError, a point outside the domain DomainError, and an
+        empty (0, n) array passes.  The domain holds the segment [0, x]
+        whenever it holds x, so a checked point is also a checked ray.
         """
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
@@ -151,11 +160,20 @@ class VectorField:
             )
         if not np.isfinite(pts).all():
             raise NonFiniteValueError("points contain NaN or infinite coordinates")
+        if not self.domain.contains_all(pts):
+            raise DomainError(
+                f"point outside the field's domain (ball radius {self.domain.radius})"
+            )
+        return pts
+
+    def _checked_call(self, points, method):
+        """Run ``method`` on checked points; returns the points and its output.
+
+        Overflow and invalid operations inside the call are silent: every
+        non-finite result is raised by the caller as NonFiniteValueError.
+        """
+        pts = self._checked_points(points)
         with np.errstate(all="ignore"):
-            if not self.domain.contains_all(pts):
-                raise DomainError(
-                    f"point outside the field's domain (ball radius {self.domain.radius})"
-                )
             return pts, method(pts)
 
     def _checked_array(self, pts, out, shape, what):

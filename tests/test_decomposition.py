@@ -6,9 +6,11 @@ import pytest
 from presnov import (
     BallRestrictedField,
     CallableField,
+    ConfigError,
     ConservativePart,
     DimensionMismatchError,
     DomainError,
+    NonFiniteValueError,
     QuadratureConfig,
     ScaledField,
     SphereInvariantPart,
@@ -363,6 +365,44 @@ def test_potentials_reject_points_just_outside_the_ball():
         potential_many(field, [[1.002, 0.0]])
     with pytest.raises(DomainError):
         decompose_many(field, [[0.5, 0.0], [1.002, 0.0]])
+
+
+# Every entry point that takes a point array, as a call on (field, points)
+# returning its main array, with that array's shape per point; None for
+# verify_decomposition, whose report has no empty form.
+_POINT_ENTRIES = {
+    "evaluate_many": (lambda f, p: f.evaluate_many(p), (2,)),
+    "value_and_jacobian_many": (lambda f, p: f.value_and_jacobian_many(p)[1], (2, 2)),
+    "potential_many": (lambda f, p: potential_many(f, p)[0], ()),
+    "gradient_potential_many": (gradient_potential_many, (2,)),
+    "gradient_potential_integral_many": (gradient_potential_integral_many, (2,)),
+    "decompose_many": (lambda f, p: decompose_many(f, p).sphere_invariant, (2,)),
+    "ConservativePart": (lambda f, p: ConservativePart(f).evaluate_many(p), (2,)),
+    "SphereInvariantPart": (lambda f, p: SphereInvariantPart(f).evaluate_many(p), (2,)),
+    "verify_decomposition": (verify_decomposition, None),
+}
+
+_POINT_DEFECTS = {
+    "wrong shape": (np.zeros((1, 3)), DimensionMismatchError),
+    "NaN": (np.array([[np.nan, 0.0]]), NonFiniteValueError),
+    "inf": (np.array([[0.0, -np.inf]]), NonFiniteValueError),
+    "outside the domain": (np.array([[0.0, 2.0]]), DomainError),
+    "empty": (np.zeros((0, 2)), None),
+}
+
+
+@pytest.mark.parametrize("defect", _POINT_DEFECTS)
+@pytest.mark.parametrize("entry", _POINT_ENTRIES)
+def test_every_point_array_follows_one_rule(entry, defect):
+    call, shape = _POINT_ENTRIES[entry]
+    points, error = _POINT_DEFECTS[defect]
+    field = BallRestrictedField(catalog_field("identity", 2).field, 1.0)
+    if error is None and shape is not None:
+        assert call(field, points).shape == (0, *shape)
+    else:
+        # verify_decomposition refuses an empty sample: it has no worst residual.
+        with pytest.raises(error or ConfigError):
+            call(field, points)
 
 
 def test_fd_route_refines_each_entry_on_its_own():

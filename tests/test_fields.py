@@ -377,6 +377,15 @@ def test_ball_restriction_enforced():
         field.evaluate([2.0, 0.0])
 
 
+def test_ball_membership_does_not_overflow():
+    # |(1e200, 1e200)| = 1.4e200 lies inside a ball of radius 1e300, though
+    # the sum of squares overflows.
+    field = BallRestrictedField(catalog_field("identity", 2).field, 1e300)
+    assert np.array_equal(field.evaluate([1e200, 1e200]), [1e200, 1e200])
+    with pytest.raises(DomainError):
+        field.evaluate([1e300, 1e300])
+
+
 def test_non_finite_output_reported():
     from presnov import parse_field
 
