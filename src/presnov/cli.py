@@ -27,12 +27,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .decomposition import (
-    DEFAULT_VERIFY_THRESHOLD,
-    _check_threshold,
-    _verify_split,
-    decompose_many,
-)
+from .decomposition import DEFAULT_VERIFY_THRESHOLD, VerificationReport, verify_decomposition
 from .dsl import parse_field
 from .errors import (
     CatalogError,
@@ -184,8 +179,10 @@ def _from_flags(cls, args):
 
 # Result fields that no report carries: an equilibrium's certificate is the
 # payload's own "certificate", a probe's directions, seed and config are in
-# the report's config, and a witness carries its direction, not only its index.
+# the report's config, a witness carries its direction, not only its index,
+# and the split a verification checked is the report's "samples".
 _OMITTED = {
+    VerificationReport: ("split",),
     EquilibriumResult: ("certificate",),
     RadialProbeReport: ("directions", "seed", "config"),
     Witness: ("direction_index",),
@@ -225,8 +222,6 @@ def _base_report(command, field, source, config):
 
 def _cmd_decompose(args):
     field, source = _build_field(args)
-    # _verify_split takes a checked threshold; check it before the split runs.
-    _check_threshold(args.threshold)
     points, points_spec = _resolve_points(args, field)
     quad = _from_flags(QuadratureConfig, args)
     config = {
@@ -237,10 +232,9 @@ def _cmd_decompose(args):
     }
     report = _base_report("decompose", field, source, config)
 
-    split = decompose_many(field, points, quad)
-    verification = _verify_split(field, split, quad, args.threshold)
+    verification = verify_decomposition(field, points, quad, args.threshold)
     report["payload"] = {
-        "samples": [_payload(split.sample(i)) for i in range(points.shape[0])],
+        "samples": [_payload(verification.split.sample(i)) for i in range(points.shape[0])],
         "verification": _payload(verification),
     }
     print(

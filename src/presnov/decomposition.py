@@ -44,12 +44,14 @@ bounded on the quotient itself rather than on each potential.  The
 quotient's rounding, 4 eps max |<X(t p), p>| / h_i over the nodes seen,
 is its noise floor.
 
-``verify_decomposition`` checks a split with flat computations on the
-sample points and on the Gauss nodes t_k x of their rays; no check
-nests a quadrature inside another:
+``verify_decomposition`` is the one check of a split.  It splits the
+sample with ``decompose_many``, returns that split in its report, and
+checks it with flat computations on the sample points and on the Gauss
+nodes t_k x of their rays; no check nests a quadrature inside another:
 
 * orthogonality and radial equality are the same number,
-  <X(x) - grad H(x), x>, computed once from the split's arrays;
+  <X(x) - grad H(x), x>, which the split already holds as its
+  ``orthogonality_residuals``;
 * idempotence compares the split's grad H with the finite-difference
   gradient of H, which sees tangential (curl) errors no radial check
   can;
@@ -107,11 +109,6 @@ _MAX_COMPONENTS = 2048
 
 # Pass bound of verify_decomposition on its normalized residuals.
 DEFAULT_VERIFY_THRESHOLD = 1e-6
-
-
-def _check_threshold(threshold):
-    if not 0.0 < threshold < np.inf:
-        raise ConfigError("threshold must be positive and finite")
 
 
 def _ray_integrals(pts, rays, width, integrand, cfg, degree=None, floors=None):
@@ -402,18 +399,18 @@ class SphereInvariantPart(VectorField):
 class VerificationReport:
     """Worst normalized residuals of the split over a point sample.
 
-    Every residual is divided by (1 + |x|) (1 + |X(x)|) at its point.
-    ``max_orthogonality`` and ``max_radial_equality`` are both
-    <X(x) - grad H(x), x>, recomputed from the split's field values and
-    conservative part.  ``max_idempotence`` is |grad H(x) - G(x)|, where
-    G is the finite-difference route ``gradient_potential_many``: a
-    second split of grad H would return grad H itself, and G is that
-    conservative part obtained by differentiating H, independently of
-    the homotopy formula that produced the split.
-    ``max_residual_potential`` is the potential of the sphere-invariant
-    part, sum_k (w_k / t_k) <u(t_k x), t_k x> over one panel of
-    ``config.order`` Gauss-Legendre nodes (t_k, w_k) on [0, 1], with u
-    split off at the stacked points t_k x.
+    ``split`` is the split the report checked.  Every residual is divided
+    by (1 + |x|) (1 + |X(x)|) at its point.  ``max_orthogonality`` and
+    ``max_radial_equality`` are both <X(x) - grad H(x), x>, read from
+    ``split.orthogonality_residuals``.  ``max_idempotence`` is
+    |grad H(x) - G(x)|, where G is the finite-difference route
+    ``gradient_potential_many``: a second split of grad H would return
+    grad H itself, and G is that conservative part obtained by
+    differentiating H, independently of the homotopy formula that
+    produced the split.  ``max_residual_potential`` is the potential of
+    the sphere-invariant part, sum_k (w_k / t_k) <u(t_k x), t_k x> over
+    one panel of ``config.order`` Gauss-Legendre nodes (t_k, w_k) on
+    [0, 1], with u split off at the stacked points t_k x.
     """
 
     point_count: int
@@ -423,6 +420,7 @@ class VerificationReport:
     max_idempotence: float
     max_residual_potential: float
     passed: bool
+    split: DecompositionSet
 
 
 def verify_decomposition(
@@ -431,20 +429,13 @@ def verify_decomposition(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
     threshold: float = DEFAULT_VERIFY_THRESHOLD,
 ) -> VerificationReport:
-    _check_threshold(threshold)
+    if not 0.0 < threshold < np.inf:
+        raise ConfigError("threshold must be positive and finite")
     pts = field._checked_points(points)
     if pts.shape[0] == 0:
         # The report is a set of maxima, and an empty sample has none.
         raise ConfigError("verify_decomposition needs at least one point")
-    return _verify_split(field, decompose_many(field, pts, config), config, threshold)
-
-
-def _verify_split(field, split, cfg, threshold):
-    """The checks of ``verify_decomposition`` on a split already computed.
-
-    The caller checks ``threshold`` before it computes the split.
-    """
-    pts = split.points
+    split = decompose_many(field, pts, config)
     m, n = pts.shape
     # Row norms by hypot, which overflows only where the norm itself does;
     # np.linalg.norm squares the entries first.
@@ -452,18 +443,17 @@ def _verify_split(field, split, cfg, threshold):
         scale = (1.0 + np.hypot.reduce(pts, axis=1)) * (
             1.0 + np.hypot.reduce(split.field_values, axis=1)
         )
-    radial = np.einsum("ij,ij->i", split.field_values - split.conservative, pts)
-    max_orth = max_radial = float(np.max(np.abs(radial) / scale))
+    max_orth = max_radial = float(np.max(np.abs(split.orthogonality_residuals) / scale))
 
-    grad_fd = gradient_potential_many(field, pts, cfg)
+    grad_fd = gradient_potential_many(field, pts, config)
     idem = np.hypot.reduce(split.conservative - grad_fd, axis=1)
     max_idem = float(np.max(idem / scale))
 
     # <u(t x), x> = <u(t x), t x> / t on every node of the ray.  The split
     # of the stacked nodes needs no potentials at the nodes themselves.
-    ts, ws = _unit_nodes(cfg.order)
+    ts, ws = _unit_nodes(config.order)
     nodes = (ts[:, None, None] * pts[None, :, :]).reshape(-1, n)
-    u_nodes = field.evaluate_many(nodes) - gradient_potential_integral_many(field, nodes, cfg)
+    u_nodes = field.evaluate_many(nodes) - gradient_potential_integral_many(field, nodes, config)
     on_rays = np.einsum("ij,ij->i", u_nodes, nodes).reshape(ts.size, m)
     residual_potentials = (ws / ts) @ on_rays
     max_res_pot = float(np.max(np.abs(residual_potentials) / scale))
@@ -479,4 +469,5 @@ def _verify_split(field, split, cfg, threshold):
         max_idempotence=max_idem,
         max_residual_potential=max_res_pot,
         passed=passed,
+        split=split,
     )

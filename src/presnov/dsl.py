@@ -57,8 +57,8 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import NonFiniteValueError, ParseError
-from .fields import VectorField
+from .errors import DimensionMismatchError, NonFiniteValueError, ParseError
+from .fields import VectorField, _float_array
 from .sampling import _as_integer
 
 __all__ = [
@@ -487,9 +487,30 @@ def _eval_raw(node, points, arith=_Reals):
     raise TypeError(f"not an expression node: {node!r}")
 
 
+def _variable_count(node):
+    """The number of coordinates ``node`` reads: its highest variable index + 1."""
+    kind = type(node)
+    if kind is Var:
+        return node.index + 1
+    if kind is Unary:
+        return _variable_count(node.operand)
+    if kind is Binary:
+        return max(_variable_count(node.left), _variable_count(node.right))
+    return 0
+
+
 def evaluate_ast(node: Expr, point) -> float:
-    """Evaluate one AST at a point; raises NonFiniteValueError on NaN/inf."""
-    x = np.atleast_1d(np.asarray(point, dtype=float))
+    """Evaluate one AST at a point; raises NonFiniteValueError on NaN/inf.
+
+    The point is a vector of real numbers (a scalar for one variable) with
+    at least as many coordinates as the highest variable the AST reads;
+    anything else raises DimensionMismatchError.
+    """
+    needed = _variable_count(node)
+    expected = f"expected a vector of at least {needed} real number(s)"
+    x = np.atleast_1d(_float_array(point, expected, DimensionMismatchError))
+    if x.ndim != 1 or x.size < needed:
+        raise DimensionMismatchError(f"{expected}, got shape {x.shape}")
     with np.errstate(all="ignore"):
         value = float(_eval_raw(node, x[None, :])[0])
     if not math.isfinite(value):

@@ -69,6 +69,20 @@ _BALL_SLACK = 1e-9
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 
 
+def _float_array(value, message, error=CatalogError):
+    """``value`` as a float array; ``error(message)`` unless it is a
+    rectangular array of real numbers.  Complex numbers and text are
+    refused, which numpy would convert by dropping imaginary parts or by
+    parsing the text."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "cSU":
+            raise TypeError
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise error(message) from None
+
+
 @dataclass(frozen=True)
 class Domain:
     """All of R^n (radius=None) or the closed origin-centered ball."""
@@ -147,17 +161,16 @@ class VectorField:
     def _checked_points(self, points) -> np.ndarray:
         """``points`` as an (m, n) float array of finite points of the domain.
 
-        The package's one point-array check: a wrong shape raises
-        DimensionMismatchError, a NaN or infinite coordinate
-        NonFiniteValueError, a point outside the domain DomainError, and an
-        empty (0, n) array passes.  The domain holds the segment [0, x]
+        The package's one point-array check: a wrong shape, or anything but
+        a rectangular array of real numbers, raises DimensionMismatchError,
+        a NaN or infinite coordinate NonFiniteValueError, a point outside
+        the domain DomainError, and an empty (0, n) array passes.  The domain holds the segment [0, x]
         whenever it holds x, so a checked point is also a checked ray.
         """
-        pts = np.asarray(points, dtype=float)
+        expected = f"expected points of shape (m, {self.dimension})"
+        pts = _float_array(points, f"{expected} of real numbers", DimensionMismatchError)
         if pts.ndim != 2 or pts.shape[1] != self.dimension:
-            raise DimensionMismatchError(
-                f"expected points of shape (m, {self.dimension}), got {pts.shape}"
-            )
+            raise DimensionMismatchError(f"{expected}, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise NonFiniteValueError("points contain NaN or infinite coordinates")
         if not self.domain.contains_all(pts):
@@ -204,11 +217,10 @@ class VectorField:
 
     def _point_row(self, point) -> np.ndarray:
         """One point of shape (n,) as a (1, n) array."""
-        x = np.asarray(point, dtype=float)
+        expected = f"expected a single point of shape ({self.dimension},)"
+        x = _float_array(point, f"{expected} of real numbers", DimensionMismatchError)
         if x.ndim != 1 or x.shape[0] != self.dimension:
-            raise DimensionMismatchError(
-                f"expected a single point of shape ({self.dimension},), got {x.shape}"
-            )
+            raise DimensionMismatchError(f"{expected}, got {x.shape}")
         return x[None, :]
 
     def evaluate(self, point) -> np.ndarray:
@@ -305,9 +317,10 @@ class ShiftedField(VectorField):
     """The field plus a constant vector."""
 
     def __init__(self, inner: VectorField, offset):
-        b = np.asarray(offset, dtype=float)
+        message = "shift vector dimension does not match the field"
+        b = _float_array(offset, message, DimensionMismatchError)
         if b.ndim != 1 or b.shape[0] != inner.dimension:
-            raise DimensionMismatchError("shift vector dimension does not match the field")
+            raise DimensionMismatchError(message)
         if not np.isfinite(b).all():
             raise NonFiniteValueError("shift vector must be finite")
         super().__init__(inner.dimension, f"shift({inner.label}, {b.tolist()})", inner.domain)
@@ -470,14 +483,6 @@ def _identity_entry(dimension, params):
     return _affine_entry(
         "identity", n, np.eye(n), np.zeros(n), "identity", "X(x) = x; purely conservative."
     )
-
-
-def _float_array(value, message):
-    """``value`` as a float array; CatalogError(message) if ragged or not numeric."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise CatalogError(message) from None
 
 
 def _constant_entry(dimension, params):

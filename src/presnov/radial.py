@@ -44,8 +44,8 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConservativePart
-from .errors import ConfigError, DomainError
-from .fields import VectorField, _radial_values
+from .errors import ConfigError, DimensionMismatchError, DomainError
+from .fields import VectorField, _float_array, _radial_values
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
 from .sampling import DEFAULT_SEED, _check_integer_fields, _check_radius, _check_seed
 from .sampling import default_direction_count, unit_directions
@@ -197,7 +197,8 @@ def _check_certificate_settings(threshold, samples):
 def radial_profile(field: VectorField, radius: float, directions) -> np.ndarray:
     """Profile values <X(r d), r d> / r for each unit direction d."""
     _check_radius(radius)
-    dirs = np.asarray(directions, dtype=float)
+    message = "directions must be a rectangular array of real numbers"
+    dirs = _float_array(directions, message, DimensionMismatchError)
     return _radial_values(field, radius * dirs) / radius
 
 

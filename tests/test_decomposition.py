@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -28,7 +26,6 @@ from presnov import (
     verify_decomposition,
 )
 from presnov import decomposition
-from presnov.decomposition import _verify_split
 from presnov.quadrature import DEFAULT_QUADRATURE
 from presnov.radial import boundary_certificate
 from presnov.sampling import ball_points
@@ -175,26 +172,35 @@ def _cyclic_cubic(p):
     return p**3 + 0.3 * np.roll(p, -1, axis=1)
 
 
-def test_verify_catches_broken_splits():
+def test_verify_catches_broken_splits(monkeypatch):
     field = CallableField(3, _cyclic_cubic)
     points = ball_points(3, 12, 3.0, seed=4)
-    split = decompose_many(field, points)
     threshold = 1e-6
-    assert _verify_split(field, split, DEFAULT_QUADRATURE, threshold).passed
+    assert verify_decomposition(field, points, DEFAULT_QUADRATURE, threshold).passed
+    homotopy_gradient = decomposition._homotopy_gradient
 
-    # A mis-scaled gradient breaks the radial identities, even though the
-    # split's stored residuals still describe the unscaled one.
-    scaled = dataclasses.replace(split, conservative=1.01 * split.conservative)
-    report = _verify_split(field, scaled, DEFAULT_QUADRATURE, threshold)
+    def broken(change):
+        def gradient(field, pts, cfg):
+            grads, errors = homotopy_gradient(field, pts, cfg)
+            return change(grads, pts), errors
+
+        monkeypatch.setattr(decomposition, "_homotopy_gradient", gradient)
+
+    # A mis-scaled gradient breaks the radial identities.
+    broken(lambda grads, pts: 1.01 * grads)
+    report = verify_decomposition(field, points, DEFAULT_QUADRATURE, threshold)
     assert not report.passed
     assert report.max_radial_equality > threshold
     assert report.max_orthogonality > threshold
 
-    # A tangential (curl) error is invisible to every radial check; only
-    # the comparison with the integral route sees it.
-    curl = np.stack([-points[:, 1], points[:, 0], np.zeros(len(points))], axis=1)
-    twisted = dataclasses.replace(split, conservative=split.conservative + 1e-3 * curl)
-    report = _verify_split(field, twisted, DEFAULT_QUADRATURE, threshold)
+    # A tangential (curl) error is invisible to every radial check, and to
+    # the residual potential, whose nodes t x are orthogonal to it too;
+    # only the comparison with the finite-difference route sees it.
+    def curled(grads, pts):
+        return grads + 1e-3 * np.stack([-pts[:, 1], pts[:, 0], np.zeros(len(pts))], axis=1)
+
+    broken(curled)
+    report = verify_decomposition(field, points, DEFAULT_QUADRATURE, threshold)
     assert not report.passed
     assert report.max_idempotence > threshold
     assert report.max_orthogonality <= 1e-9
@@ -205,13 +211,12 @@ def test_verify_fails_on_a_nan_maximum(monkeypatch):
     # A NaN idempotence residual must fail verification, also when it is
     # not the first of the four maxima (Python's max skips such a NaN).
     field = catalog_field("identity", 2).field
-    split = decompose_many(field, [[1.0, 0.5], [0.3, -2.0]])
 
     def gradient_with_nan_row(field, pts, cfg):
         return np.where(np.arange(len(pts))[:, None] == 1, np.nan, pts)
 
     monkeypatch.setattr(decomposition, "gradient_potential_many", gradient_with_nan_row)
-    report = _verify_split(field, split, DEFAULT_QUADRATURE, 1e-6)
+    report = verify_decomposition(field, [[1.0, 0.5], [0.3, -2.0]], DEFAULT_QUADRATURE, 1e-6)
     assert np.isnan(report.max_idempotence)
     assert report.max_orthogonality <= 1e-12
     assert not report.passed
@@ -384,6 +389,10 @@ _POINT_ENTRIES = {
 
 _POINT_DEFECTS = {
     "wrong shape": (np.zeros((1, 3)), DimensionMismatchError),
+    "ragged": ([[0.0, 0.5], [0.5]], DimensionMismatchError),
+    "not numeric": ([["a", 0.5]], DimensionMismatchError),
+    "text": ([["0.5", "0.0"]], DimensionMismatchError),
+    "complex": (np.array([[0.5j, 0.0]]), DimensionMismatchError),
     "NaN": (np.array([[np.nan, 0.0]]), NonFiniteValueError),
     "inf": (np.array([[0.0, -np.inf]]), NonFiniteValueError),
     "outside the domain": (np.array([[0.0, 2.0]]), DomainError),

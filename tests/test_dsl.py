@@ -14,7 +14,7 @@ from presnov.dsl import (
     parse_field,
     pretty,
 )
-from presnov.errors import NonFiniteValueError, ParseError
+from presnov.errors import DimensionMismatchError, NonFiniteValueError, ParseError
 
 
 def test_parse_field_rotation_semantics():
@@ -45,6 +45,16 @@ def test_evaluate_ast_product_plus_one():
 def test_evaluate_ast_sin_zero():
     ast = parse_expression("sin(x1)", 1)
     assert evaluate_ast(ast, [0.0]) == 0.0
+
+
+def test_evaluate_ast_refuses_a_point_it_cannot_read():
+    # Too few coordinates for x3, and a point that is not a vector.
+    with pytest.raises(DimensionMismatchError):
+        evaluate_ast(parse_expression("x3", 3), [1.0])
+    with pytest.raises(DimensionMismatchError):
+        evaluate_ast(parse_expression("x1", 1), [[1.0], [2.0]])
+    # A scalar stays a point of a one-variable expression.
+    assert evaluate_ast(parse_expression("x1 + 1", 1), 2.0) == 3.0
 
 
 def test_evaluate_ast_division_by_zero_is_non_finite():

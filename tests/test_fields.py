@@ -370,6 +370,12 @@ def test_evaluate_rejects_wrong_dimension_and_nonfinite():
         field.evaluate([np.nan, 0.0])
 
 
+def test_shift_vector_must_be_a_real_vector():
+    # numpy's own ValueError is no PresnovError.
+    with pytest.raises(DimensionMismatchError):
+        ShiftedField(catalog_field("identity", 2).field, [[1.0], 2.0])
+
+
 def test_ball_restriction_enforced():
     field = BallRestrictedField(catalog_field("identity", 2).field, 1.0)
     assert np.array_equal(field.evaluate([0.5, 0.5]), [0.5, 0.5])

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from presnov import (
     BallRestrictedField,
     CallableField,
+    DimensionMismatchError,
     DomainError,
     ProbeConfig,
     ScaledField,
@@ -52,6 +53,12 @@ def test_radial_profile_cubic():
     field = catalog_field("cubic_radial", 3).field
     dirs = unit_directions(3, 16, seed=2)
     assert np.allclose(radial_profile(field, 3.0, dirs), 27.0, rtol=1e-12)
+
+
+def test_radial_profile_refuses_ragged_directions():
+    field = catalog_field("identity", 2).field
+    with pytest.raises(DimensionMismatchError):
+        radial_profile(field, 1.0, [[1.0, 0.0], [1.0]])
 
 
 def test_probe_identity_coercive():
