@@ -7,9 +7,13 @@ Subcommands
                  constant-perturbation workflow (--perturb)
 
 One JSON report (report_version 1) is written to stdout (or --out); a
-short human-readable summary goes to stderr.  All randomness sits behind
---seed, and repeated invocations with identical flags produce identical
-reports except for the "timing" field.
+short human-readable summary goes to stderr.  ``main`` builds what every
+report shares: the field, the quadrature config and the report's
+version, tool, command, field, config (quadrature and seed) and
+warnings.  Each subcommand's handler then adds only its own config and
+payload, and returns the exit code.  All randomness sits behind --seed,
+and repeated invocations with identical flags produce identical reports
+except for the "timing" field.
 
 Exit codes: 0 success, 2 parse/usage error, 3 numeric failure,
 4 internal-identity violation, 5 certificate failure.
@@ -78,6 +82,15 @@ def _parse_floats(text, flag):
     raise ConfigError(f"{flag} expects comma-separated finite numbers, got {text!r}")
 
 
+def _read_text(path, what):
+    """The text of a UTF-8 file, newlines translated as by ``open``."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise ConfigError(f"{what} {path!r} is not UTF-8 text") from None
+
+
 def _build_field(args):
     sources = [s for s in (args.catalog, args.expr, args.field_file) if s is not None]
     if len(sources) != 1:
@@ -110,8 +123,7 @@ def _build_field(args):
         field = parse_field(args.expr, args.dim)
         source = {"kind": "expr", "text": args.expr}
     else:
-        with open(args.field_file, encoding="utf-8") as handle:
-            text = handle.read()
+        text = _read_text(args.field_file, "field file")
         field = parse_field(text, args.dim)
         source = {"kind": "file", "path": args.field_file, "text": text}
     if args.shift is not None:
@@ -129,12 +141,8 @@ def _resolve_points(args, field):
         pts = np.array([point])
         spec = {"kind": "at", "point": point}
     elif args.points_file is not None:
-        rows = []
-        with open(args.points_file, encoding="utf-8") as handle:
-            for line in handle:
-                line = line.strip()
-                if line:
-                    rows.append(_parse_floats(line, "points file line"))
+        lines = _read_text(args.points_file, "points file").split("\n")
+        rows = [_parse_floats(line.strip(), "points file line") for line in lines if line.strip()]
         if not rows:
             raise ConfigError(f"points file {args.points_file!r} contains no points")
         if len({len(row) for row in rows}) > 1:
@@ -153,18 +161,9 @@ def _resolve_points(args, field):
     return pts, spec
 
 
-def _json_default(obj):
-    # ndarray.tolist() and np.generic.item() give the matching Python types.
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
-
-
 def _emit(report, args, elapsed):
     report["timing"] = {"seconds": elapsed}
-    text = json.dumps(report, indent=2, sort_keys=True, default=_json_default) + "\n"
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -196,7 +195,8 @@ _RENAMED = {
 
 def _payload(result):
     """A result dataclass as a report object: its fields, with nested
-    results in turn, less those that are None or listed in ``_OMITTED``."""
+    results in turn, less those that are None or listed in ``_OMITTED``.
+    An array or numpy scalar field becomes Python data."""
     omitted = _OMITTED.get(type(result), ())
     payload = {}
     for f in dataclasses.fields(result):
@@ -205,33 +205,15 @@ def _payload(result):
             continue
         if dataclasses.is_dataclass(value):
             value = _payload(value)
+        elif isinstance(value, (np.ndarray, np.generic)):
+            value = value.tolist()
         payload[_RENAMED.get(f.name, f.name)] = value
     return payload
 
 
-def _base_report(command, field, source, config):
-    return {
-        "report_version": 1,
-        "tool": {"name": "presnov", "version": __version__},
-        "command": command,
-        "field": {"label": field.label, "dimension": field.dimension, "source": source},
-        "config": config,
-        "warnings": [],
-    }
-
-
-def _cmd_decompose(args):
-    field, source = _build_field(args)
-    points, points_spec = _resolve_points(args, field)
-    quad = _from_flags(QuadratureConfig, args)
-    config = {
-        "points": points_spec,
-        "quadrature": dataclasses.asdict(quad),
-        "threshold": args.threshold,
-        "seed": args.seed,
-    }
-    report = _base_report("decompose", field, source, config)
-
+def _cmd_decompose(args, field, quad, report):
+    points, report["config"]["points"] = _resolve_points(args, field)
+    report["config"]["threshold"] = args.threshold
     verification = verify_decomposition(field, points, quad, args.threshold)
     report["payload"] = {
         "samples": [_payload(verification.split.sample(i)) for i in range(points.shape[0])],
@@ -243,20 +225,14 @@ def _cmd_decompose(args):
         f"verification {'PASS' if verification.passed else 'FAIL'}",
         file=sys.stderr,
     )
-    return report, EXIT_OK if verification.passed else EXIT_IDENTITY
+    return EXIT_OK if verification.passed else EXIT_IDENTITY
 
 
-def _cmd_coercivity(args):
-    field, source = _build_field(args)
+def _cmd_coercivity(args, field, quad, report):
     probe_cfg = _from_flags(ProbeConfig, args)
-    quad = _from_flags(QuadratureConfig, args)
-    config = {
-        "probe": dataclasses.asdict(probe_cfg)
-        | {"directions": probe_cfg.direction_count(field.dimension)},
-        "quadrature": dataclasses.asdict(quad),
-        "seed": args.seed,
+    report["config"]["probe"] = dataclasses.asdict(probe_cfg) | {
+        "directions": probe_cfg.direction_count(field.dimension)
     }
-    report = _base_report("coercivity", field, source, config)
     paired = paired_probe(field, probe_cfg, quad)
     report["payload"] = _payload(paired)
     print(
@@ -270,24 +246,18 @@ def _cmd_coercivity(args):
             "verdicts for the field and its conservative part disagree; this "
             "violates the radial equality and indicates an internal defect"
         )
-        return report, EXIT_IDENTITY
-    return report, EXIT_OK
+        return EXIT_IDENTITY
+    return EXIT_OK
 
 
-def _cmd_equilibria(args):
-    field, source = _build_field(args)
+def _cmd_equilibria(args, field, quad, report):
     if (args.radius is None) == (args.perturb is None):
         raise ConfigError("specify exactly one of --radius or --perturb")
-    quad = _from_flags(QuadratureConfig, args)
     solver = _from_flags(SolverConfig, args)
-    config = {
-        "solver": dataclasses.asdict(solver),
-        "quadrature": dataclasses.asdict(quad),
-        "certificate_samples": args.cert_samples,
-        "certificate_threshold": args.cert_threshold,
-        "seed": args.seed,
-    }
-    report = _base_report("equilibria", field, source, config)
+    config = report["config"]
+    config["solver"] = dataclasses.asdict(solver)
+    config["certificate_samples"] = args.cert_samples
+    config["certificate_threshold"] = args.cert_threshold
 
     if args.radius is not None:
         config["radius"] = args.radius
@@ -310,7 +280,7 @@ def _cmd_equilibria(args):
                 f"(min radial {certificate.min_radial:.3e})",
                 file=sys.stderr,
             )
-            return report, EXIT_CERTIFICATE
+            return EXIT_CERTIFICATE
         result_x = find_equilibrium(
             field, args.radius, solver, certificate=certificate,
             allow_uncertified=args.allow_uncertified,
@@ -352,7 +322,7 @@ def _cmd_equilibria(args):
         f"{'ok' if result_g.success else 'FAILED'} (residual {result_g.residual:.3e})",
         file=sys.stderr,
     )
-    return report, EXIT_OK if result_x.success and result_g.success else EXIT_NUMERIC
+    return EXIT_OK if result_x.success and result_g.success else EXIT_NUMERIC
 
 
 def _add_field_arguments(parser):
@@ -435,7 +405,17 @@ def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     started = time.perf_counter()
     try:
-        report, code = args.handler(args)
+        field, source = _build_field(args)
+        quad = _from_flags(QuadratureConfig, args)
+        report = {
+            "report_version": 1,
+            "tool": {"name": "presnov", "version": __version__},
+            "command": args.command,
+            "field": {"label": field.label, "dimension": field.dimension, "source": source},
+            "config": {"quadrature": dataclasses.asdict(quad), "seed": args.seed},
+            "warnings": [],
+        }
+        code = args.handler(args, field, quad, report)
         _emit(report, args, time.perf_counter() - started)
     # OSError comes only from reading --field-file or --points-file or from
     # writing --out, and DimensionMismatchError only from a point or vector

@@ -126,7 +126,14 @@ FUNCTIONS = {
 
 _LITERALS = {"pi": math.pi, "e": math.e}
 _VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
+# The parser recurses once per parenthesis, unary minus and '^' it enters,
+# and every AST walker (evaluation, pretty-printing, the ray degree) once
+# per level of the tree, where each operator of a '+ -' or '* /' chain is a
+# level too.  Both bounds leave headroom below Python's recursion limit of
+# 1000 for the caller's own frames: the test suite, under pytest and
+# hypothesis, starts a walker about 70 frames deep.
 _MAX_DEPTH = 200
+_MAX_HEIGHT = 500
 
 
 # ---------------------------------------------------------------------------
@@ -294,6 +301,15 @@ def _segment_count(tokens):
     return count
 
 
+def _height(node):
+    """The number of levels of ``node``'s tree, counted without recursion."""
+    height, level = 0, [node]
+    while level:
+        height += 1
+        level = [child for n in level for child in vars(n).values() if isinstance(child, Expr)]
+    return height
+
+
 def _parse_segments(tokens, dimension):
     """The expressions of the non-blank segments of ``tokens``, in order."""
     parser = _Parser(tokens, dimension)
@@ -303,7 +319,10 @@ def _parse_segments(tokens, dimension):
             parser.advance()
         if parser.peek().kind == "eof":
             return exprs
+        first = parser.peek()
         exprs.append(parser.expr())
+        if _height(exprs[-1]) > _MAX_HEIGHT:
+            parser.error("expression nests too deeply", first)
         trailing = parser.peek()
         if trailing.kind not in ("sep", "eof"):
             parser.error(f"unexpected {trailing.text!r} after expression")

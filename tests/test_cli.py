@@ -311,6 +311,9 @@ def test_shift_flag(capsys):
          "--radius-count", "4", "--directions", "8"],
         ["coercivity", "--catalog", "identity", "--dim", "2", "--initial-radius", "inf"],
         ["coercivity", "--catalog", "identity", "--dim", "2", "--radius-factor", "inf"],
+        ["decompose", "--field-file", "{latin1}", "--at", "1"],
+        ["decompose", "--catalog", "identity", "--dim", "2", "--points-file", "{latin1}"],
+        ["decompose", "--expr", "+".join(["x1"] * 3000) + "; x2", "--at", "1,0"],
     ],
 )
 def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
@@ -318,7 +321,9 @@ def test_bad_flag_values_are_usage_errors(argv, tmp_path, capsys):
     ragged.write_text("1,2\n3\n", encoding="utf-8")
     column = tmp_path / "column.txt"
     column.write_text("1\n2\n", encoding="utf-8")
-    argv = [arg.format(dir=tmp_path, ragged=ragged, column=column) for arg in argv]
+    latin1 = tmp_path / "latin1.txt"
+    latin1.write_bytes(b"x1\xff\n")
+    argv = [arg.format(dir=tmp_path, ragged=ragged, column=column, latin1=latin1) for arg in argv]
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

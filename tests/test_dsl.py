@@ -134,6 +134,14 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
         parse_expression("(" * 500 + "1" + ")" * 500, 1)
     with pytest.raises(ParseError, match="nests too deeply"):
         parse_expression("-" * 5000 + "1", 1)
+    # Each operator of a '+' chain is a level, and so is the depth of its
+    # parenthesized left operand.
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_expression("+".join(["x1"] * 3000), 1)
+    chain = "+".join(["x1"] * 600)
+    with pytest.raises(ParseError, match="nests too deeply"):
+        parse_field(f"({chain}) + {chain}")
+    assert evaluate_ast(parse_expression("+".join(["x1"] * 100), 1), [0.5]) == 50.0
 
 
 def test_blank_segments_are_skipped():

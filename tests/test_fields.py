@@ -9,6 +9,7 @@ from presnov import (
     DimensionMismatchError,
     Domain,
     DomainError,
+    ExpressionField,
     NonFiniteValueError,
     ParseError,
     ProbeConfig,
@@ -27,6 +28,7 @@ from presnov import (
     potential_many,
     radial_component,
 )
+from presnov.dsl import Const
 from presnov.sampling import ball_points, unit_directions
 
 
@@ -250,6 +252,10 @@ def test_catalog_errors():
         catalog_field("linear", matrix=[[1, 2], [3]])
     with pytest.raises(CatalogError):
         catalog_field("constant", value=[[1], [2, 3]])
+    with pytest.raises(CatalogError, match="needs a 'value' vector"):
+        catalog_field("constant")
+    with pytest.raises(CatalogError, match=r"does not accept parameter\(s\): foo"):
+        catalog_field("identity", 2, foo=1)
     assert "identity" in catalog_names()
 
 
@@ -362,6 +368,57 @@ def test_callable_field_rejects_a_negative_ray_degree():
         CallableField(2, _identity, ray_degree=-1)
 
 
+# Refusals of the domain, field and expression constructors, each with its
+# error class and message.
+_NAN, _INF = float("nan"), float("inf")
+_IDENTITY2 = catalog_field("identity", 2).field
+_BALL_RADIUS = "ball radius must be finite and positive"
+_REFUSALS = {
+    "Domain.dimension": (
+        lambda: Domain(0), DimensionMismatchError, "dimension must be at least 1"
+    ),
+    "Domain.radius=0": (lambda: Domain(2, 0.0), DomainError, _BALL_RADIUS),
+    "Domain.radius=-1": (lambda: Domain(2, -1.0), DomainError, _BALL_RADIUS),
+    "Domain.radius=inf": (lambda: Domain(2, _INF), DomainError, _BALL_RADIUS),
+    "Domain.radius=nan": (lambda: Domain(2, _NAN), DomainError, _BALL_RADIUS),
+    "Domain.intersect": (
+        lambda: Domain(2).intersect(Domain(3)),
+        DimensionMismatchError,
+        "domains have different dimensions",
+    ),
+    "CallableField.dimension": (
+        lambda: CallableField(0, _identity),
+        DimensionMismatchError,
+        "field dimension must be at least 1",
+    ),
+    "CallableField.domain": (
+        lambda: CallableField(2, _identity, domain=Domain(3)),
+        DimensionMismatchError,
+        "domain dimension does not match field dimension",
+    ),
+    "ScaledField.factor": (
+        lambda: ScaledField(_INF, _IDENTITY2), NonFiniteValueError, "scale factor must be finite"
+    ),
+    "ShiftedField.offset": (
+        lambda: ShiftedField(_IDENTITY2, [_NAN, 0.0]),
+        NonFiniteValueError,
+        "shift vector must be finite",
+    ),
+    "parse_expression.segments": (
+        lambda: parse_expression("x1; x2", 2), ParseError, "expected exactly one expression"
+    ),
+    "ExpressionField.expressions": (
+        lambda: ExpressionField(2, [Const(1.0)]), ParseError, "expected 2 expressions, found 1"
+    ),
+}
+
+
+@pytest.mark.parametrize("build, error, message", _REFUSALS.values(), ids=_REFUSALS)
+def test_constructors_refuse_bad_arguments(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_evaluate_rejects_wrong_dimension_and_nonfinite():
     field = catalog_field("identity", 2).field
     with pytest.raises(DimensionMismatchError):
@@ -381,6 +438,13 @@ def test_ball_restriction_enforced():
     assert np.array_equal(field.evaluate([0.5, 0.5]), [0.5, 0.5])
     with pytest.raises(DomainError):
         field.evaluate([2.0, 0.0])
+
+
+def test_nested_domains_keep_the_smaller_ball():
+    identity = catalog_field("identity", 2).field
+    inner = BallRestrictedField(identity, 2.0)
+    assert BallRestrictedField(inner, 1.0).domain == Domain(2, 1.0)
+    assert SumField(inner, identity).domain == Domain(2, 2.0)
 
 
 def test_ball_membership_does_not_overflow():
