@@ -16,20 +16,29 @@ Poincare lemma (differentiation under the integral sign):
 
     grad H(x) = integral over t in [0, 1] of X(t x) + t J(t x)^T x dt,
 
-with the Jacobian J from ``VectorField.value_and_jacobian_many``: exact
-for DSL and catalog fields, the central-difference stencil of ``fields``
-otherwise.  ``gradient_potential_integral_many``, ``decompose_many``,
-``ConservativePart`` and ``SphereInvariantPart`` all use it.
+``gradient_potential_integral_many``, ``decompose_many``,
+``ConservativePart`` and ``SphereInvariantPart`` all use it
+(``_homotopy_gradient``).
 
-For a field whose ``ray_degree`` d is known and whose Jacobian is exact,
-the integrand is a polynomial of degree <= d in t, and the route
-integrates it on one panel of ceil((d + 1) / 2) Gauss-Legendre nodes,
-which is exact (for polynomial fields H = sum_d <X_d(x), x> / (d + 1)
-over the homogeneous parts X_d, since <X_d(t x), x> = t^d <X_d(x), x>:
-the Poincare homotopy operator on polynomial forms).  A stencil
-Jacobian is not polynomial in t, since its step scales with |t x_i|, so
-such fields keep the adaptive scheme and its noise floor.  Potentials,
-and so the finite-difference route, always integrate adaptively.
+A polynomial field X(x) = sum_k c_k x^E_k (a field with a monomial
+table, ``VectorField.polynomial``) takes it in closed form: since
+<X_d(t x), x> = t^d <X_d(x), x> on a homogeneous part X_d,
+
+    H(x) = sum_k <c_k, x> x^E_k / (|E_k| + 1),
+
+the Poincare homotopy operator on polynomial forms (Spivak, "Calculus on
+Manifolds", ch. 4), so grad H and its Jacobian, the exact Hessian of H,
+are monomial tables too (``Polynomial.gradient_potential`` and its
+``derivative``), with no quadrature and no stencil.  The error estimate
+is the table's rounding bound, gamma sum_k |c_k| |x^E_k|; where that
+bound exceeds the quadrature tolerance max(abs_tol, rel_tol |grad H|),
+as it can for an ill-conditioned expansion such as (x1 - 1)^20 at
+x1 = 2, the point takes the adaptive route below.  Every other field
+integrates the formula adaptively, with the Jacobian J from
+``VectorField.value_and_jacobian_many``: exact for DSL and catalog
+fields, the central-difference stencil of ``fields`` otherwise, whose
+rounding noise sets the integrator's floor.  Potentials, and so the
+finite-difference route, always integrate adaptively.
 
 ``gradient_potential_many`` (central finite differences of H) is kept
 only as an independent cross-check of that route: it differentiates H
@@ -80,6 +89,7 @@ again.  ``verify_decomposition`` alone refuses an empty sample
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,7 +121,7 @@ _MAX_COMPONENTS = 2048
 DEFAULT_VERIFY_THRESHOLD = 1e-6
 
 
-def _ray_integrals(pts, rays, width, integrand, cfg, degree=None, floors=None):
+def _ray_integrals(pts, rays, width, integrand, cfg, floors=None):
     """Integrals over t in [0, 1] of ``width`` components on the rays ``pts[rays]``.
 
     Returns values and error estimates of shape (m, width), zero on the
@@ -146,7 +156,7 @@ def _ray_integrals(pts, rays, width, integrand, cfg, degree=None, floors=None):
                 cols = np.searchsorted(live, owners) * width + rows % width
 
         noise_floor = None if floors is None else lambda: floors[chunk].reshape(-1)
-        val, err = integrate_unit(f, cfg, noise_floor=noise_floor, select=select, degree=degree)
+        val, err = integrate_unit(f, cfg, noise_floor=noise_floor, select=select)
         values[chunk] = val.reshape(-1, width)
         errors[chunk] = err.reshape(-1, width)
     return values, errors
@@ -220,15 +230,16 @@ def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEF
 
 
 def _homotopy_gradient(field, pts, cfg):
-    """grad H and its quadrature error estimates at the rows of ``pts``.
+    """grad H and its error estimates at the rows of ``pts``.
 
-    The integrand is X(t x) + t J(t x)^T x, one component per gradient
-    entry.  At the origin grad H is X(0) exactly, with no integral.  A
-    polynomial field with an exact Jacobian is integrated on one exact
-    Gauss panel (module docstring).
+    A field with a monomial table takes the table of grad H, with its
+    rounding bound as the error estimate, at every point where that
+    bound meets the quadrature tolerance max(abs_tol, rel_tol |grad H|).
+    The other points integrate X(t x) + t J(t x)^T x, one component per
+    gradient entry; at the origin grad H is X(0) exactly, with no
+    integral.
     """
     m, n = pts.shape
-    noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(pts).sum(axis=1)
     floors = None if field.exact_jacobian else np.zeros((m, n))
 
     def integrand(ts, rows):
@@ -242,17 +253,28 @@ def _homotopy_gradient(field, pts, cfg):
         jac_t_x = np.matmul(xs[None, :, None, :], jac.reshape(q, b, n, n))[:, :, 0]
         if floors is not None:
             # The stencil's rounding, eps |X| / step, shared by a point's entries.
-            noise = noise_scale[rows] * np.abs(vals).max(axis=(0, 2))
+            noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(xs).sum(axis=1)
+            noise = noise_scale * np.abs(vals).max(axis=(0, 2))
             floors[rows] = np.maximum(floors[rows], noise[:, None])
         return vals + ts[:, None, None] * jac_t_x
 
+    table = field.polynomial
+    if table is None:
+        grads, errors = np.zeros((m, n)), np.zeros((m, n))
+        pending = np.ones(m, dtype=bool)
+    else:
+        with np.errstate(all="ignore"):  # overflow leaves the point to the quadrature
+            grads, errors = table.gradient_potential.value_and_bound(pts)
+            tolerance = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(grads))
+        pending = ~(errors <= tolerance).all(axis=1)
     at_origin = ~pts.any(axis=1)
-    rays = np.flatnonzero(~at_origin)
-    # A stencil Jacobian is not polynomial in t: its step depends on t x.
-    degree = field.ray_degree if field.exact_jacobian else None
-    grads, errors = _ray_integrals(pts, rays, n, integrand, cfg, degree, floors)
-    if at_origin.any():
-        grads[at_origin] = field.evaluate_many(pts[at_origin])
+    rays = np.flatnonzero(pending & ~at_origin)
+    if rays.size:
+        values, estimates = _ray_integrals(pts, rays, n, integrand, cfg, floors)
+        grads[rays], errors[rays] = values[rays], estimates[rays]
+    origin = pending & at_origin
+    if origin.any():
+        grads[origin], errors[origin] = field.evaluate_many(pts[origin]), 0.0
     return grads, errors
 
 
@@ -262,11 +284,12 @@ def gradient_potential_integral_many(
     """Gradient of the potential at each row of ``points`` by the homotopy
     formula: integrate X(t x) + t J(t x)^T x over t in [0, 1].
 
-    With an exact Jacobian the integrand is as accurate as the field
-    itself.  With the central-difference fallback it carries rounding
-    noise of order eps * |X| / step, which the quadrature can never
-    resolve below; the per-point noise estimate is then handed to the
-    integrator as its acceptance floor.
+    A field with a monomial table takes it in closed form (module
+    docstring).  With an exact Jacobian the integrand is as accurate as
+    the field itself.  With the central-difference fallback it carries
+    rounding noise of order eps * |X| / step, which the quadrature can
+    never resolve below; the per-point noise estimate is then handed to
+    the integrator as its acceptance floor.
     """
     return _homotopy_gradient(field, field._checked_points(points), config)[0]
 
@@ -290,10 +313,12 @@ class DecompositionSample:
     construction; ``orthogonality_residual`` and
     ``radial_equality_residual`` are both <u, x> = <X, x> - <grad H, x>.
     ``potential_error`` is the quadrature error estimate of ``potential``.
-    ``estimated_error`` propagates the quadrature error estimates of the
-    potential and of the homotopy-route gradient into the radial
-    diagnostics.  It is quadrature error only: with an exact Jacobian
-    there is no finite-difference truncation to add, and with the
+    ``estimated_error`` propagates the error estimates of the potential
+    and of the homotopy-route gradient into the radial diagnostics,
+    potential_error + sum_i |x_i| err_i.  The gradient's err_i is the
+    table's rounding bound where grad H comes from a monomial table, and
+    the quadrature error estimate elsewhere: with an exact Jacobian there
+    is no finite-difference truncation to add, and with the
     central-difference fallback that truncation is not included.
     """
 
@@ -360,39 +385,65 @@ def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUAD
     return decompose_many(field, field._point_row(point), config).sample(0)
 
 
-class ConservativePart(VectorField):
+class _SplitPart(VectorField):
+    """A part of the split of ``source`` as a field, named ``name``.
+
+    Of a field with a monomial table the part is tabled too, and its
+    Jacobian is that table's derivative: exact.  Otherwise the Jacobian
+    is the central-difference fallback.
+    """
+
+    def __init__(self, source: VectorField, config: QuadratureConfig, name: str):
+        super().__init__(source.dimension, f"{name}({source.label})", source.domain)
+        self.source = source
+        self.config = config
+        self.exact_jacobian = self.polynomial is not None
+
+    def _value_and_jacobian_many(self, points):
+        if self.polynomial is None:
+            return super()._value_and_jacobian_many(points)
+        return self._evaluate_many(points), self.polynomial.derivative(points)
+
+
+class ConservativePart(_SplitPart):
     """The conservative part of a field, as a field itself.
 
-    Each evaluation runs the homotopy route, so values carry that route's
-    quadrature error.  Its own Jacobian, the Hessian of H, is the
-    central-difference fallback.
+    Each evaluation runs the homotopy route (``_homotopy_gradient``), so
+    values carry that route's error.  Of a field with a monomial table
+    its table is that of grad H, and its Jacobian, the Hessian of H, is
+    exact.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
-        super().__init__(
-            source.dimension, f"conservative_part({source.label})", source.domain
-        )
-        self.source = source
-        self.config = config
+        super().__init__(source, config, "conservative_part")
+
+    @cached_property
+    def polynomial(self):
+        table = self.source.polynomial
+        return None if table is None else table.gradient_potential
 
     def _evaluate_many(self, points):
-        return gradient_potential_integral_many(self.source, points, self.config)
+        # The points passed this part's checks, and it shares the source's domain.
+        return _homotopy_gradient(self.source, points, self.config)[0]
 
 
-class SphereInvariantPart(VectorField):
-    """The sphere-invariant remainder of a field, as a field itself."""
+class SphereInvariantPart(_SplitPart):
+    """The sphere-invariant remainder of a field, as a field itself.
+
+    Of a field with a monomial table its table is that of X - grad H.
+    """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
-        super().__init__(
-            source.dimension, f"sphere_invariant_part({source.label})", source.domain
-        )
-        self.source = source
-        self.config = config
+        super().__init__(source, config, "sphere_invariant_part")
+
+    @cached_property
+    def polynomial(self):
+        table = self.source.polynomial
+        return None if table is None else table + -1.0 * table.gradient_potential
 
     def _evaluate_many(self, points):
-        return self.source.evaluate_many(points) - gradient_potential_integral_many(
-            self.source, points, self.config
-        )
+        grads = _homotopy_gradient(self.source, points, self.config)[0]
+        return self.source.evaluate_many(points) - grads
 
 
 @dataclass(frozen=True)

@@ -37,14 +37,18 @@ infinite local derivative is 0, so x1*sqrt(norm2) differentiates to 0 at
 the origin; a derivative that is still not finite, as that of sqrt(x1)
 at x1 = 0, raises NonFiniteValueError.
 
-The ray degree of a field, the degree of the polynomial t -> X(t x), is
-bounded from the AST by a static rule: a constant has degree 0, a
-variable 1 and norm2 2; negation keeps the degree, '+' and '-' take the
-max and '*' the sum; '/' by a constant subexpression keeps the degree,
-and '^' with a non-negative integer literal exponent multiplies it.
-Anything else (functions, other divisions and powers) is not known to
-be a polynomial.  The bound is never below the true degree and equals
-it unless terms cancel.
+A field's monomial table (``ExpressionField.polynomial``) is expanded
+from the AST when first asked for: a constant, a variable and norm2 are
+tables, negation, '+', '-' and '*' combine them, '/' divides by a
+constant subexpression and '^' raises to a non-negative integer literal
+exponent.  Anything else (functions, other divisions and powers) leaves
+the field without a table, and so does an expansion whose products
+would multiply more than ``_MAX_TERM_PRODUCTS`` pairs of terms in all.
+Terms that cancel keep their row with a zero coefficient, so the table's
+degree is never below the degree along rays and equals it unless terms
+cancel.  The table evaluates the expanded form, which can differ from
+the AST in IEEE edge cases: x1^3 - x1^3 expands to 0, where the AST
+overflows at x1 = 1e200.
 """
 
 from __future__ import annotations
@@ -52,13 +56,13 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional
 
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError, ParseError
-from .fields import VectorField, _float_array
+from .fields import Polynomial, VectorField, _float_array
 from .sampling import _as_integer
 
 __all__ = [
@@ -134,6 +138,13 @@ _VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 # hypothesis, starts a walker about 70 frames deep.
 _MAX_DEPTH = 200
 _MAX_HEIGHT = 500
+# The expansion of a field into its monomial table stops, with no table,
+# once its products of tables would multiply more than this many pairs
+# of terms.  Measured: expansion costs about 2 us per pair, so ~10 ms at
+# the cap, where grad H from the table still takes a quarter of the
+# adaptive route's time on 100 points ((0.5 x1 + 0.5 x2 + 0.5 x3)^20);
+# at 10^4 pairs it costs 20-30 ms and takes half.
+_MAX_TERM_PRODUCTS = 4096
 
 
 # ---------------------------------------------------------------------------
@@ -539,33 +550,84 @@ def evaluate_ast(node: Expr, point) -> float:
     return value
 
 
-def _ray_degree(node):
-    """Degree of t -> node(t x) by the rule of the module docstring, or None."""
-    kind = type(node)
-    if kind is Const:
-        return 0
-    if kind is Var:
-        return 1
-    if kind is Norm2:
-        return 2
-    if kind is Unary:
-        return _ray_degree(node.operand) if node.op == "neg" else None
-    left = _ray_degree(node.left)
-    if left is None:
+class _NotTabled(Exception):
+    """The expression has no monomial table (module docstring)."""
+
+
+class _Expansion:
+    """Expands ASTs over x1..xn into monomial tables {exponents: coefficient},
+    within one budget of ``_MAX_TERM_PRODUCTS`` term products."""
+
+    def __init__(self, n):
+        self.n = n
+        self.budget = _MAX_TERM_PRODUCTS
+
+    def product(self, a, b):
+        self.budget -= len(a) * len(b)  # charged before any work
+        if self.budget < 0:
+            raise _NotTabled
+        out = {}
+        for ea, ca in a.items():
+            for eb, cb in b.items():
+                e = tuple(i + j for i, j in zip(ea, eb))
+                out[e] = out.get(e, 0.0) + ca * cb
+        return out
+
+    def expand(self, node):
+        kind = type(node)
+        if kind is Const:
+            return {(0,) * self.n: node.value}
+        if kind is Var:
+            if node.index >= self.n:  # an AST built for more variables
+                raise _NotTabled
+            return {tuple(int(j == node.index) for j in range(self.n)): 1.0}
+        if kind is Norm2:
+            return {tuple(2 * int(j == i) for j in range(self.n)): 1.0 for i in range(self.n)}
+        if kind is Unary:
+            if node.op != "neg":
+                raise _NotTabled
+            return {e: -c for e, c in self.expand(node.operand).items()}
+        left = self.expand(node.left)
+        if node.op == "^":
+            k = node.right
+            if not (type(k) is Const and k.value >= 0 and float(k.value).is_integer()):
+                raise _NotTabled
+            out = {(0,) * self.n: 1.0}
+            for _ in range(int(k.value)):
+                out = self.product(out, left)
+            return out
+        right = self.expand(node.right)
+        if node.op == "*":
+            return self.product(left, right)
+        if node.op == "/":  # by a non-zero constant subexpression only
+            divisor = right.get((0,) * self.n) if len(right) == 1 else None
+            if not divisor:
+                raise _NotTabled
+            return {e: c / divisor for e, c in left.items()}
+        out = dict(left)
+        sign = 1.0 if node.op == "+" else -1.0
+        for e, c in right.items():
+            out[e] = out.get(e, 0.0) + sign * c
+        return out
+
+
+def _polynomial(expressions, n):
+    """The monomial table of the field with these components, or None."""
+    expansion = _Expansion(n)
+    exponents, components, values = [], [], []
+    try:
+        for i, node in enumerate(expressions):
+            for e, c in expansion.expand(node).items():
+                exponents.append(e)
+                components.append(i)
+                values.append(c)
+    except _NotTabled:
         return None
-    if node.op == "^":
-        exponent = node.right
-        if type(exponent) is Const and exponent.value >= 0 and float(exponent.value).is_integer():
-            return left * int(exponent.value)
-        return None
-    right = _ray_degree(node.right)
-    if right is None:
-        return None
-    if node.op in "+-":
-        return max(left, right)
-    if node.op == "*":
-        return left + right
-    return left if right == 0 else None  # '/'
+    coefficients = np.zeros((len(values), n))
+    coefficients[np.arange(len(values)), components] = values
+    if not np.isfinite(coefficients).all():
+        return None  # a coefficient overflowed: no finite table
+    return Polynomial(np.array(exponents, dtype=np.int64), coefficients)
 
 
 # ---------------------------------------------------------------------------
@@ -638,8 +700,10 @@ class ExpressionField(VectorField):
         super().__init__(dimension, label=" ".join(label.split("\n")))
         self.expressions = expressions
         self.source = source
-        degrees = [_ray_degree(e) for e in expressions]
-        self.ray_degree = None if None in degrees else max(degrees)
+
+    @cached_property
+    def polynomial(self):
+        return _polynomial(self.expressions, self.dimension)
 
     def _evaluate_many(self, points):
         return np.column_stack([_eval_raw(expr, points) for expr in self.expressions])

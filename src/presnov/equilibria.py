@@ -9,8 +9,9 @@ part.  Both searches are therefore one search on different targets:
 the target (X itself, or grad H as ``ConservativePart``).  The solver
 only has to find a witness: damped Newton with the target's Jacobian
 from ``value_and_jacobian_many`` (exact for DSL and catalog fields, the
-central-difference stencil of ``fields`` otherwise, and always the
-stencil for ``ConservativePart``, whose Jacobian is the Hessian of H),
+central-difference stencil of ``fields`` otherwise; for
+``ConservativePart`` it is the Hessian of H, exact from the monomial
+table of a polynomial field and the stencil otherwise),
 Armijo backtracking on the merit function |X(x)|^2 / 2 (fixed constants
 ``_ARMIJO`` and ``_MIN_STEP``), a gradient-descent fallback when the
 Jacobian is unusable, and seeded multistart inside the ball.  Iterates
@@ -22,12 +23,12 @@ each evaluated in one field call, and the first trial in ladder order
 that passes the Armijo test is taken: the step one-at-a-time
 backtracking would take, so iterates and step counts are the same.  The
 first rung, the full step, is evaluated with its Jacobian, and most
-steps (about 62% in the benchmark's ``solve`` workload) accept it; a
-point accepted from a later rung gets its Jacobian from one more call.
-So every accepted point carries its Jacobian, which drives the next
-step and, at the returned point, the near-singularity and minimizer
-checks.  For ``ConservativePart`` each call is one quadrature, which is
-what the batching saves.  Every trial of a rung is evaluated, so a
+steps (about 62% in the benchmark's ``solve`` workload) accept it.  A
+point accepted from a later rung gets its Jacobian from one more call
+only when it is read: by the next step, or by the near-singularity and
+minimizer checks if it is the returned point.  For a ``ConservativePart``
+without a table each call is one quadrature, which is what the
+batching saves.  Every trial of a rung is evaluated, so a
 non-finite value at any of them, or a non-finite Jacobian at an accepted
 point, raises NonFiniteValueError, even where one-at-a-time backtracking
 would never have evaluated it.
@@ -42,7 +43,7 @@ raising.
 
 A successful conservative solve also checks the second-order necessary
 condition for a minimizer of H, which the existence argument provides:
-the Hessian of H at the point (the target's Jacobian, already held) is
+the Hessian of H at the point (the target's Jacobian there) is
 positive semidefinite up to ``_PSD_TOL``.  A failed solve fails it.
 
 ``perturbed_existence`` implements the constant-perturbation workflow:
@@ -94,7 +95,9 @@ _MIN_STEP = 2.0**-30  # the line search stalls below this step fraction
 _LADDER = np.ldexp(1.0, -np.arange(1 - round(math.log2(_MIN_STEP))))
 _RUNGS = tuple(_LADDER[2**k - 1 : 2 ** (k + 1) - 1] for k in range(_LADDER.size.bit_length()))
 _DEGENERATE_COND = 1e12
-# Above the stencil Hessian's noise: quadrature tolerance / _FD_SCALE ~ 2e-5.
+# Above the noise of a stencil Hessian of H, quadrature tolerance /
+# _FD_SCALE ~ 2e-5; the exact Hessian of a polynomial field's table
+# carries only rounding.
 _PSD_TOL = 1e-4
 
 # By default perturbed_existence searches the radii 2^k, k = 0..40, for a
@@ -138,9 +141,10 @@ class EquilibriumResult:
     (condition estimate above 1e12), which distinguishes isolated zeros
     from continua.  ``iterations`` counts the Newton steps taken from the
     start whose point is returned.  ``minimizer_check`` is set only by the
-    conservative solve: True when it succeeded and the stencil Hessian of
-    H at the point meets the second-order necessary condition for a
-    minimizer, min eig >= -1e-4 (1 + max |eig|) of its symmetric part.
+    conservative solve: True when it succeeded and the Hessian of H at
+    the point (exact for a polynomial field, the stencil otherwise) meets
+    the second-order necessary condition for a minimizer,
+    min eig >= -1e-4 (1 + max |eig|) of its symmetric part.
 
     When no start converges, the result is the last iterate of a failed
     start: starts run in order (the origin first), and a later one
@@ -205,11 +209,10 @@ def _project(x, radius):
 def _armijo_step(field, x, step, merit, directional, radius):
     """The first trial of the Armijo ladder that passes, or None if none does.
 
-    Returns the accepted point, its value, its residual and its Jacobian.
-    Each rung of ``_RUNGS`` is one field call; the full step's call also
-    returns the Jacobian, and a point accepted from a later rung gets its
-    Jacobian from one more call, which the next step, or the checks at a
-    returned point, needs.
+    Returns the accepted point, its value, its residual and its Jacobian
+    when the full step's call computed it, else None.  Each rung of
+    ``_RUNGS`` is one field call; the full step's call also returns the
+    Jacobian.
     """
     for rung in _RUNGS:
         trials = np.array([_project(x + alpha * step, radius) for alpha in rung])
@@ -220,30 +223,33 @@ def _armijo_step(field, x, step, merit, directional, radius):
         for k, alpha in enumerate(rung):
             res = _norm(values[k])
             if 0.5 * res * res <= merit + _ARMIJO * alpha * directional:
-                if jacs is None:
-                    jac = field.value_and_jacobian_many(trials[k : k + 1])[1][0]
-                else:
-                    jac = jacs[k]
-                return trials[k], values[k], res, jac
+                return trials[k], values[k], res, None if jacs is None else jacs[k]
     return None
+
+
+def _jacobian(field, x):
+    """The Jacobian of ``field`` at the point ``x``, from one call."""
+    return field.value_and_jacobian_many(x[None, :])[1][0]
 
 
 def _newton_from(field, x0, radius, cfg):
     """One damped-Newton run.
 
-    Returns (point, residual, Jacobian at the point, steps taken,
+    Returns (point, residual, Jacobian at the point or None, steps taken,
     converged) for the last iterate.  The start's value comes with its
-    Jacobian, and so does every accepted point (see ``_armijo_step``).
-    Each step runs the Armijo ladder alpha = 1, 1/2, ..., ``_MIN_STEP``
-    in rungs of 1, 2, 4, ... trials, one field call per rung, and takes
-    the first trial in ladder order that passes: the step one-at-a-time
-    backtracking would take.  The line search runs only along a descent
-    direction, so an accepted step never raises the merit |X|^2 / 2 and
-    the last iterate has the lowest residual of the run, up to ties.
-    Every trial of a rung is evaluated, so a non-finite value at any of
-    them, or a non-finite Jacobian at an accepted point, raises
-    NonFiniteValueError, and so does a merit gradient J^T X that
-    overflows.
+    Jacobian, and so does a point accepted on the full step; a point
+    accepted from a later rung gets its Jacobian from one more call at
+    the next step, so a run that stops there (at ``max_iterations`` or
+    converged) returns None for it.  Each step runs the Armijo ladder
+    alpha = 1, 1/2, ..., ``_MIN_STEP`` in rungs of 1, 2, 4, ... trials,
+    one field call per rung, and takes the first trial in ladder order
+    that passes: the step one-at-a-time backtracking would take.  The
+    line search runs only along a descent direction, so an accepted step
+    never raises the merit |X|^2 / 2 and the last iterate has the lowest
+    residual of the run, up to ties.  Every trial of a rung is
+    evaluated, so a non-finite value at any of them, or a non-finite
+    Jacobian, raises NonFiniteValueError, and so does a merit gradient
+    J^T X that overflows.
     """
     x = _project(np.array(x0, dtype=float), radius)
     values, jacs = field.value_and_jacobian_many(x[None, :])
@@ -251,6 +257,8 @@ def _newton_from(field, x0, radius, cfg):
     res = _norm(fx)
     taken = 0
     while taken < cfg.max_iterations and res > cfg.residual_tol:
+        if jac is None:
+            jac = _jacobian(field, x)
         with np.errstate(over="ignore", invalid="ignore"):
             merit_grad = jac.T @ fx
         if not np.isfinite(merit_grad).all():
@@ -284,7 +292,8 @@ def _solve_multistart(field, radius, cfg):
     """Newton from the origin, then from seeded points of the ball.
 
     Returns (point, residual, Jacobian at the point, starts attempted,
-    steps taken, converged).
+    steps taken, converged).  Only the returned point's Jacobian is
+    fetched when its run did not compute it.
     """
     starts = [np.zeros(field.dimension)]
     if cfg.multistart > 0:
@@ -292,13 +301,15 @@ def _solve_multistart(field, radius, cfg):
     best = None
     for index, start in enumerate(starts):
         x, res, jac, iters, converged = _newton_from(field, start, radius, cfg)
-        if converged:
-            return x, res, jac, index + 1, iters, True
         # Residuals that tie up to rounding keep the earlier start.
-        if best is None or res < best[1] - cfg.residual_tol:
+        if converged or best is None or res < best[1] - cfg.residual_tol:
             best = (x, res, jac, iters)
+        if converged:
+            break
     x, res, jac, iters = best
-    return x, res, jac, len(starts), iters, False
+    if jac is None:
+        jac = _jacobian(field, x)
+    return x, res, jac, index + 1, iters, converged
 
 
 def _locate(target, field, radius, cfg, certificate, allow_uncertified):

@@ -18,11 +18,14 @@ central-difference stencil of the package (``_fd_probes``,
 route of ``decomposition``.  Combinators propagate both the Jacobian and
 whether it is exact.
 
-``ray_degree`` is the degree of the polynomial t -> X(t x), or None when
-the field is not known to be a polynomial.  The DSL derives it from the
-expression, catalog entries declare it, ``CallableField`` takes it as a
-keyword and the combinators propagate it.  The homotopy route of
-``decomposition`` uses it to integrate with one exact Gauss panel.
+``polynomial`` is the field's monomial table (``Polynomial``), or None
+when the field is not known to be a polynomial.  The DSL expands it from
+the expression, catalog entries declare it, ``CallableField`` takes it
+as a keyword, and the combinators derive theirs lazily from their
+parts'.  The table's ``degree`` bounds the degree of t -> X(t x).
+From the table ``decomposition`` takes grad H, and the Hessian
+of H, in closed form: the table of grad H and its derivative.  The
+field's own values and Jacobians stay its own.
 
 Domains are either all of R^n or a closed ball centered at the origin;
 both contain the segment from the origin to any of their points, which is
@@ -39,7 +42,9 @@ and X and grad H are coercive exactly when sym(A) is positive definite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,6 +55,7 @@ from .sampling import _as_integer
 
 __all__ = [
     "Domain",
+    "Polynomial",
     "VectorField",
     "CallableField",
     "SumField",
@@ -67,6 +73,12 @@ _BALL_SLACK = 1e-9
 # Cube root of machine epsilon: the standard step for second-order
 # central differences of values carrying relative rounding noise.
 _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
+
+# Up to this many powers in a table, one pow call each is cheaper than
+# the set-up of binary powering; beyond it products are (pow costs some
+# 50 times a product).  Equilibrium solves make mostly such small calls:
+# with binary powering alone they run about 20% slower.
+_POW_CALLS = 128
 
 
 def _float_array(value, message, error=CatalogError):
@@ -129,6 +141,132 @@ class Domain:
         return Domain(self.dimension, min(self.radius, other.radius))
 
 
+class Polynomial:
+    """The monomial table of a polynomial map, P(x) = sum_k C[k] x^E[k].
+
+    ``exponents`` E is a (K, n) array of non-negative integers, row k the
+    monomial x^E[k] = prod_j x_j^E[k, j], and ``coefficients`` C a (K,
+    ...) array of finite floats: shape (K,) for a scalar polynomial, (K,
+    n) for a vector field and (K, n, n) for its Jacobian.  Rows with equal
+    exponents merge by summing their coefficients.  A zero coefficient
+    keeps its row, so ``degree``, the largest |E[k]|, is the degree of
+    t -> P(t x) unless terms cancel, and a bound on it when they do.
+
+    Values come from one power table of the coordinates, x_j^u for the
+    distinct exponents u, and ``derivative`` and ``gradient_potential``
+    are tables themselves: the exponent rule, and the homotopy operator
+    of the Poincare lemma (module docstring of ``decomposition``).
+    """
+
+    def __init__(self, exponents, coefficients):
+        powers = np.asarray(exponents)
+        if powers.ndim != 2 or powers.shape[1] < 1 or powers.dtype.kind not in "iu":
+            raise ConfigError(
+                "polynomial exponents must be a (K, n) array; each must be an integer"
+            )
+        if (powers < 0).any():
+            raise ConfigError("polynomial exponents must be non-negative")
+        coefs = _float_array(coefficients, "coefficients must be real numbers", ConfigError)
+        if coefs.ndim < 1 or coefs.shape[0] != powers.shape[0] or not np.isfinite(coefs).all():
+            raise ConfigError("coefficients must be finite, one row per row of exponents")
+        # Merge rows with equal exponents: sort the rows, then sum each run.
+        order = np.lexsort(powers.T)
+        powers, coefs = powers[order].astype(np.int64), coefs[order]
+        starts = np.ones(powers.shape[0], dtype=bool)
+        starts[1:] = (powers[1:] != powers[:-1]).any(axis=1)
+        starts = np.flatnonzero(starts)
+        self.exponents = powers[starts]
+        self.coefficients = np.add.reduceat(coefs, starts)
+        self.dimension = powers.shape[1]
+        self.degree = int(self.exponents.sum(axis=1).max(initial=0))
+        # A power x_j^u rounds at most u - 1 times, a monomial's product
+        # over its coordinates n - 1 times more, and its coefficient
+        # product and its partial sum once each.
+        self._gamma = (self.degree + self.dimension + starts.size) * np.finfo(float).eps
+
+    def __add__(self, other):
+        return Polynomial(
+            np.concatenate((self.exponents, other.exponents)),
+            np.concatenate((self.coefficients, other.coefficients)),
+        )
+
+    def __rmul__(self, factor):
+        return Polynomial(self.exponents, factor * self.coefficients)
+
+    @cached_property
+    def _powers(self):
+        """The distinct exponents u, and the row of x_j^E[k, j] among them at [k, j]."""
+        # Sorted, not np.unique, whose first call maps some 1.5 MB more.
+        values = np.sort(self.exponents, axis=None)
+        distinct = values[np.flatnonzero(np.diff(values, prepend=-1))]
+        return distinct, np.searchsorted(distinct, self.exponents)
+
+    def _monomials(self, points):
+        """x^E[k] at the rows of ``points``, shape (m, K), from the power table x_j^u."""
+        distinct, index = self._powers
+        coords = np.asarray(points, dtype=float).T
+        if coords.size * distinct.size <= _POW_CALLS:
+            table = coords ** distinct[:, None, None]
+        else:  # binary powering: x^u is the product of the x^(2^b) over the bits b of u
+            table = np.ones(distinct.shape + coords.shape)
+            square = coords
+            for b in range(int(distinct[-1]).bit_length()):
+                if b:
+                    square = square * square
+                table[distinct >> b & 1 == 1] *= square
+        return table[index, np.arange(self.dimension)].prod(axis=1).T
+
+    def _contract(self, monomials, coefficients):
+        # An empty table (K = 0) contracts to zeros.
+        shape = coefficients.shape[1:]
+        out = monomials @ coefficients.reshape(coefficients.shape[0], math.prod(shape))
+        return out.reshape((monomials.shape[0],) + shape)
+
+    def __call__(self, points):
+        """P at the rows of an (m, n) array, shape (m, ...)."""
+        return self._contract(self._monomials(points), self.coefficients)
+
+    def value_and_bound(self, points):
+        """P at the rows of ``points`` and a bound on its rounding error there,
+        gamma sum_k |C[k]| |x^E[k]|.  The bound covers the evaluation of the
+        table; coefficients are taken as exact."""
+        monomials = self._monomials(points)
+        bound = self._contract(np.abs(monomials), np.abs(self.coefficients))
+        return self._contract(monomials, self.coefficients), self._gamma * bound
+
+    @cached_property
+    def derivative(self):
+        """The table of the Jacobian: coefficients gain a last axis j, d/dx_j."""
+        rows, cols = np.nonzero(self.exponents)  # one term per monomial and variable it holds
+        lowered = self.exponents[rows]
+        lowered[np.arange(rows.size), cols] -= 1
+        shape = self.coefficients.shape[1:]
+        size = math.prod(shape)
+        coefs = np.zeros((rows.size, size, self.dimension))
+        coefs[np.arange(rows.size), :, cols] = (
+            self.coefficients[rows].reshape(rows.size, size) * self.exponents[rows, cols][:, None]
+        )
+        return Polynomial(lowered, coefs.reshape((rows.size,) + shape + (self.dimension,)))
+
+    @cached_property
+    def gradient_potential(self):
+        """The table of grad H for this vector field X, H(x) = int_0^1 <X(t x), x> dt.
+
+        Term C[k] x^E[k] contributes <C[k], x> x^E[k] / (|E[k]| + 1) to H,
+        since <X_d(t x), x> = t^d <X_d(x), x> on a homogeneous part of
+        degree d and the integral of t^d over [0, 1] is 1 / (d + 1).
+        """
+        n = self.dimension
+        eye = np.eye(n, dtype=np.int64)
+        raised = self.exponents[:, None, :] + eye  # [k, i]: the monomial x^E[k] x_i of H
+        weights = self.coefficients / (self.exponents.sum(axis=1) + 1.0)[:, None]
+        # d/dx_j of each monomial of H that holds x_j: component j of grad H.
+        k, i, j = np.nonzero(raised)
+        coefs = np.zeros((k.size, n))
+        coefs[np.arange(k.size), j] = weights[k, i] * raised[k, i, j]
+        return Polynomial(raised[k, i] - eye[j], coefs)
+
+
 class VectorField:
     """Base class for immutable vector fields on R^n."""
 
@@ -144,8 +282,8 @@ class VectorField:
 
     # True when value_and_jacobian_many is exact rather than the stencil.
     exact_jacobian = False
-    # Degree of the polynomial t -> X(t x), None when not known to be one.
-    ray_degree: Optional[int] = None
+    # The field's monomial table, None when it is not known to be a polynomial.
+    polynomial: Optional[Polynomial] = None
 
     def _evaluate_many(self, points: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -237,9 +375,8 @@ class CallableField(VectorField):
 
     ``jacobian``, if given, is a vectorized callable ``(m, n) -> (m, n, n)``
     returning ``dX_i/dx_j`` at ``[k, i, j]``; without it the Jacobian is
-    the central-difference fallback.  ``ray_degree``, if given, declares
-    ``fn`` a polynomial of at most that degree along every ray from the
-    origin.
+    the central-difference fallback.  ``polynomial``, if given, is the
+    monomial table of ``fn``, a ``Polynomial`` with (K, n) coefficients.
     """
 
     def __init__(
@@ -249,17 +386,20 @@ class CallableField(VectorField):
         label="field",
         domain=None,
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
-        ray_degree: Optional[int] = None,
+        polynomial: Optional[Polynomial] = None,
     ):
         super().__init__(dimension, label, domain)
         self._fn = fn
         self._jacobian = jacobian
         self.exact_jacobian = jacobian is not None
-        if ray_degree is not None:
-            ray_degree = _as_integer(ray_degree, "ray_degree")
-            if ray_degree < 0:
-                raise ConfigError("a polynomial degree must be non-negative")
-        self.ray_degree = ray_degree
+        if polynomial is not None and not (
+            isinstance(polynomial, Polynomial)
+            and polynomial.coefficients.shape[1:] == (polynomial.dimension,) == (self.dimension,)
+        ):
+            raise ConfigError(
+                f"polynomial must be a Polynomial with ({self.dimension},) coefficients"
+            )
+        self.polynomial = polynomial
 
     def _evaluate_many(self, points):
         return self._fn(points)
@@ -282,8 +422,11 @@ class SumField(VectorField):
         self.first = first
         self.second = second
         self.exact_jacobian = first.exact_jacobian and second.exact_jacobian
-        if first.ray_degree is not None and second.ray_degree is not None:
-            self.ray_degree = max(first.ray_degree, second.ray_degree)
+
+    @cached_property
+    def polynomial(self):
+        tables = (self.first.polynomial, self.second.polynomial)
+        return None if None in tables else tables[0] + tables[1]
 
     def _evaluate_many(self, points):
         return self.first.evaluate_many(points) + self.second.evaluate_many(points)
@@ -303,7 +446,11 @@ class ScaledField(VectorField):
         self.factor = factor
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
-        self.ray_degree = inner.ray_degree
+
+    @cached_property
+    def polynomial(self):
+        table = self.inner.polynomial
+        return None if table is None else self.factor * table
 
     def _evaluate_many(self, points):
         return self.factor * self.inner.evaluate_many(points)
@@ -327,7 +474,12 @@ class ShiftedField(VectorField):
         self.inner = inner
         self.offset = b
         self.exact_jacobian = inner.exact_jacobian
-        self.ray_degree = inner.ray_degree
+
+    @cached_property
+    def polynomial(self):
+        table = self.inner.polynomial
+        offset = Polynomial(np.zeros((1, self.dimension), dtype=int), self.offset[None])
+        return None if table is None else table + offset
 
     def _evaluate_many(self, points):
         return self.inner.evaluate_many(points) + self.offset
@@ -348,7 +500,10 @@ class BallRestrictedField(VectorField):
         )
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
-        self.ray_degree = inner.ray_degree
+
+    @cached_property
+    def polynomial(self):
+        return self.inner.polynomial
 
     def _evaluate_many(self, points):
         return self.inner.evaluate_many(points)
@@ -462,11 +617,13 @@ def _constant_jacobian(matrix):
 def _affine_entry(name, n, A, c, label, description, parameters=None):
     """The affine field X(x) = A x + c with its closed forms (module docstring)."""
     sym, skew = 0.5 * (A + A.T), 0.5 * (A - A.T)
+    # The table: c at the constant monomial, column j of A at x_j.
+    table = Polynomial(np.eye(n + 1, n, -1, dtype=int), np.vstack((c, A.T)))
     return CatalogEntry(
         name=name,
         dimension=n,
         field=CallableField(
-            n, lambda p: p @ A.T + c, label=label, jacobian=_constant_jacobian(A), ray_degree=1
+            n, lambda p: p @ A.T + c, label=label, jacobian=_constant_jacobian(A), polynomial=table
         ),
         potential=lambda x: 0.5 * float(x @ (sym @ x)) + float(c @ x),
         conservative=lambda x: sym @ np.asarray(x, dtype=float) + c,
@@ -557,8 +714,14 @@ def _gradient_poly_entry(dimension, params):
     # Coordinate i grows radially iff d>0, or the cubic vanishes and the
     # linear coefficient is positive; every coordinate must grow.
     grows = (d > 0) | ((d == 0) & (c == 0) & (b > 0))
+    # The table: a at the constant monomial, and b, c, d times e_i at x_i, x_i^2, x_i^3.
+    powers = np.kron(np.arange(1, 4)[:, None], np.eye(n, dtype=int))
+    table = Polynomial(
+        np.vstack((np.zeros((1, n), dtype=int), powers)),
+        np.vstack((a, *(np.diag(v) for v in (b, c, d)))),
+    )
     fld = CallableField(
-        n, evaluate, label=f"gradient_poly(dim={n})", jacobian=jacobian, ray_degree=3
+        n, evaluate, label=f"gradient_poly(dim={n})", jacobian=jacobian, polynomial=table
     )
     return CatalogEntry(
         name="gradient_poly",
@@ -584,12 +747,15 @@ def _cubic_radial_entry(dimension, params):
         jac[np.arange(n), np.arange(n)] += np.einsum("ij,ij->i", p, p)
         return jac.transpose(2, 0, 1)
 
+    # The table: component i holds x_j^2 x_i for every j.
+    eye = np.eye(n, dtype=int)
+    table = Polynomial((2 * eye[:, None, :] + eye).reshape(-1, n), np.tile(eye, (n, 1)))
     fld = CallableField(
         n,
         lambda p: np.einsum("ij,ij->i", p, p)[:, None] * p,
         label="cubic_radial",
         jacobian=jacobian,
-        ray_degree=3,
+        polynomial=table,
     )
     return CatalogEntry(
         name="cubic_radial",

@@ -21,13 +21,10 @@ passes ``select`` and then evaluates only the active ones; otherwise
 ``f`` keeps returning every component and the inactive ones are dropped.
 ``max_subdivisions`` bounds the panel splits of the call.
 
-A caller that knows the integrand is a polynomial of degree d in t
-passes ``degree=d``.  Gauss-Legendre with k = ceil((d + 1) / 2) nodes is
-exact to degree 2k - 1, so the call evaluates one panel of k nodes and
-refines nothing; its error estimate is the rounding bound
-4 eps sum_k w_k |f(t_k)|.  Degrees that would need more than 100 nodes
-(the largest order numpy's leggauss is tested to) take the adaptive
-scheme.
+Polynomial fields never reach this module for grad H: ``decomposition``
+takes it, and the Hessian of H, in closed form from the field's monomial
+table.  Potentials, and with them the finite-difference gradient route,
+are integrated here for every field.
 """
 
 from __future__ import annotations
@@ -39,7 +36,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import ConfigError, NonFiniteValueError, QuadratureError
-from .sampling import _as_integer, _check_integer_fields
+from .sampling import _check_integer_fields
 
 __all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE", "integrate_unit"]
 
@@ -91,7 +88,7 @@ def _checked_values(f, ts):
 
 
 def integrate_unit(
-    f, config: QuadratureConfig = DEFAULT_QUADRATURE, noise_floor=None, select=None, degree=None
+    f, config: QuadratureConfig = DEFAULT_QUADRATURE, noise_floor=None, select=None
 ):
     """Integrate ``f`` over [0, 1].
 
@@ -119,21 +116,7 @@ def integrate_unit(
     ``f(ts)`` must return exactly those columns, in that order.  The
     returned arrays and ``noise_floor`` still cover all ``k`` components.
     Without ``select``, ``f`` returns all ``k`` columns on every call.
-
-    ``degree`` (a non-negative integer) declares every component a
-    polynomial of at most that degree in t.  The call then makes one
-    ``f`` call on the ceil((degree + 1) / 2) Gauss-Legendre nodes that
-    integrate it exactly, never calls ``select`` or ``noise_floor``, and
-    returns the rounding bound 4 eps sum_k w_k |f(t_k)| as its error
-    estimate.  A degree that needs more than 100 nodes is ignored.
     """
-    if degree is not None:
-        degree = _as_integer(degree, "degree")
-        if degree < 0:
-            raise ConfigError("a polynomial degree must be non-negative")
-        order = degree // 2 + 1  # ceil((degree + 1) / 2)
-        if order <= _MAX_ORDER:
-            return _integrate_exact(f, order)
     nodes, weights = _unit_nodes(config.order)
     scalar = None
     run_max = None  # per-active-component max |f| seen so far
@@ -228,13 +211,3 @@ def integrate_unit(
         return float(result[0]), float(result_err[0])
     return result, result_err
 
-
-def _integrate_exact(f, order):
-    """One panel of ``order`` Gauss-Legendre nodes, exact to degree 2 order - 1."""
-    nodes, weights = _unit_nodes(order)
-    raw = _checked_values(f, nodes)
-    value = weights @ raw
-    error = 4.0 * np.finfo(float).eps * (weights @ np.abs(raw))
-    if raw.ndim == 1:
-        return float(value), float(error)
-    return value, error

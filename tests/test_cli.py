@@ -235,6 +235,14 @@ def test_equilibria_override_failure_is_numeric_exit(capsys):
     assert report["payload"]["field_equilibrium"]["success"] is False
 
 
+def test_equilibria_override_failure_of_a_constant_expression_is_numeric_exit(capsys):
+    # A constant's table of grad H has an empty derivative: the exact Hessian is 0.
+    code, report, _ = run_cli(capsys, "equilibria", "--expr", "1; 2", "--radius", "1",
+                              "--allow-uncertified")
+    assert code == 3
+    assert report["payload"]["conservative_equilibrium"]["success"] is False
+
+
 def test_equilibria_perturb_workflow(capsys):
     code, report, _ = run_cli(capsys, "equilibria", "--catalog", "identity", "--dim", "2",
                               "--perturb", "3,-4")

@@ -397,6 +397,37 @@ def test_a_stalled_line_search_costs_one_call_per_rung():
     assert len(_RUNGS) == 5
 
 
+def test_a_start_stopped_by_max_iterations_skips_the_unread_jacobian():
+    # From the origin the full Newton step of tanh(3 (x1 - 1)) fails the
+    # Armijo test (see above), so the one step allowed is accepted from a
+    # later rung, whose call computes no Jacobian.  The run stops there,
+    # and only a returned point gets its Jacobian, from one more call.
+    leaf = _CountingField(parse_field("tanh(3*(x1-1)); x2"))
+    cfg = SolverConfig(max_iterations=1, multistart=0)
+    _, _, jac, taken, converged = _newton_from(leaf, np.zeros(2), 4.0, cfg)
+    assert leaf.calls["value_and_jacobian_many"] == 2  # the start and the full step
+    assert taken == 1 and not converged and jac is None
+    leaf.calls.clear()
+    assert not find_equilibrium(leaf, 4.0, cfg).success
+    assert leaf.calls["value_and_jacobian_many"] == 3
+
+
+def test_a_tabled_origin_start_stops_without_a_ladder():
+    # With its table, cubic_radial's Hessian of H at the origin is exactly
+    # 0, not the stencil's h^2 I, so J^T X = 0 and the origin start stops
+    # before its first step, with no ladder call.
+    shifted = ShiftedField(catalog_field("cubic_radial", 3).field, _STALLING_OFFSET)
+    target = _CountingField(ConservativePart(shifted))
+    assert target.exact_jacobian
+    assert not target.value_and_jacobian_many(np.zeros((1, 3)))[1].any()
+    target.calls.clear()
+    point, _, _, taken, converged = _newton_from(target, np.zeros(3), 2.0, SolverConfig())
+    assert taken == 0 and not converged and not point.any()
+    assert target.calls == {"value_and_jacobian_many": 1}
+    result = find_equilibrium_conservative(shifted, 2.0)
+    assert result.success and result.minimizer_check and result.starts_attempted == 2
+
+
 @pytest.mark.parametrize("sharpness", [20, 60])
 def test_sharp_fronts_solve_as_before(sharpness):
     # grad H + b for X = (tanh(k (x1 - 1)), x2): a zero at

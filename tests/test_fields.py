@@ -12,6 +12,7 @@ from presnov import (
     ExpressionField,
     NonFiniteValueError,
     ParseError,
+    Polynomial,
     ProbeConfig,
     ScaledField,
     ShiftedField,
@@ -20,7 +21,6 @@ from presnov import (
     catalog_field,
     catalog_names,
     decompose_many,
-    integrate_unit,
     parse_expression,
     parse_expressions,
     parse_field,
@@ -322,11 +322,7 @@ def _identity_jacobian(points):
         (lambda: catalog_field("gradient_poly", 2.9), CatalogError),
         (lambda: parse_expression("x1", 1.9), ParseError),
         (lambda: parse_expressions("x1; x2", 2.0), ParseError),
-        (
-            lambda: CallableField(2, _identity, jacobian=_identity_jacobian, ray_degree=2.5),
-            ConfigError,
-        ),
-        (lambda: integrate_unit(lambda t: t, degree=2.5), ConfigError),
+        (lambda: Polynomial([[2.5, 0.0]], [[1.0, 0.0]]), ConfigError),
         (
             lambda: perturbed_existence(
                 catalog_field("identity", 2).field, [1.0, 0.0], max_radius_exponent=3.0
@@ -344,8 +340,7 @@ def _identity_jacobian(points):
         "catalog_field.dimension",
         "parse_expression.dimension",
         "parse_expressions.dimension",
-        "CallableField.ray_degree",
-        "integrate_unit.degree",
+        "Polynomial.exponents",
         "perturbed_existence.max_radius_exponent",
     ],
 )
@@ -355,17 +350,17 @@ def test_integer_arguments_reject_non_integers(build, error):
 
 
 def test_integer_arguments_accept_numpy_integers():
-    field = CallableField(
-        np.int64(2), _identity, jacobian=_identity_jacobian, ray_degree=np.int32(1)
-    )
-    assert type(field.dimension) is int and type(field.ray_degree) is int
+    table = Polynomial(np.eye(2, dtype=np.int32), np.eye(2))
+    field = CallableField(np.int64(2), _identity, jacobian=_identity_jacobian, polynomial=table)
+    assert type(field.dimension) is int and type(field.polynomial.degree) is int
     assert type(Domain(np.int64(2)).dimension) is int
     assert type(SolverConfig(seed=np.int64(3)).seed) is int
 
 
 def test_callable_field_rejects_a_negative_ray_degree():
+    # The degree is the table's: a negative exponent is refused.
     with pytest.raises(ConfigError, match="non-negative"):
-        CallableField(2, _identity, ray_degree=-1)
+        CallableField(2, _identity, polynomial=Polynomial([[-1, 0]], [[1.0, 0.0]]))
 
 
 # Refusals of the domain, field and expression constructors, each with its
