@@ -29,12 +29,14 @@ table, ``VectorField.polynomial``) takes it in closed form: since
 the Poincare homotopy operator on polynomial forms (Spivak, "Calculus on
 Manifolds", ch. 4), so grad H and its Jacobian, the exact Hessian of H,
 are monomial tables too (``Polynomial.gradient_potential`` and its
-``derivative``), with no quadrature and no stencil.  The error estimate
+``derivative``, held together in its ``jet``), with no quadrature and
+no stencil.  A constant shift b adds b to grad H and nothing to its
+Hessian, so grad H of X + b reads the tables of X.  The error estimate
 is the table's rounding bound, gamma sum_k |c_k| |x^E_k|; where that
 bound exceeds the quadrature tolerance max(abs_tol, rel_tol |grad H|),
 as it can for an ill-conditioned expansion such as (x1 - 1)^20 at
-x1 = 2, the point takes the adaptive route below.  Every other field
-integrates the formula adaptively, with the Jacobian J from
+x1 = 2, or overflows, the point takes the adaptive route below.  Every
+other field integrates the formula adaptively, with the Jacobian J from
 ``VectorField.value_and_jacobian_many``: exact for DSL and catalog
 fields, the central-difference stencil of ``fields`` otherwise, whose
 rounding noise sets the integrator's floor.  Potentials, and so the
@@ -94,7 +96,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError
-from .fields import _FD_SCALE, VectorField, _fd_derivatives, _fd_probes
+from .fields import _FD_SCALE, ShiftedField, VectorField, _fd_derivatives, _fd_probes
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
 __all__ = [
@@ -229,15 +231,28 @@ def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEF
     return gradient_potential_many(field, field._point_row(point), config)[0]
 
 
+def _unshifted(field):
+    """``field`` as (X, b) with field = X + b: X is the field under its
+    constant shifts (``ShiftedField``), b their sum or None when there
+    is none.  grad H of X + b is grad H of X plus b, and its Hessian is
+    that of X, so a shift reads the tables of X and builds none."""
+    shift = None
+    while isinstance(field, ShiftedField):
+        shift = field.offset if shift is None else shift + field.offset
+        field = field.inner
+    return field, shift
+
+
 def _homotopy_gradient(field, pts, cfg):
     """grad H and its error estimates at the rows of ``pts``.
 
     A field with a monomial table takes the table of grad H, with its
     rounding bound as the error estimate, at every point where that
-    bound meets the quadrature tolerance max(abs_tol, rel_tol |grad H|).
-    The other points integrate X(t x) + t J(t x)^T x, one component per
-    gradient entry; at the origin grad H is X(0) exactly, with no
-    integral.
+    bound meets the quadrature tolerance max(abs_tol, rel_tol |grad H|)
+    (``Polynomial.value_within``); a shifted field takes its inner
+    field's table plus the shift.  The other points integrate
+    X(t x) + t J(t x)^T x, one component per gradient entry; at the
+    origin grad H is X(0) exactly, with no integral.
     """
     m, n = pts.shape
     floors = None if field.exact_jacobian else np.zeros((m, n))
@@ -258,15 +273,17 @@ def _homotopy_gradient(field, pts, cfg):
             floors[rows] = np.maximum(floors[rows], noise[:, None])
         return vals + ts[:, None, None] * jac_t_x
 
-    table = field.polynomial
+    inner, shift = _unshifted(field)
+    table = inner.polynomial
     if table is None:
         grads, errors = np.zeros((m, n)), np.zeros((m, n))
         pending = np.ones(m, dtype=bool)
     else:
         with np.errstate(all="ignore"):  # overflow leaves the point to the quadrature
-            grads, errors = table.gradient_potential.value_and_bound(pts)
-            tolerance = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(grads))
-        pending = ~(errors <= tolerance).all(axis=1)
+            grads, errors, served = table.gradient_potential.value_within(
+                pts, cfg.abs_tol, cfg.rel_tol, shift
+            )
+        pending = ~served
     at_origin = ~pts.any(axis=1)
     rays = np.flatnonzero(pending & ~at_origin)
     if rays.size:
@@ -388,21 +405,39 @@ def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUAD
 class _SplitPart(VectorField):
     """A part of the split of ``source`` as a field, named ``name``.
 
-    Of a field with a monomial table the part is tabled too, and its
-    Jacobian is that table's derivative: exact.  Otherwise the Jacobian
-    is the central-difference fallback.
+    Of a field with a monomial table the part is tabled too, and one
+    evaluation of its table's jet (``Polynomial.jet``) gives its values
+    and its Jacobian, exact.  Rows whose rounding bound misses the
+    quadrature tolerance take their values from ``_evaluate_many`` and
+    their Jacobians from the table's ``derivative`` alone, where no
+    overflowing power of the values meets a zero coefficient.  Of a
+    shifted source the part reads the tables of the inner field
+    (``_unshifted``), so the shift builds none of its own.  Otherwise the
+    Jacobian is the central-difference fallback.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig, name: str):
         super().__init__(source.dimension, f"{name}({source.label})", source.domain)
         self.source = source
         self.config = config
-        self.exact_jacobian = self.polynomial is not None
+        self._inner, self._shift = _unshifted(source)
+        self.exact_jacobian = self._inner.polynomial is not None
+
+    # (the part's table, the constant its jet adds in column 0 or None)
+    _table: tuple
 
     def _value_and_jacobian_many(self, points):
-        if self.polynomial is None:
+        if not self.exact_jacobian:
             return super()._value_and_jacobian_many(points)
-        return self._evaluate_many(points), self.polynomial.derivative(points)
+        table, constant = self._table
+        jet, _, served = table.jet.value_within(
+            points, self.config.abs_tol, self.config.rel_tol, constant
+        )
+        values, jac = jet[..., 0], jet[..., 1:]
+        if not served.all():
+            rest = points[~served]
+            values[~served], jac[~served] = self._evaluate_many(rest), table.derivative(rest)
+        return values, jac
 
 
 class ConservativePart(_SplitPart):
@@ -410,8 +445,9 @@ class ConservativePart(_SplitPart):
 
     Each evaluation runs the homotopy route (``_homotopy_gradient``), so
     values carry that route's error.  Of a field with a monomial table
-    its table is that of grad H, and its Jacobian, the Hessian of H, is
-    exact.
+    its table is that of grad H, and ``value_and_jacobian_many`` takes
+    grad H and its Jacobian, the exact Hessian of H, from one evaluation
+    of that table's jet.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -422,6 +458,15 @@ class ConservativePart(_SplitPart):
         table = self.source.polynomial
         return None if table is None else table.gradient_potential
 
+    @cached_property
+    def _table(self):
+        constant = None
+        if self._shift is not None:
+            # The shift adds to grad H, column 0 of the jet, and not to the Hessian.
+            constant = np.zeros((self.dimension, 1 + self.dimension))
+            constant[:, 0] = self._shift
+        return self._inner.polynomial.gradient_potential, constant
+
     def _evaluate_many(self, points):
         # The points passed this part's checks, and it shares the source's domain.
         return _homotopy_gradient(self.source, points, self.config)[0]
@@ -430,7 +475,8 @@ class ConservativePart(_SplitPart):
 class SphereInvariantPart(_SplitPart):
     """The sphere-invariant remainder of a field, as a field itself.
 
-    Of a field with a monomial table its table is that of X - grad H.
+    Of a field with a monomial table its table is that of X - grad H,
+    which a constant shift of X leaves as it is.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -438,8 +484,12 @@ class SphereInvariantPart(_SplitPart):
 
     @cached_property
     def polynomial(self):
-        table = self.source.polynomial
+        table = self._inner.polynomial
         return None if table is None else table + -1.0 * table.gradient_potential
+
+    @cached_property
+    def _table(self):
+        return self.polynomial, None
 
     def _evaluate_many(self, points):
         grads = _homotopy_gradient(self.source, points, self.config)[0]

@@ -27,9 +27,13 @@ NonFiniteValueError at the evaluation boundary.  Differentiability of
 user expressions is not checked; the decomposition machinery assumes
 continuously differentiable fields as a documented precondition.
 
-Jacobians are exact: one AST walker, generic over its arithmetic, runs
-either on floats or on forward-mode duals (value, gradient) (Griewank
-and Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
+Values come from one AST walker, generic over its arithmetic, on
+floats.  Jacobians are exact.  A field with a monomial table (below)
+takes X and J from the table's jet, one power table and one
+contraction, at every point whose rounding bound meets the default
+quadrature tolerances; every other field, and every other point, runs
+the same walker on forward-mode duals (value, gradient) (Griewank and
+Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
 differentiates to sign, '^' with a constant exponent c to c a^(c-1) (0
 when c = 0), and '^' with a varying exponent to b a^(b-1) a' +
 a^b ln(a) b' under the same IEEE rules.  A zero tangent times an
@@ -48,7 +52,12 @@ Terms that cancel keep their row with a zero coefficient, so the table's
 degree is never below the degree along rays and equals it unless terms
 cancel.  The table evaluates the expanded form, which can differ from
 the AST in IEEE edge cases: x1^3 - x1^3 expands to 0, where the AST
-overflows at x1 = 1e200.
+overflows at x1 = 1e200.  There the jet's zero coefficient times the
+overflowing power is NaN, a bound no point meets, so the point takes
+the walker and raises NonFiniteValueError, as ``evaluate_many`` does;
+so does any point whose bound overflows.  ``evaluate_many`` always
+walks the AST, so the field's values, and the checks that read them,
+stay independent of the table.
 """
 
 from __future__ import annotations
@@ -63,6 +72,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError, ParseError
 from .fields import Polynomial, VectorField, _float_array
+from .quadrature import DEFAULT_QUADRATURE
 from .sampling import _as_integer
 
 __all__ = [
@@ -698,6 +708,11 @@ class ExpressionField(VectorField):
             )
         label = source if source is not None else "; ".join(pretty(e) for e in expressions)
         super().__init__(dimension, label=" ".join(label.split("\n")))
+        read = max(map(_variable_count, expressions))
+        if read > self.dimension:
+            raise DimensionMismatchError(
+                f"the expressions read x{read}, beyond the field dimension {self.dimension}"
+            )
         self.expressions = expressions
         self.source = source
 
@@ -709,6 +724,19 @@ class ExpressionField(VectorField):
         return np.column_stack([_eval_raw(expr, points) for expr in self.expressions])
 
     def _value_and_jacobian_many(self, points):
+        """X and J from the table's jet where its rounding bound meets the
+        default quadrature tolerances, from the dual-number walker elsewhere."""
+        table = self.polynomial
+        if table is None:
+            return self._walked(points)
+        cfg = DEFAULT_QUADRATURE
+        jet, _, served = table.jet.value_within(points, cfg.abs_tol, cfg.rel_tol)
+        values, jac = jet[..., 0], jet[..., 1:]
+        if not served.all():
+            values[~served], jac[~served] = self._walked(points[~served])
+        return values, jac
+
+    def _walked(self, points):
         m, n = points.shape
         jac = np.zeros((n, n, m))  # [i, j, k] = dX_i/dx_j at point k
         cols = []

@@ -14,8 +14,13 @@ central-difference stencil of ``fields`` otherwise; for
 table of a polynomial field and the stencil otherwise),
 Armijo backtracking on the merit function |X(x)|^2 / 2 (fixed constants
 ``_ARMIJO`` and ``_MIN_STEP``), a gradient-descent fallback when the
-Jacobian is unusable, and seeded multistart inside the ball.  Iterates
+Jacobian is unusable, and seeded multistart inside the ball, whose
+points are drawn only once the origin start has failed.  Iterates
 that leave the ball are pulled back radially to 0.999 of its radius.
+A polynomial DSL field, and the conservative part of a tabled field,
+return X and J from one evaluation of a table's jet; plain values, the
+later rungs below, come from ``evaluate_many``, which for a DSL field
+walks the expression.
 
 The backtracking is batched.  Its ladder alpha = 1, 1/2, ...,
 ``_MIN_STEP`` (31 trials) is cut into rungs of 1, 2, 4, 8 and 16 trials,
@@ -288,6 +293,14 @@ def _newton_from(field, x0, radius, cfg):
     return x, res, jac, taken, res <= cfg.residual_tol
 
 
+def _starts(field, radius, cfg):
+    """The origin, then ``cfg.multistart`` seeded points of the ball, drawn
+    only when the origin's run has failed."""
+    yield np.zeros(field.dimension)
+    if cfg.multistart > 0:
+        yield from ball_points(field.dimension, cfg.multistart, radius, cfg.seed)
+
+
 def _solve_multistart(field, radius, cfg):
     """Newton from the origin, then from seeded points of the ball.
 
@@ -295,11 +308,8 @@ def _solve_multistart(field, radius, cfg):
     steps taken, converged).  Only the returned point's Jacobian is
     fetched when its run did not compute it.
     """
-    starts = [np.zeros(field.dimension)]
-    if cfg.multistart > 0:
-        starts.extend(ball_points(field.dimension, cfg.multistart, radius, cfg.seed))
     best = None
-    for index, start in enumerate(starts):
+    for index, start in enumerate(_starts(field, radius, cfg)):
         x, res, jac, iters, converged = _newton_from(field, start, radius, cfg)
         # Residuals that tie up to rounding keep the earlier start.
         if converged or best is None or res < best[1] - cfg.residual_tol:

@@ -24,8 +24,16 @@ the expression, catalog entries declare it, ``CallableField`` takes it
 as a keyword, and the combinators derive theirs lazily from their
 parts'.  The table's ``degree`` bounds the degree of t -> X(t x).
 From the table ``decomposition`` takes grad H, and the Hessian
-of H, in closed form: the table of grad H and its derivative.  The
-field's own values and Jacobians stay its own.
+of H, in closed form: the table of grad H and its derivative.  A
+table's ``jet`` holds P and its Jacobian in one table, so one power
+table and one contraction give both.  Jacobian calls use it: the DSL's
+``ExpressionField`` takes X and J from the jet of its table, and the
+split parts of ``decomposition`` theirs from the jet of grad H's, at
+every point whose rounding bound meets the quadrature tolerance
+(``Polynomial.value_within``).  Plain values (``evaluate_many``) do
+not: every field's stay on its own evaluator, and the catalog keeps its
+hand-written evaluators and Jacobians, which its tables are checked
+against.
 
 Domains are either all of R^n or a closed ball centered at the origin;
 both contain the segment from the origin to any of their points, which is
@@ -234,6 +242,21 @@ class Polynomial:
         bound = self._contract(np.abs(monomials), np.abs(self.coefficients))
         return self._contract(monomials, self.coefficients), self._gamma * bound
 
+    def value_within(self, points, abs_tol, rel_tol, constant=None):
+        """P plus ``constant`` at the rows of ``points``, its rounding bound,
+        and a mask of the rows the table serves: those whose bound is at
+        most max(abs_tol, rel_tol |entry|) at every entry.  The constant
+        counts as one more term of the sum, gamma |constant| in the bound.
+        Call it with floating-point errors ignored: a row that overflows,
+        and so has an infinite or NaN bound, is not served."""
+        values, bounds = self.value_and_bound(points)
+        if constant is not None:
+            values += constant
+            bounds += self._gamma * np.abs(constant)
+        # bound - tolerance is NaN where both are infinite, and no NaN is <= 0.
+        excess = bounds - np.maximum(abs_tol, rel_tol * np.abs(values))
+        return values, bounds, excess.max(axis=tuple(range(1, excess.ndim))) <= 0.0
+
     @cached_property
     def derivative(self):
         """The table of the Jacobian: coefficients gain a last axis j, d/dx_j."""
@@ -247,6 +270,20 @@ class Polynomial:
             self.coefficients[rows].reshape(rows.size, size) * self.exponents[rows, cols][:, None]
         )
         return Polynomial(lowered, coefs.reshape((rows.size,) + shape + (self.dimension,)))
+
+    @cached_property
+    def jet(self):
+        """The table of P and its Jacobian together, over the exponents of
+        both: coefficients gain a last axis of 1 + n columns, P in column 0
+        and d/dx_j in column 1 + j, so one power table and one contraction
+        give both."""
+        slopes = self.derivative
+        values = np.zeros(self.coefficients.shape + (1 + self.dimension,))
+        values[..., 0] = self.coefficients
+        return Polynomial(
+            np.concatenate((self.exponents, slopes.exponents)),
+            np.concatenate((values, np.insert(slopes.coefficients, 0, 0.0, axis=-1))),
+        )
 
     @cached_property
     def gradient_potential(self):

@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from conftest import random_ast
 from presnov.dsl import (
+    Const,
+    ExpressionField,
+    Var,
     _eval_raw,
     evaluate_ast,
     parse_expression,
@@ -55,6 +58,14 @@ def test_evaluate_ast_refuses_a_point_it_cannot_read():
         evaluate_ast(parse_expression("x1", 1), [[1.0], [2.0]])
     # A scalar stays a point of a one-variable expression.
     assert evaluate_ast(parse_expression("x1 + 1", 1), 2.0) == 3.0
+
+
+def test_expression_fields_refuse_variables_beyond_their_dimension():
+    # Var(4) reads x5, which a point of R^2 does not have.
+    with pytest.raises(DimensionMismatchError, match="x5"):
+        ExpressionField(2, [Var(4), Const(1.0)])
+    field = ExpressionField(2, [Var(1), Const(1.0)])
+    assert np.array_equal(field.evaluate_many(np.ones((1, 2))), [[1.0, 1.0]])
 
 
 def test_evaluate_ast_division_by_zero_is_non_finite():

@@ -428,6 +428,24 @@ def test_a_tabled_origin_start_stops_without_a_ladder():
     assert result.success and result.minimizer_check and result.starts_attempted == 2
 
 
+def test_seeded_starts_are_drawn_only_when_the_origin_fails(monkeypatch):
+    draws = []
+    draw = equilibria.ball_points
+
+    def counted(*args):
+        draws.append(args)
+        return draw(*args)
+
+    monkeypatch.setattr(equilibria, "ball_points", counted)
+    assert find_equilibrium(catalog_field("identity", 2).field, 1.0).starts_attempted == 1
+    assert draws == []
+    # The origin is a stationary point of the merit of grad H + b here
+    # (see above), so the seeded starts are drawn, once.
+    shifted = ShiftedField(catalog_field("cubic_radial", 3).field, _STALLING_OFFSET)
+    assert find_equilibrium_conservative(shifted, 2.0).starts_attempted == 2
+    assert draws == [(3, SolverConfig().multistart, 2.0, SolverConfig().seed)]
+
+
 @pytest.mark.parametrize("sharpness", [20, 60])
 def test_sharp_fronts_solve_as_before(sharpness):
     # grad H + b for X = (tanh(k (x1 - 1)), x2): a zero at

@@ -14,6 +14,7 @@ a draw that has a table, so the expansion budget bounds its size too.
 """
 
 import copy
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -514,3 +515,129 @@ def test_table_route_keeps_the_checks():
     for exponents, coefficients in refused:
         with pytest.raises(ConfigError):
             Polynomial(exponents, coefficients)
+
+
+# ---------------------------------------------------------------------------
+# The jet: X and its Jacobian from one table
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=5000)
+@given(st.lists(_polynomial_asts(signed=True), min_size=_DIM, max_size=_DIM))
+def test_the_jet_agrees_with_the_walker_within_its_rounding_bound(nodes):
+    field = ExpressionField(_DIM, nodes)
+    table = field.polynomial
+    if table is None:  # an expansion beyond the term budget claims nothing
+        return
+    jet, bound = table.jet.value_and_bound(_POINTS)
+    values, jacobians = field._walked(_POINTS)
+    walked = np.concatenate((values[..., None], jacobians), axis=-1)
+    for i, node in enumerate(nodes):
+        # Column 0 is X_i and column 1 + j its derivative in x_j.  The
+        # unsigned polynomial at |x| bounds every term that meets in an
+        # entry, so 1e-13 of it covers the rounding of the table's
+        # coefficients and the walker's own rounding.
+        exact, magnitude = _exact_poly(node), _exact_poly(_unsigned(node))
+        columns = [(exact, magnitude)] + [(exact.diff(x), magnitude.diff(x)) for x in _X]
+        for k, point in enumerate(_POINTS):
+            at = [sympy.Rational(v) for v in point]
+            for j, (reference, size) in enumerate(columns):
+                slack = bound[k, i, j] + 1e-13 * float(size(*map(abs, at)))
+                assert abs(jet[k, i, j] - float(reference(*at))) <= slack
+                assert abs(jet[k, i, j] - walked[k, i, j]) <= slack
+
+
+def test_ill_conditioned_jacobians_take_the_walker():
+    # At x1 = 2 the jet's rounding bound, about gamma 3^20, misses the
+    # tolerance, and the point takes the dual-number walker, bit for bit;
+    # at x1 = 0.1 the jet serves it.
+    field = parse_field("(x1 - 1)^20; x2")
+    points = np.array([[2.0, 0.5], [0.1, 0.2]])
+    cfg = DEFAULT_QUADRATURE
+    served = field.polynomial.jet.value_within(points, cfg.abs_tol, cfg.rel_tol)[2]
+    assert served.tolist() == [False, True]
+    values, jacobians = field.value_and_jacobian_many(points)
+    walked_values, walked_jacobians = field._walked(points)
+    assert np.array_equal(values[0], walked_values[0])
+    assert np.array_equal(jacobians[0], walked_jacobians[0])
+    assert np.allclose(values[1], walked_values[1], rtol=1e-12, atol=0.0)
+    assert np.allclose(jacobians[1], walked_jacobians[1], rtol=1e-12, atol=0.0)
+
+
+def test_overflowing_points_leave_the_tables():
+    # x1^3 - x1^3 expands to a zero coefficient, which times the
+    # overflowing power is NaN: the walker takes the point and overflows
+    # to inf - inf, as evaluate_many does.
+    field = parse_field("x1^3 - x1^3; x2")
+    assert field.polynomial is not None
+    with pytest.raises(NonFiniteValueError):
+        field.value_and_jacobian_many([[1e200, 0.0]])
+    with pytest.raises(NonFiniteValueError):
+        field.evaluate_many([[1e200, 0.0]])
+    # x1^3 overflows at 1e105, where (1e-10 x1)^3 does not: the walker
+    # takes the point, and grad H takes the adaptive route, with its
+    # Hessian from the derivative's table alone, which holds no x1^3.
+    field = parse_field("(1e-10*x1)^3; x2")
+    point = np.array([[1e105, 0.0]])
+    values, jacobians = field.value_and_jacobian_many(point)
+    assert np.array_equal(values, field.evaluate_many(point))
+    assert np.array_equal(jacobians, field._walked(point)[1])
+    values, hessians = ConservativePart(field).value_and_jacobian_many(point)
+    assert np.allclose(values, [[1e285, 0.0]], rtol=1e-12, atol=0.0)
+    assert np.allclose(hessians, [[[3e180, 0.0], [0.0, 1.0]]], rtol=1e-12, atol=0.0)
+    # In one dimension no zero coefficient turns the overflow into a NaN:
+    # grad H's table reads inf with an infinite bound, which serves no
+    # point, so the adaptive route returns the finite value.
+    field = parse_field("(1e-10*x1)^3")
+    assert np.allclose(gradient_potential_integral_many(field, [[1e105]]), 1e285, rtol=1e-12)
+    assert np.allclose(ConservativePart(field).evaluate_many([[1e105]]), 1e285, rtol=1e-12)
+
+
+def test_tabled_jacobian_calls_make_no_walk(monkeypatch):
+    walks = []
+    walk = dsl._eval_raw
+
+    def counted(node, points, arith=dsl._Reals):
+        walks.append(arith)
+        return walk(node, points, arith)
+
+    monkeypatch.setattr(dsl, "_eval_raw", counted)
+    points = ball_points(2, 16, 3.0, seed=26)
+    _CUBIC.value_and_jacobian_many(points)
+    _CUBIC.value_and_jacobian_many(points[:1])
+    assert walks == []
+    # The field's own values stay on the walker.
+    _CUBIC.evaluate_many(points)
+    assert walks and set(walks) == {dsl._Reals}
+
+
+def test_shifts_share_the_tables_of_their_field():
+    # grad H of X + b is grad H of X plus b, and its Hessian is that of X,
+    # so a shift builds no table: tracemalloc counted some 4.3 KB of
+    # tables a shift, 4.7 KB in all, when each built its own.
+    field = parse_field("x1^3 + 0.3*x2; x2^3 + 0.3*x3; x3^3 + 0.3*x1")
+    offsets = ball_points(3, 50, 3.0, seed=27)
+    points = ball_points(3, 4, 1.0, seed=28)
+
+    def split(shifted):
+        part = ConservativePart(shifted)
+        return part.value_and_jacobian_many(points), part.evaluate_many(points)
+
+    split(ShiftedField(field, offsets[0]))  # the inner field builds its tables once
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        shifts = [ShiftedField(field, b) for b in offsets]
+        for shifted in shifts:
+            split(shifted)
+            gradient_potential_integral_many(shifted, points)
+        per_shift = (tracemalloc.get_traced_memory()[0] - before) / len(shifts)
+    finally:
+        tracemalloc.stop()
+    assert per_shift < 2048
+    # The split agrees with the tables of X + b themselves.
+    (values, hessians), plain = split(shifts[1])
+    table = shifts[1].polynomial.gradient_potential
+    assert np.allclose(values, table(points), rtol=1e-14, atol=1e-14)
+    assert np.allclose(plain, values, rtol=1e-14, atol=1e-14)
+    assert np.allclose(hessians, table.derivative(points), rtol=1e-14, atol=1e-14)
