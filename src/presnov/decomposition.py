@@ -43,10 +43,10 @@ rounding noise sets the integrator's floor.  Potentials, and so the
 finite-difference route, always integrate adaptively.
 
 ``gradient_potential_many`` (central finite differences of H) is kept
-only as an independent cross-check of that route: it differentiates H
-itself, so it shares no formula with the homotopy route.  Its entry i
-at x is one integral of the difference quotient of the potential
-integrand,
+only as an independent cross-check of that route, and so is not
+exported: it differentiates H itself, so it shares no formula with the
+homotopy route.  Its entry i at x is one integral of the difference
+quotient of the potential integrand,
 
     (<X(t p), p> - <X(t q), q>) / 2 h_i,   p, q = x +/- h_i e_i,
 
@@ -80,7 +80,14 @@ its bound, and a ray is evaluated while any of its components is
 active, so a ray that converges on the first panels stops paying for a
 ray through a sharp feature.
 
-The split functions check their points with the rule of field
+The module exports one name per quantity: H (``potential_many``), grad
+H (``gradient_potential_integral_many``), the split
+(``decompose_many``), its check (``verify_decomposition``), and the two
+parts as fields (``ConservativePart``, ``SphereInvariantPart``).  Every
+function takes a batch of points, an (m, n) array, as only a field
+evaluates itself at one point (``VectorField.evaluate``): one point x is
+the batch [x], and ``DecompositionSet.sample`` reads one point of a
+split.  The functions check their points with the rule of field
 evaluation, ``VectorField._checked_points``, so an empty array gives an
 empty result.  The domain is R^n or an origin-centred ball, which holds
 the segment [0, x] iff it holds x, so no ray integral checks its rays
@@ -103,13 +110,8 @@ __all__ = [
     "DecompositionSample",
     "DecompositionSet",
     "VerificationReport",
-    "compute_potential",
     "potential_many",
-    "gradient_potential",
-    "gradient_potential_many",
-    "gradient_potential_integral",
     "gradient_potential_integral_many",
-    "decompose",
     "decompose_many",
     "verify_decomposition",
     "ConservativePart",
@@ -171,39 +173,27 @@ def _ray_radial_values(field, ts, xs):
     return np.einsum("q...n,...n->q...", vals, xs)
 
 
-def _potentials(field, pts, cfg):
-    """Potentials and error estimates at the rows of ``pts``.
+def potential_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
+    """Potential and quadrature error estimate at each row of ``points``.
 
     H(0) = 0 exactly, with no integral; every other point integrates.
     """
+    pts = field._checked_points(points)
 
     def integrand(ts, rows):
         return _ray_radial_values(field, ts, pts[rows])[:, :, None]
 
     rays = np.flatnonzero(pts.any(axis=1))
-    values, errors = _ray_integrals(pts, rays, 1, integrand, cfg)
+    values, errors = _ray_integrals(pts, rays, 1, integrand, config)
     return values[:, 0], errors[:, 0]
-
-
-def potential_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Potential and quadrature error estimate at each row of ``points``."""
-    return _potentials(field, field._checked_points(points), config)
-
-
-def compute_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    """Potential at one point; returns ``(value, error_estimate)``.
-
-    The potential at the origin is exactly 0.0 without integrating.
-    """
-    values, errors = potential_many(field, field._point_row(point), config)
-    return float(values[0]), float(errors[0])
 
 
 def gradient_potential_many(
     field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE
 ):
     """Gradient of the potential at each row of ``points``: central
-    differences of H, the cross-check route.
+    differences of H, the cross-check route of ``verify_decomposition``
+    (not exported).
 
     Entry i at x is one integral of the difference quotient
     (<X(t p), p> - <X(t q), q>) / 2 h_i over p, q = x +/- h_i e_i, so the
@@ -225,10 +215,6 @@ def gradient_potential_many(
         return _fd_derivatives(radial.transpose(1, 2, 0), steps[rows]).transpose(2, 0, 1)
 
     return _ray_integrals(pts, np.arange(m), n, integrand, config, floors=floors)[0]
-
-
-def gradient_potential(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    return gradient_potential_many(field, field._point_row(point), config)[0]
 
 
 def _unshifted(field):
@@ -311,12 +297,6 @@ def gradient_potential_integral_many(
     return _homotopy_gradient(field, field._checked_points(points), config)[0]
 
 
-def gradient_potential_integral(
-    field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE
-):
-    return gradient_potential_integral_many(field, field._point_row(point), config)[0]
-
-
 # ---------------------------------------------------------------------------
 # Assembled decompositions
 # ---------------------------------------------------------------------------
@@ -396,10 +376,6 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAUL
         radial_equality_residuals=orth,
         estimated_errors=est,
     )
-
-
-def decompose(field: VectorField, point, config: QuadratureConfig = DEFAULT_QUADRATURE):
-    return decompose_many(field, field._point_row(point), config).sample(0)
 
 
 class _SplitPart(VectorField):

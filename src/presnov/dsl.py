@@ -126,7 +126,7 @@ class Binary(Expr):
 
 @dataclass(frozen=True)
 class Norm2(Expr):
-    pass
+    dimension: int  # sums the squares of x1..x{dimension}, the parser's dimension
 
 
 FUNCTIONS = {
@@ -296,7 +296,7 @@ class _Parser:
             if name in _LITERALS:
                 return Const(_LITERALS[name])
             if name == "norm2":
-                return Norm2()
+                return Norm2(self.dimension)
             m = _VAR_RE.match(name)
             if m:
                 index = int(m.group(1))
@@ -523,15 +523,18 @@ def _eval_raw(node, points, arith=_Reals):
     if kind is Unary:
         return arith.unary(node.op, _eval_raw(node.operand, points, arith))
     if kind is Norm2:
-        return arith.norm2(points)
+        return arith.norm2(points[:, : node.dimension])
     raise TypeError(f"not an expression node: {node!r}")
 
 
 def _variable_count(node):
-    """The number of coordinates ``node`` reads: its highest variable index + 1."""
+    """The number of coordinates ``node`` reads: its highest variable index
+    + 1, or the dimension of a norm2 it holds."""
     kind = type(node)
     if kind is Var:
         return node.index + 1
+    if kind is Norm2:
+        return node.dimension
     if kind is Unary:
         return _variable_count(node.operand)
     if kind is Binary:
@@ -539,12 +542,21 @@ def _variable_count(node):
     return 0
 
 
+def _norm2_dimensions(node):
+    """The dimensions of the norm2 nodes in ``node``."""
+    if type(node) is Norm2:
+        return {node.dimension}
+    return set().union(*(_norm2_dimensions(c) for c in vars(node).values() if isinstance(c, Expr)))
+
+
 def evaluate_ast(node: Expr, point) -> float:
     """Evaluate one AST at a point; raises NonFiniteValueError on NaN/inf.
 
     The point is a vector of real numbers (a scalar for one variable) with
-    at least as many coordinates as the highest variable the AST reads;
-    anything else raises DimensionMismatchError.
+    at least as many coordinates as the AST reads (``_variable_count``),
+    and the AST reads only those: a norm2 parsed for dimension d sums
+    x1..xd, as x1 reads x1 alone.  Anything else raises
+    DimensionMismatchError.
     """
     needed = _variable_count(node)
     expected = f"expected a vector of at least {needed} real number(s)"
@@ -587,9 +599,7 @@ class _Expansion:
         kind = type(node)
         if kind is Const:
             return {(0,) * self.n: node.value}
-        if kind is Var:
-            if node.index >= self.n:  # an AST built for more variables
-                raise _NotTabled
+        if kind is Var:  # ExpressionField checked every variable against n
             return {tuple(int(j == node.index) for j in range(self.n)): 1.0}
         if kind is Norm2:
             return {tuple(2 * int(j == i) for j in range(self.n)): 1.0 for i in range(self.n)}
@@ -712,6 +722,11 @@ class ExpressionField(VectorField):
         if read > self.dimension:
             raise DimensionMismatchError(
                 f"the expressions read x{read}, beyond the field dimension {self.dimension}"
+            )
+        stray = set().union(*map(_norm2_dimensions, expressions)) - {self.dimension}
+        if stray:
+            raise DimensionMismatchError(
+                f"a norm2 over {min(stray)} variables in a field of dimension {self.dimension}"
             )
         self.expressions = expressions
         self.source = source

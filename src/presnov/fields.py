@@ -4,9 +4,11 @@ A field is an immutable object with a fixed dimension that maps points to
 vectors.  Evaluation is batched: subclasses implement ``_evaluate_many`` on
 an ``(m, n)`` array and the base class adds dimension, finiteness, and
 domain checks (``_checked_points``, the package's one point-array check,
-which the split functions of ``decomposition`` share).  Combinators
-(sum, scalar multiple, constant shift, ball restriction) evaluate
-structurally, with no simplification.
+which the split functions of ``decomposition`` share).  A field
+evaluates itself at one point of shape (n,) (``evaluate``, or a call);
+every module function that takes a field's points takes a batch.
+Combinators (sum, scalar multiple, constant shift, ball restriction)
+evaluate structurally, with no simplification.
 
 ``value_and_jacobian_many`` returns the values together with the
 Jacobians ``jac[k, i, j] = dX_i/dx_j``, under the same checks.  Fields
@@ -73,7 +75,6 @@ __all__ = [
     "CatalogEntry",
     "catalog_field",
     "catalog_names",
-    "radial_component",
 ]
 
 _BALL_SLACK = 1e-9
@@ -584,14 +585,6 @@ def _radial_values(field, points):
     if not np.isfinite(radial).all():
         raise NonFiniteValueError(f"<X(x), x> of field '{field.label}' overflows")
     return radial
-
-
-def radial_component(field: VectorField, point) -> float:
-    """Inner product of the field value with the position vector.
-
-    Raises NonFiniteValueError when it overflows.
-    """
-    return float(_radial_values(field, field._point_row(point))[0])
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ def random_ast(rng, dimension, depth):
             return Const(float(np.round(rng.uniform(0.0, 4.0), 3)))
         if roll < 0.9:
             return Var(int(rng.integers(0, dimension)))
-        return Norm2()
+        return Norm2(dimension)
     roll = rng.random()
     if roll < 0.25:
         op = "neg" if rng.random() < 0.5 else _FUNC_NAMES[rng.integers(0, len(_FUNC_NAMES))]

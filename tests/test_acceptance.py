@@ -14,17 +14,15 @@ from conftest import random_ast, random_polynomial_field_text, src_env
 from presnov import (
     NoCertifiedRadiusError,
     catalog_field,
-    compute_potential,
     find_equilibrium,
     find_equilibrium_conservative,
     gradient_potential_integral_many,
-    gradient_potential_many,
     paired_probe,
     parse_field,
     perturbed_existence,
     potential_many,
 )
-from presnov.decomposition import ConservativePart, SphereInvariantPart
+from presnov.decomposition import ConservativePart, SphereInvariantPart, gradient_potential_many
 from presnov.dsl import _eval_raw, evaluate_ast, parse_expression, pretty
 from presnov.errors import NonFiniteValueError, ParseError
 from presnov.radial import VERDICT_COERCIVE, VERDICT_NOT_COERCIVE
@@ -126,10 +124,10 @@ def test_criterion_03_linear_field_oracle():
 
 def test_criterion_04_potential_normalization_and_closed_forms():
     field = parse_field("x1^2; x2")
-    origin, origin_err = compute_potential(field, [0.0, 0.0])
-    hand, _ = compute_potential(field, [1.0, 1.0])
+    values, errors = potential_many(field, [[0.0, 0.0], [1.0, 1.0]])
+    origin, hand, origin_err = float(values[0]), float(values[1]), float(errors[0])
     ident = catalog_field("identity", 2).field
-    norm_two, _ = compute_potential(ident, [1.2, 1.6])
+    norm_two = float(potential_many(ident, [[1.2, 1.6]])[0][0])
     ok = (
         origin == 0.0
         and origin_err == 0.0

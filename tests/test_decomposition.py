@@ -14,13 +14,8 @@ from presnov import (
     SphereInvariantPart,
     SumField,
     catalog_field,
-    compute_potential,
-    decompose,
     decompose_many,
-    gradient_potential,
-    gradient_potential_integral,
     gradient_potential_integral_many,
-    gradient_potential_many,
     parse_field,
     potential_many,
     verify_decomposition,
@@ -34,70 +29,95 @@ from presnov.sampling import ball_points
 def test_potential_hand_integral():
     # integrand of "x1^2; x2" at (1,1) is t^2 + t, so H = 1/3 + 1/2 = 5/6.
     field = parse_field("x1^2; x2")
-    value, err = compute_potential(field, [1.0, 1.0])
-    assert value == pytest.approx(5.0 / 6.0, abs=1e-12)
-    assert err >= 0.0
+    value, err = potential_many(field, [[1.0, 1.0]])
+    assert value[0] == pytest.approx(5.0 / 6.0, abs=1e-12)
+    assert err[0] >= 0.0
 
 
 def test_potential_identity_norm_two():
     field = catalog_field("identity", 2).field
-    value, _ = compute_potential(field, [1.2, 1.6])  # |x| = 2
-    assert value == pytest.approx(2.0, abs=1e-12)
+    value, _ = potential_many(field, [[1.2, 1.6]])  # |x| = 2
+    assert value[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_potential_rotation_vanishes():
     field = catalog_field("rotation2d").field
-    value, _ = compute_potential(field, [3.0, -7.0])
-    assert value == pytest.approx(0.0, abs=1e-12)
+    value, _ = potential_many(field, [[3.0, -7.0]])
+    assert value[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_potential_origin_exact_zero():
     field = parse_field("exp(x1); sin(x2)")
-    value, err = compute_potential(field, [0.0, 0.0])
-    assert value == 0.0 and err == 0.0
+    value, err = potential_many(field, [[0.0, 0.0]])
+    assert value[0] == 0.0 and err[0] == 0.0
     # Only the origin itself is pinned: a point next to it integrates.
-    near, _ = compute_potential(field, [1e-13, -1e-13])
-    assert near == pytest.approx(1e-13, rel=1e-12)
+    near, _ = potential_many(field, [[1e-13, -1e-13]])
+    assert near[0] == pytest.approx(1e-13, rel=1e-12)
 
 
 def test_gradient_identity():
     field = catalog_field("identity", 2).field
-    assert np.allclose(gradient_potential(field, [3.0, -4.0]), [3.0, -4.0], atol=1e-9)
+    grad = decomposition.gradient_potential_many(field, [[3.0, -4.0]])[0]
+    assert np.allclose(grad, [3.0, -4.0], atol=1e-9)
 
 
 def test_gradient_linear_symmetric_part():
     field = catalog_field("linear", matrix=[[1.0, 2.0], [0.0, 1.0]]).field
     # sym(A) = [[1,1],[1,1]]; sym(A) (1,0) = (1,1).
-    assert np.allclose(gradient_potential(field, [1.0, 0.0]), [1.0, 1.0], atol=1e-9)
+    grad = decomposition.gradient_potential_many(field, [[1.0, 0.0]])[0]
+    assert np.allclose(grad, [1.0, 1.0], atol=1e-9)
 
 
 def test_gradient_expression_field():
     field = parse_field("x1^2; x2")
-    assert np.allclose(gradient_potential(field, [1.0, 1.0]), [1.0, 1.0], atol=1e-9)
+    grad = decomposition.gradient_potential_many(field, [[1.0, 1.0]])[0]
+    assert np.allclose(grad, [1.0, 1.0], atol=1e-9)
 
 
 def test_gradient_integral_route_examples():
-    ident = catalog_field("identity", 2).field
-    assert np.allclose(gradient_potential_integral(ident, [3.0, -4.0]), [3.0, -4.0], atol=1e-9)
-    rot = catalog_field("rotation2d").field
-    assert np.allclose(gradient_potential_integral(rot, [0.3, 0.7]), [0.0, 0.0], atol=1e-9)
-    lin = catalog_field("linear", matrix=[[1.0, 2.0], [0.0, 1.0]]).field
-    assert np.allclose(gradient_potential_integral(lin, [0.0, 1.0]), [1.0, 1.0], atol=1e-9)
+    for field, point, expected in [
+        (catalog_field("identity", 2).field, [3.0, -4.0], [3.0, -4.0]),
+        (catalog_field("rotation2d").field, [0.3, 0.7], [0.0, 0.0]),
+        (catalog_field("linear", matrix=[[1.0, 2.0], [0.0, 1.0]]).field, [0.0, 1.0], [1.0, 1.0]),
+    ]:
+        grad = gradient_potential_integral_many(field, [point])[0]
+        assert np.allclose(grad, expected, atol=1e-9)
 
 
 @pytest.mark.parametrize(
-    "wrapper", [compute_potential, gradient_potential, gradient_potential_integral, decompose]
+    "route",
+    [
+        # One point reaches every quantity through the field's own point
+        # check and the batch function; the ids keep the names of the
+        # single-point functions these routes replace.
+        pytest.param(lambda f, p: potential_many(f, f._point_row(p))[0], id="compute_potential"),
+        pytest.param(
+            lambda f, p: decomposition.gradient_potential_many(f, f._point_row(p))[0],
+            id="gradient_potential",
+        ),
+        pytest.param(
+            lambda f, p: gradient_potential_integral_many(f, f._point_row(p))[0],
+            id="gradient_potential_integral",
+        ),
+        pytest.param(lambda f, p: decompose_many(f, f._point_row(p)).sample(0), id="decompose"),
+    ],
 )
 @pytest.mark.parametrize("point", [3.0, [[1.0, 2.0]]])
-def test_single_point_wrappers_reject_other_shapes(wrapper, point):
+def test_single_point_wrappers_reject_other_shapes(route, point):
+    # Of the entries that take a field's points, only the field's own
+    # evaluate takes a single point; every function takes a batch.
     field = catalog_field("identity", 2).field
     with pytest.raises(DimensionMismatchError, match="single point"):
-        wrapper(field, point)
+        field.evaluate(point)
+    with pytest.raises(DimensionMismatchError, match="single point"):
+        route(field, point)
+    # The good shape goes through the same route.
+    route(field, [1.0, 2.0])
 
 
 def test_decompose_linear_example():
     field = catalog_field("linear", matrix=[[1.0, 2.0], [0.0, 1.0]]).field
-    sample = decompose(field, [1.0, 0.0])
+    sample = decompose_many(field, [[1.0, 0.0]]).sample(0)
     assert sample.potential == pytest.approx(0.5, abs=1e-10)
     assert np.allclose(sample.conservative, [1.0, 1.0], atol=1e-9)
     assert np.allclose(sample.sphere_invariant, [0.0, -1.0], atol=1e-9)
@@ -106,13 +126,13 @@ def test_decompose_linear_example():
 
 def test_decompose_gradient_field_has_no_residual_part():
     field = parse_field("x1^2; x2")
-    sample = decompose(field, [1.0, 1.0])
+    sample = decompose_many(field, [[1.0, 1.0]]).sample(0)
     assert np.allclose(sample.sphere_invariant, [0.0, 0.0], atol=1e-8)
 
 
 def test_decompose_rotation_is_purely_sphere_invariant():
     field = catalog_field("rotation2d").field
-    sample = decompose(field, [1.0, 0.0])
+    sample = decompose_many(field, [[1.0, 0.0]]).sample(0)
     assert sample.potential == pytest.approx(0.0, abs=1e-12)
     assert np.allclose(sample.conservative, [0.0, 0.0], atol=1e-9)
     assert np.allclose(sample.sphere_invariant, [0.0, 1.0], atol=1e-9)
@@ -280,8 +300,8 @@ def test_converged_rays_stop_paying_for_sharp_ones():
         return np.all(np.abs(got - alone) <= np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(alone)))
 
     for x, value, grad in zip(points, values, grads):
-        assert within_tolerance(value, compute_potential(field, x)[0])
-        assert within_tolerance(grad, gradient_potential_integral(field, x))
+        assert within_tolerance(value, potential_many(field, [x])[0][0])
+        assert within_tolerance(grad, gradient_potential_integral_many(field, [x])[0])
 
 
 def test_potential_linearity():
@@ -303,7 +323,8 @@ def test_both_gradient_routes_return_the_field_at_the_origin():
     entry = catalog_field("constant", value=[1.0, -0.5])
     origin = np.zeros((1, 2))
     expected = entry.field.evaluate_many(origin)
-    assert np.allclose(gradient_potential_many(entry.field, origin), expected, atol=1e-9)
+    fd = decomposition.gradient_potential_many(entry.field, origin)
+    assert np.allclose(fd, expected, atol=1e-9)
     assert np.allclose(gradient_potential_integral_many(entry.field, origin), expected, atol=1e-12)
 
 
@@ -315,7 +336,7 @@ def test_two_gradient_routes_agree():
     ]
     for field in fields:
         points = ball_points(field.dimension, 40, 5.0, seed=7)
-        fd = gradient_potential_many(field, points)
+        fd = decomposition.gradient_potential_many(field, points)
         integral = gradient_potential_integral_many(field, points)
         bound = 1e-5 * (1.0 + np.linalg.norm(fd, axis=1))
         assert np.all(np.linalg.norm(fd - integral, axis=1) <= bound)
@@ -333,12 +354,13 @@ def test_conservative_part_field_view():
 def test_ball_domain_clearance():
     inner = catalog_field("identity", 2).field
     field = BallRestrictedField(inner, 1.0)
-    value, _ = compute_potential(field, [1.0, 0.0])  # boundary point is fine
-    assert value == pytest.approx(0.5, abs=1e-12)
+    value, _ = potential_many(field, [[1.0, 0.0]])  # boundary point is fine
+    assert value[0] == pytest.approx(0.5, abs=1e-12)
     with pytest.raises(DomainError):
-        gradient_potential(field, [1.0, 0.0])  # no room for the FD route's stencil
+        # No room for the FD route's stencil.
+        decomposition.gradient_potential_many(field, [[1.0, 0.0]])
     with pytest.raises(DomainError):
-        compute_potential(field, [2.0, 0.0])
+        potential_many(field, [[2.0, 0.0]])
     # The Jacobian fallback of a field without a closed form shares the
     # stencil and its clearance rule.
     fallback = BallRestrictedField(CallableField(2, lambda p: p.copy()), 1.0)
@@ -379,7 +401,7 @@ _POINT_ENTRIES = {
     "evaluate_many": (lambda f, p: f.evaluate_many(p), (2,)),
     "value_and_jacobian_many": (lambda f, p: f.value_and_jacobian_many(p)[1], (2, 2)),
     "potential_many": (lambda f, p: potential_many(f, p)[0], ()),
-    "gradient_potential_many": (gradient_potential_many, (2,)),
+    "gradient_potential_many": (decomposition.gradient_potential_many, (2,)),
     "gradient_potential_integral_many": (gradient_potential_integral_many, (2,)),
     "decompose_many": (lambda f, p: decompose_many(f, p).sphere_invariant, (2,)),
     "ConservativePart": (lambda f, p: ConservativePart(f).evaluate_many(p), (2,)),
@@ -433,7 +455,7 @@ def test_fd_route_refines_each_entry_on_its_own():
             counted[0] += p.shape[0]
             return inner.evaluate_many(p)
 
-        grads = gradient_potential_many(CallableField(2, counting), points)
+        grads = decomposition.gradient_potential_many(CallableField(2, counting), points)
         assert counted[0] == leaf_points, text
         exact = gradient_potential_integral_many(inner, points)
         assert np.allclose(grads, exact, rtol=1e-8, atol=1e-8), text
@@ -441,6 +463,6 @@ def test_fd_route_refines_each_entry_on_its_own():
 
 def test_estimated_error_is_reported():
     field = parse_field("x1^3; x2")
-    sample = decompose(field, [2.0, 1.0])
+    sample = decompose_many(field, [[2.0, 1.0]]).sample(0)
     assert np.isfinite(sample.estimated_error)
     assert sample.estimated_error >= 0.0

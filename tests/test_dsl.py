@@ -9,6 +9,7 @@ from conftest import random_ast
 from presnov.dsl import (
     Const,
     ExpressionField,
+    Norm2,
     Var,
     _eval_raw,
     evaluate_ast,
@@ -56,6 +57,11 @@ def test_evaluate_ast_refuses_a_point_it_cannot_read():
         evaluate_ast(parse_expression("x3", 3), [1.0])
     with pytest.raises(DimensionMismatchError):
         evaluate_ast(parse_expression("x1", 1), [[1.0], [2.0]])
+    # norm2 reads the coordinates of the dimension it was parsed for, and
+    # only those, as x1 parsed for dimension 3 reads x1 alone.
+    with pytest.raises(DimensionMismatchError):
+        evaluate_ast(parse_expression("norm2", 3), [1.0])
+    assert evaluate_ast(parse_expression("norm2", 3), [1.0, 2.0, 3.0, 4.0]) == 14.0
     # A scalar stays a point of a one-variable expression.
     assert evaluate_ast(parse_expression("x1 + 1", 1), 2.0) == 3.0
 
@@ -66,6 +72,11 @@ def test_expression_fields_refuse_variables_beyond_their_dimension():
         ExpressionField(2, [Var(4), Const(1.0)])
     field = ExpressionField(2, [Var(1), Const(1.0)])
     assert np.array_equal(field.evaluate_many(np.ones((1, 2))), [[1.0, 1.0]])
+    # A norm2 parsed for another dimension sums other coordinates than x1..x3.
+    for dimension in (2, 4):
+        with pytest.raises(DimensionMismatchError):
+            ExpressionField(3, [Norm2(dimension), Const(1.0), Const(1.0)])
+    assert ExpressionField(3, [Norm2(3), Const(1.0), Const(1.0)]).evaluate([1.0, 2.0, 3.0])[0] == 14.0
 
 
 def test_evaluate_ast_division_by_zero_is_non_finite():

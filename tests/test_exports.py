@@ -24,3 +24,31 @@ def test_readme_entry_points_are_exported():
     names = re.findall(r"`(\w+)`", table)
     assert table.startswith("| area |") and names
     assert set(names) <= set(presnov.__all__)
+
+
+def test_the_split_exports_one_name_per_quantity():
+    # H, grad H, the split, its check, the two parts as fields, and the
+    # result types; every function takes a batch of points.
+    assert decomposition.__all__ == [
+        "DecompositionSample",
+        "DecompositionSet",
+        "VerificationReport",
+        "potential_many",
+        "gradient_potential_integral_many",
+        "decompose_many",
+        "verify_decomposition",
+        "ConservativePart",
+        "SphereInvariantPart",
+    ]
+    # The single-point copies of batch functions are gone, and the
+    # finite-difference cross-check is a module function of decomposition.
+    for name in (
+        "compute_potential",
+        "gradient_potential",
+        "gradient_potential_integral",
+        "decompose",
+        "radial_component",
+        "gradient_potential_many",
+    ):
+        assert not hasattr(presnov, name), name
+    assert callable(decomposition.gradient_potential_many)

@@ -26,8 +26,8 @@ from presnov import (
     parse_field,
     perturbed_existence,
     potential_many,
-    radial_component,
 )
+from presnov import fields
 from presnov.dsl import Const
 from presnov.sampling import ball_points, unit_directions
 
@@ -48,23 +48,26 @@ def test_evaluate_linear_hand_product():
     assert np.array_equal(field.evaluate([1.0, 0.0]), [1.0, 0.0])
 
 
+# The radial component <X(x), x>, at the rows of a batch (fields._radial_values).
+
+
 def test_radial_component_identity():
     field = catalog_field("identity", 2).field
-    assert radial_component(field, [3.0, 4.0]) == 25.0
+    assert fields._radial_values(field, np.array([[3.0, 4.0]]))[0] == 25.0
 
 
 def test_radial_component_rotation_vanishes():
     field = catalog_field("rotation2d").field
     rng = np.random.Generator(np.random.Philox(7))
-    for _ in range(20):
-        x = rng.uniform(-5, 5, size=2)
-        assert abs(radial_component(field, x)) <= 1e-12 * (1 + x @ x)
+    x = rng.uniform(-5, 5, size=(20, 2))
+    radial = fields._radial_values(field, x)
+    assert np.all(np.abs(radial) <= 1e-12 * (1 + np.einsum("ij,ij->i", x, x)))
 
 
 def test_radial_component_linear_hand_value():
     # A (1,1) = (3,1); <(3,1), (1,1)> = 4.
     field = catalog_field("linear", matrix=[[1.0, 2.0], [0.0, 1.0]]).field
-    assert radial_component(field, [1.0, 1.0]) == pytest.approx(4.0, abs=1e-14)
+    assert fields._radial_values(field, np.array([[1.0, 1.0]]))[0] == pytest.approx(4.0, abs=1e-14)
 
 
 def test_radial_component_shift_rule():
@@ -72,16 +75,15 @@ def test_radial_component_shift_rule():
     b = np.array([0.5, -1.5, 2.0])
     shifted = ShiftedField(base, b)
     rng = np.random.Generator(np.random.Philox(9))
-    for _ in range(25):
-        x = rng.uniform(-3, 3, size=3)
-        lhs = radial_component(shifted, x)
-        rhs = radial_component(base, x) + float(b @ x)
-        assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
+    x = rng.uniform(-3, 3, size=(25, 3))
+    lhs = fields._radial_values(shifted, x)
+    rhs = fields._radial_values(base, x) + x @ b
+    assert lhs == pytest.approx(rhs, rel=1e-13, abs=1e-13)
 
 
 def test_radial_component_overflow_is_a_non_finite_error():
     with pytest.raises(NonFiniteValueError, match="overflows"):
-        radial_component(parse_field("x1; x2"), [1e200, 1e200])
+        fields._radial_values(parse_field("x1; x2"), np.array([[1e200, 1e200]]))
 
 
 # ---------------------------------------------------------------------------

@@ -15,11 +15,11 @@ from presnov import (
     boundary_certificate,
     catalog_field,
     coercivity_probe,
-    gradient_potential_many,
     paired_probe,
     parse_field,
     radial_profile,
 )
+from presnov.decomposition import gradient_potential_many
 from presnov.radial import (
     _FLAT_TOL,
     VERDICT_COERCIVE,

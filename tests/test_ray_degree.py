@@ -56,7 +56,7 @@ def _polynomial_asts(signed):
     literals and no negation or subtraction, so no terms cancel."""
     low = 0.0 if signed else 0.5
     literal = st.floats(min_value=low, max_value=3.0).map(lambda v: Const(round(v, 3)))
-    leaves = st.one_of(literal, st.integers(0, _DIM - 1).map(Var), st.just(Norm2()))
+    leaves = st.one_of(literal, st.integers(0, _DIM - 1).map(Var), st.just(Norm2(_DIM)))
     ops = ["+", "-", "*"] if signed else ["+", "*"]
 
     def extend(children):
@@ -447,7 +447,15 @@ def test_the_hessian_of_h_is_exact(field):
     reference = stencil.value_and_jacobian_many(points)[1]
     assert np.abs(hessians - reference).max() <= 1e-6 * (1.0 + np.abs(reference).max())
     assert np.allclose(hessians, hessians.transpose(0, 2, 1), rtol=1e-14, atol=1e-14)
-    assert np.array_equal(values, gradient_potential_integral_many(field, points))
+    # The values are column 0 of grad H's jet, and the split's grad H is
+    # grad H's own table: two contractions of one polynomial, each within
+    # its rounding bound (Polynomial.value_and_bound) at points both serve.
+    table, cfg = field.polynomial.gradient_potential, DEFAULT_QUADRATURE
+    _, jet_bounds, jet_served = table.jet.value_within(points, cfg.abs_tol, cfg.rel_tol)
+    _, bounds, served = table.value_within(points, cfg.abs_tol, cfg.rel_tol)
+    assert jet_served.all() and served.all()
+    gap = np.abs(values - gradient_potential_integral_many(field, points))
+    assert np.all(gap <= jet_bounds[..., 0] + bounds)
 
 
 def test_expansions_beyond_the_budget_keep_no_table(monkeypatch):
