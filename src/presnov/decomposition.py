@@ -42,6 +42,22 @@ fields, the central-difference stencil of ``fields`` otherwise, whose
 rounding noise sets the integrator's floor.  Potentials, and so the
 finite-difference route, always integrate adaptively.
 
+The formula scales along its ray: the change of variable t = s u in the
+homotopy operator gives
+
+    integral over t in [0, s] of X(t x) + t J(t x)^T x dt = s grad H(s x),
+
+so grad H(x) = t0 grad H(t0 x) plus the integral over [t0, 1] alone.
+``_homotopy_gradient`` takes such a start (t0, grad H(t0 x) and its
+error estimates), integrates each entry over [t0, 1] under its own
+bound, and returns the outer estimate plus t0 times the start's.
+``ConservativePart._radial_profiles`` runs it along the probe's radius
+schedule r_k = r_0 q^k, with t0 = r_{k-1} / r_k = 1 / q: each radius
+adds at most the bound of its own integral and shrinks the earlier
+error by 1 / q, so the estimate stays below q / (q - 1) times one
+integral's bound (twice it at the default q = 2).  A sharp feature near
+the origin is then resolved at the first radii, not again at each one.
+
 ``gradient_potential_many`` (central finite differences of H) is kept
 only as an independent cross-check of that route, and so is not
 exported: it differentiates H itself, so it shares no formula with the
@@ -98,12 +114,13 @@ again.  ``verify_decomposition`` alone refuses an empty sample
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
 from .errors import ConfigError
 from .fields import _FD_SCALE, ShiftedField, VectorField, _fd_derivatives, _fd_probes
+from .fields import _radial_values
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
 __all__ = [
@@ -229,7 +246,7 @@ def _unshifted(field):
     return field, shift
 
 
-def _homotopy_gradient(field, pts, cfg):
+def _homotopy_gradient(field, pts, cfg, start=None):
     """grad H and its error estimates at the rows of ``pts``.
 
     A field with a monomial table takes the table of grad H, with its
@@ -239,12 +256,22 @@ def _homotopy_gradient(field, pts, cfg):
     field's table plus the shift.  The other points integrate
     X(t x) + t J(t x)^T x, one component per gradient entry; at the
     origin grad H is X(0) exactly, with no integral.
+
+    ``start``, a tuple (t0, grad H(t0 x), its error estimates) with rows
+    matching ``pts``, restricts each integral to t in [t0, 1] (nodes
+    t0 + (1 - t0) s, integrand and stencil noise floors scaled by
+    1 - t0) and adds t0 grad H(t0 x) to the value and t0 times its
+    estimates to the estimate: the ray recurrence of the module
+    docstring.  Rows served by the table, and the origin, ignore it.
     """
     m, n = pts.shape
     floors = None if field.exact_jacobian else np.zeros((m, n))
+    t0 = 0.0 if start is None else start[0]
+    width = 1.0 - t0  # the length of the integrated part of each ray
 
-    def integrand(ts, rows):
+    def integrand(ss, rows):
         xs = pts[rows]
+        ts = t0 + width * ss
         q, b = ts.size, xs.shape[0]
         # Row k = q_i * b + b_i is node t_{q_i} xs[b_i].
         nodes = (ts[:, None, None] * xs[None, :, :]).reshape(q * b, n)
@@ -255,9 +282,9 @@ def _homotopy_gradient(field, pts, cfg):
         if floors is not None:
             # The stencil's rounding, eps |X| / step, shared by a point's entries.
             noise_scale = 4.0 * (np.finfo(float).eps / _FD_SCALE) * np.abs(xs).sum(axis=1)
-            noise = noise_scale * np.abs(vals).max(axis=(0, 2))
+            noise = width * noise_scale * np.abs(vals).max(axis=(0, 2))
             floors[rows] = np.maximum(floors[rows], noise[:, None])
-        return vals + ts[:, None, None] * jac_t_x
+        return width * (vals + ts[:, None, None] * jac_t_x)
 
     inner, shift = _unshifted(field)
     table = inner.polynomial
@@ -274,6 +301,9 @@ def _homotopy_gradient(field, pts, cfg):
     rays = np.flatnonzero(pending & ~at_origin)
     if rays.size:
         values, estimates = _ray_integrals(pts, rays, n, integrand, cfg, floors)
+        if start is not None:
+            values[rays] += t0 * start[1][rays]
+            estimates[rays] += t0 * start[2][rays]
         grads[rays], errors[rays] = values[rays], estimates[rays]
     origin = pending & at_origin
     if origin.any():
@@ -446,6 +476,20 @@ class ConservativePart(_SplitPart):
     def _evaluate_many(self, points):
         # The points passed this part's checks, and it shares the source's domain.
         return _homotopy_gradient(self.source, points, self.config)[0]
+
+    def _radial_profiles(self, radii, directions):
+        """The probe's table by the ray recurrence (module docstring): radius
+        r_k integrates its ray only over t in [r_{k-1} / r_k, 1], from
+        grad H at r_{k-1} d, and the first radius integrates its whole ray.
+        Each radius passes the checks of ``evaluate_many``."""
+        profiles = []
+        for k, r in enumerate(radii):
+            start = (radii[k - 1] / r, grads, errors) if k else None
+            route = partial(_homotopy_gradient, self.source, cfg=self.config, start=start)
+            pts, (grads, errors) = self._checked_call(r * directions, route)
+            grads = self._checked_array(pts, grads, pts.shape, "value")
+            profiles.append(_radial_values(self, pts, grads) / r)
+        return np.stack(profiles)
 
 
 class SphereInvariantPart(_SplitPart):

@@ -331,6 +331,13 @@ def _height(node):
     return height
 
 
+def _check_height(node):
+    """Refuse a hand-built tree deeper than the walkers may recurse, with
+    the parser's error."""
+    if isinstance(node, Expr) and _height(node) > _MAX_HEIGHT:
+        raise ParseError("expression nests too deeply", 1, 1)
+
+
 def _parse_segments(tokens, dimension):
     """The expressions of the non-blank segments of ``tokens``, in order."""
     parser = _Parser(tokens, dimension)
@@ -558,6 +565,7 @@ def evaluate_ast(node: Expr, point) -> float:
     x1..xd, as x1 reads x1 alone.  Anything else raises
     DimensionMismatchError.
     """
+    _check_height(node)
     needed = _variable_count(node)
     expected = f"expected a vector of at least {needed} real number(s)"
     x = np.atleast_1d(_float_array(point, expected, DimensionMismatchError))
@@ -675,6 +683,11 @@ def pretty(node: Expr) -> str:
     Assumes canonical ASTs as produced by the parser: numeric literals are
     non-negative (negation is an explicit node).
     """
+    _check_height(node)
+    return _pretty(node)
+
+
+def _pretty(node):
     if isinstance(node, Const):
         return repr(float(node.value))
     if isinstance(node, Var):
@@ -683,19 +696,19 @@ def pretty(node: Expr) -> str:
         return "norm2"
     if isinstance(node, Unary):
         if node.op == "neg":
-            return "-" + _wrap(pretty(node.operand), _prec(node.operand) < _NEG)
-        return f"{node.op}({pretty(node.operand)})"
+            return "-" + _wrap(_pretty(node.operand), _prec(node.operand) < _NEG)
+        return f"{node.op}({_pretty(node.operand)})"
     if isinstance(node, Binary):
         left, right = node.left, node.right
         if node.op in "+-":
-            ls = pretty(left)
-            rs = _wrap(pretty(right), _prec(right) <= _ADD)
+            ls = _pretty(left)
+            rs = _wrap(_pretty(right), _prec(right) <= _ADD)
         elif node.op in "*/":
-            ls = _wrap(pretty(left), _prec(left) < _MUL)
-            rs = _wrap(pretty(right), _prec(right) <= _MUL)
+            ls = _wrap(_pretty(left), _prec(left) < _MUL)
+            rs = _wrap(_pretty(right), _prec(right) <= _MUL)
         else:  # '^': base must be an atom, exponent at least a factor
-            ls = _wrap(pretty(left), _prec(left) < _ATOM)
-            rs = _wrap(pretty(right), _prec(right) < _NEG)
+            ls = _wrap(_pretty(left), _prec(left) < _ATOM)
+            rs = _wrap(_pretty(right), _prec(right) < _NEG)
         return f"{ls}{node.op}{rs}"
     raise TypeError(f"not an expression node: {node!r}")
 
@@ -716,6 +729,8 @@ class ExpressionField(VectorField):
             raise ParseError(
                 f"expected {dimension} expressions, found {len(expressions)}", 1, 1
             )
+        for expr in expressions:
+            _check_height(expr)
         label = source if source is not None else "; ".join(pretty(e) for e in expressions)
         super().__init__(dimension, label=" ".join(label.split("\n")))
         read = max(map(_variable_count, expressions))

@@ -399,6 +399,11 @@ class VectorField:
             raise DimensionMismatchError(f"{expected}, got {x.shape}")
         return x[None, :]
 
+    def _radial_profiles(self, radii, directions):
+        """Profiles <X(r d), r d> / r, one row per radius and one column per
+        unit direction: the table of ``radial``'s probe, radius by radius."""
+        return np.stack([_radial_values(self, r * directions) / r for r in radii])
+
     def evaluate(self, point) -> np.ndarray:
         return self.evaluate_many(self._point_row(point))[0]
 
@@ -579,9 +584,11 @@ def _fd_derivatives(values, steps):
     return (values[:, 0::2] - values[:, 1::2]) / (2.0 * steps)
 
 
-def _radial_values(field, points):
-    """<X(x), x> at the rows of ``points``; raises NonFiniteValueError on overflow."""
-    radial = np.einsum("ij,ij->i", field.evaluate_many(points), points)
+def _radial_values(field, points, values=None):
+    """<X(x), x> at the rows of ``points``, with X(x) from ``values`` when
+    given; raises NonFiniteValueError on overflow."""
+    values = field.evaluate_many(points) if values is None else values
+    radial = np.einsum("ij,ij->i", values, points)
     if not np.isfinite(radial).all():
         raise NonFiniteValueError(f"<X(x), x> of field '{field.label}' overflows")
     return radial

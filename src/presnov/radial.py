@@ -30,6 +30,16 @@ agree, so the paired probe cannot split verdicts on numerical noise: the
 two profiles are pointwise equal up to quadrature/differentiation error
 because <X(x), x> = <grad H(x), x> everywhere.
 
+The probe reads its table from the field (``VectorField._radial_profiles``).
+A field evaluates radius by radius; a conservative part takes the ray
+recurrence of ``decomposition``, grad H(r_k d) = (r_{k-1} / r_k)
+grad H(r_{k-1} d) plus the integral over t in [r_{k-1} / r_k, 1] of its
+ray, so each radius integrates only beyond the last one.  Every entry of
+grad H stays its own integral under its own bound; the error estimate
+grows by one integral's bound per radius while the earlier error shrinks
+by r_{k-1} / r_k, so it stays below factor / (factor - 1) times one
+integral's bound.
+
 The boundary certificate samples one sphere and reports the minimum of
 <X(x), x>; strict positivity of that minimum is sampled evidence (never
 proof) for the boundary condition that guarantees an equilibrium inside
@@ -248,7 +258,7 @@ def _verdict(mins, witness, cfg):
 
 def _probe_with_directions(field, cfg, directions):
     radii = cfg.radii()
-    profiles = np.stack([radial_profile(field, float(r), directions) for r in radii])
+    profiles = field._radial_profiles(radii, directions)
     mins = profiles.min(axis=1)
     witness = _find_witness(radii, profiles, directions)
     return RadialProbeReport(

@@ -11,6 +11,7 @@ from presnov import (
     NonFiniteValueError,
     QuadratureConfig,
     ScaledField,
+    ShiftedField,
     SphereInvariantPart,
     SumField,
     catalog_field,
@@ -302,6 +303,31 @@ def test_converged_rays_stop_paying_for_sharp_ones():
     for x, value, grad in zip(points, values, grads):
         assert within_tolerance(value, potential_many(field, [x])[0][0])
         assert within_tolerance(grad, gradient_potential_integral_many(field, [x])[0])
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        parse_field("tanh(20*(x1-1)); x2"),
+        parse_field("sin(x1)*exp(-0.1*x2^2) + 0.5*x1; cos(x1 + x2) - 0.3*tanh(x2)"),
+        # The table misses the tolerance at 42 of these points, which integrate.
+        ShiftedField(parse_field("(x1-1)^20 + x1; x2^3 + x2"), [0.5, -0.5]),
+    ],
+    ids=["sharp", "trig", "shifted-table"],
+)
+@pytest.mark.parametrize("t0", [0.25, 0.5, 0.9])
+def test_a_start_integrates_only_the_outer_part_of_each_ray(field, t0):
+    # grad H(x) = t0 grad H(t0 x) + the integral over t in [t0, 1], so the
+    # two routes differ by at most their error estimates, the start's
+    # scaled by t0, and the rounding of their sums.
+    cfg = DEFAULT_QUADRATURE
+    points = np.vstack([np.zeros((1, 2)), ball_points(2, 100, 4.0, seed=3)])
+    full, full_err = decomposition._homotopy_gradient(field, points, cfg)
+    start = (t0,) + decomposition._homotopy_gradient(field, t0 * points, cfg)
+    grads, errors = decomposition._homotopy_gradient(field, points, cfg, start)
+    assert np.all(errors >= t0 * start[2])
+    slack = 4.0 * np.finfo(float).eps * (1.0 + np.abs(full))
+    assert np.all(np.abs(grads - full) <= errors + full_err + slack)
 
 
 def test_potential_linearity():

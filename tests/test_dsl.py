@@ -10,6 +10,7 @@ from presnov.dsl import (
     Const,
     ExpressionField,
     Norm2,
+    Unary,
     Var,
     _eval_raw,
     evaluate_ast,
@@ -164,6 +165,25 @@ def test_deep_nesting_is_a_parse_error_not_a_crash():
     with pytest.raises(ParseError, match="nests too deeply"):
         parse_field(f"({chain}) + {chain}")
     assert evaluate_ast(parse_expression("+".join(["x1"] * 100), 1), [0.5]) == 50.0
+
+
+def test_deep_hand_built_trees_are_a_parse_error_not_a_crash():
+    # A tree built without the parser meets the parser's height bound in
+    # every entry that walks it recursively.
+    node = Var(0)
+    for _ in range(5000):
+        node = Unary("neg", node)
+    entries = (
+        lambda: ExpressionField(1, [node]),
+        lambda: evaluate_ast(node, [1.0]),
+        lambda: pretty(node),
+    )
+    for entry in entries:
+        with pytest.raises(ParseError, match="nests too deeply") as info:
+            entry()
+        assert (info.value.line, info.value.column) == (1, 1)
+    shallow = Unary("neg", Var(0))
+    assert pretty(shallow) == "-x1" and evaluate_ast(shallow, [2.0]) == -2.0
 
 
 def test_blank_segments_are_skipped():

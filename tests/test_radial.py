@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from presnov import (
     BallRestrictedField,
     CallableField,
+    ConservativePart,
     DimensionMismatchError,
     DomainError,
     ProbeConfig,
@@ -19,7 +20,9 @@ from presnov import (
     parse_field,
     radial_profile,
 )
-from presnov.decomposition import gradient_potential_many
+from presnov.decomposition import _homotopy_gradient, gradient_potential_many
+from presnov.fields import VectorField
+from presnov.quadrature import DEFAULT_QUADRATURE
 from presnov.radial import (
     _FLAT_TOL,
     VERDICT_COERCIVE,
@@ -242,6 +245,88 @@ def test_paired_probe_sharp_field_fd_profile_matches_field_profile_at_largest_ra
     fd_profile = np.einsum("ij,ij->i", gradient_potential_many(field, points), points) / radius
     phi = paired.field_report.profiles[-1]
     assert np.max(np.abs(fd_profile - phi) / (1.0 + np.abs(phi))) <= 1e-8
+
+
+def _sharp_front(p):
+    return np.column_stack((np.tanh(20.0 * (p[:, 0] - 1.0)), p[:, 1]))
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        parse_field("tanh(20*(x1-1)); x2"),
+        parse_field("tanh(20*(x1-1)); x2; x3"),
+        parse_field("sin(x1)*exp(-0.1*x2^2) + 0.5*x1; cos(x1 + x2) - 0.3*tanh(x2)"),
+        # Its table misses the tolerance at some probe points beyond the
+        # first radius, and those integrate from the start.
+        ShiftedField(parse_field("(x1-1)^20 + x1; x2^3 + x2"), [0.5, -0.5]),
+    ],
+    ids=["sharp2", "sharp3", "trig", "shifted-table"],
+)
+def test_conservative_profiles_by_the_ray_recurrence_match_each_radius_alone(field):
+    # The probe takes grad H(r_k d) as (r_{k-1} / r_k) grad H(r_{k-1} d)
+    # plus the integral over the outer part of the ray.  Its profile
+    # differs from grad H by the whole-ray integral, the route of
+    # ConservativePart.evaluate_many, by at most the two error estimates,
+    # the recurrence's propagated along the schedule, and the rounding of
+    # the sums.
+    config, quadrature = ProbeConfig(directions=32), DEFAULT_QUADRATURE
+    profiles = coercivity_probe(ConservativePart(field, quadrature), config).profiles
+    radii = config.radii()
+    directions = unit_directions(field.dimension, 32, config.seed)
+    slack = 4.0 * np.finfo(float).eps
+    for k, radius in enumerate(radii):
+        points = radius * directions
+        start = None if k == 0 else (radii[k - 1] / radius, grads, errors)
+        grads, errors = _homotopy_gradient(field, points, quadrature, start)
+        assert np.array_equal(profiles[k], np.einsum("ij,ij->i", grads, points) / radius)
+        alone, alone_errors = _homotopy_gradient(field, points, quadrature)
+        bound = np.abs(directions) * (errors + alone_errors + slack * (1.0 + np.abs(alone)))
+        gap = np.abs(profiles[k] - np.einsum("ij,ij->i", alone, points) / radius)
+        assert np.all(gap <= bound.sum(axis=1))
+    if isinstance(field, ShiftedField):
+        outer = (radii[1:, None, None] * directions).reshape(-1, 2)
+        table = field.inner.polynomial.gradient_potential
+        tol = (quadrature.abs_tol, quadrature.rel_tol)
+        assert not table.value_within(outer, *tol, field.offset)[2].all()
+
+
+def test_the_ray_recurrence_takes_a_quarter_of_the_leaf_points():
+    # Radius by radius, each ray through the front at t = 1 / (r d1) is
+    # resolved again at every radius; by the recurrence only the first
+    # radii see the front at all.
+    counted = [0]
+
+    def values(p):
+        counted[0] += p.shape[0]
+        return _sharp_front(p)
+
+    def jacobian(p):
+        jac = np.zeros((p.shape[0], 2, 2))
+        jac[:, 0, 0] = 20.0 * (1.0 - np.tanh(20.0 * (p[:, 0] - 1.0)) ** 2)
+        jac[:, 1, 1] = 1.0
+        return jac
+
+    part = ConservativePart(CallableField(2, values, jacobian=jacobian))
+    config = ProbeConfig()
+    radii, directions = config.radii(), unit_directions(2, config.direction_count(2), config.seed)
+    by_radius = VectorField._radial_profiles(part, radii, directions)
+    radius_by_radius, counted[0] = counted[0], 0
+    report = coercivity_probe(part, config)
+    assert 4 * counted[0] <= radius_by_radius
+    assert report.verdict == coercivity_probe(parse_field("tanh(20*(x1-1)); x2"), config).verdict
+    assert np.max(np.abs(report.profiles - by_radius) / (1.0 + np.abs(by_radius))) <= 1e-12
+
+
+def test_a_stencil_field_probe_agrees_with_its_conservative_part():
+    # Without a Jacobian the homotopy integrand is the central-difference
+    # stencil's.  Radius by radius, the largest radii resolved the front
+    # through that stencil again and the profiles differed by 4e-5, above
+    # the flatness slack _FLAT_TOL; by the recurrence the front is resolved
+    # at the first radii only.
+    paired = paired_probe(CallableField(2, _sharp_front))
+    assert paired.verdicts_agree
+    assert paired.max_profile_discrepancy <= 1e-7
 
 
 def test_boundary_certificate_identity():
