@@ -211,12 +211,20 @@ def _payload(result):
     return payload
 
 
+def _sample_payloads(split):
+    """``_payload(split.sample(i))`` for every point, built column by
+    column: one ``tolist`` per array of the split."""
+    columns = split.columns()
+    rows = zip(*(column.tolist() for column in columns.values()))
+    return [dict(zip(columns, row)) for row in rows]
+
+
 def _cmd_decompose(args, field, quad, report):
     points, report["config"]["points"] = _resolve_points(args, field)
     report["config"]["threshold"] = args.threshold
     verification = verify_decomposition(field, points, quad, args.threshold)
     report["payload"] = {
-        "samples": [_payload(verification.split.sample(i)) for i in range(points.shape[0])],
+        "samples": _sample_payloads(verification.split),
         "verification": _payload(verification),
     }
     print(

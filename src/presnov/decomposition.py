@@ -113,7 +113,7 @@ again.  ``verify_decomposition`` alone refuses an empty sample
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, partial
 
 import numpy as np
@@ -373,17 +373,21 @@ class DecompositionSet:
     radial_equality_residuals: np.ndarray
     estimated_errors: np.ndarray
 
+    def columns(self) -> dict:
+        """The arrays whose rows are the samples, keyed by the field names
+        of DecompositionSample in their order: a sample's field is a row
+        of this set's field of the same name, or of its plural."""
+        mine = {f.name for f in fields(self)}
+        return {
+            f.name: getattr(self, f.name + "s" if f.name + "s" in mine else f.name)
+            for f in fields(DecompositionSample)
+        }
+
     def sample(self, i: int) -> DecompositionSample:
-        return DecompositionSample(
-            point=self.points[i],
-            potential=float(self.potentials[i]),
-            potential_error=float(self.potential_errors[i]),
-            conservative=self.conservative[i],
-            sphere_invariant=self.sphere_invariant[i],
-            orthogonality_residual=float(self.orthogonality_residuals[i]),
-            radial_equality_residual=float(self.radial_equality_residuals[i]),
-            estimated_error=float(self.estimated_errors[i]),
-        )
+        return DecompositionSample(**{
+            name: column[i] if column.ndim > 1 else float(column[i])
+            for name, column in self.columns().items()
+        })
 
 
 def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):

@@ -27,6 +27,16 @@ NonFiniteValueError at the evaluation boundary.  Differentiability of
 user expressions is not checked; the decomposition machinery assumes
 continuously differentiable fields as a documented precondition.
 
+'^' with an integer literal exponent k, 0 <= k <= 4 (x1^3, x2^(2)),
+multiplies by binary powering and keeps pow's IEEE cases (a^0 = 1 even
+at NaN and +-inf, (-0)^3 = -0, overflow to inf).  A product of k factors
+rounds k - 1 times, a relative error of at most
+gamma_(k-1) = (k-1)u/(1-(k-1)u) for unit roundoff u, so a^2 is
+correctly rounded where np.power may not be.  The cap is 4 because that
+error grows with k: (x1-1)^20 multiplied out drifts beyond what the
+split's checks allow.  Every other '^' (larger, negative, non-integer or
+computed exponents) calls np.power.
+
 Values come from one AST walker, generic over its arithmetic, on
 floats.  Jacobians are exact.  A field with a monomial table (below)
 takes X and J from the table's jet, one power table and one
@@ -34,8 +44,9 @@ contraction, at every point whose rounding bound meets the default
 quadrature tolerances; every other field, and every other point, runs
 the same walker on forward-mode duals (value, gradient) (Griewank and
 Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
-differentiates to sign, '^' with a constant exponent c to c a^(c-1) (0
-when c = 0), and '^' with a varying exponent to b a^(b-1) a' +
+differentiates to sign, '^' with a constant exponent c to c a^(c-1) a'
+(0 when c = 0; for the integer exponents above, a^(c-1) by the same
+multiplication), and '^' with a varying exponent to b a^(b-1) a' +
 a^b ln(a) b' under the same IEEE rules.  A zero tangent times an
 infinite local derivative is 0, so x1*sqrt(norm2) differentiates to 0 at
 the origin; a derivative that is still not finite, as that of sqrt(x1)
@@ -395,6 +406,27 @@ def parse_expression(text: str, dimension: int) -> Expr:
 
 
 _OPERATORS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide, "^": np.power}
+# '^' raises to these integer literal exponents by multiplication
+# (``_power``, module docstring); every other exponent goes to np.power.
+_POWERED = frozenset(range(5))
+
+
+def _power(a, k):
+    """a^k for an integer k in ``_POWERED``, by binary powering: a^0 = 1
+    (also at NaN and +-inf, as for pow), a^2 = a*a, a^3 = a*(a*a) and
+    a^4 = (a*a)*(a*a).  Relative error at most gamma_(k-1) = (k-1)u/(1-(k-1)u)
+    where nothing underflows (Higham, "Accuracy and Stability of Numerical
+    Algorithms", 2nd ed., ch. 3): a^1 is exact and a^2 correctly rounded."""
+    if k == 0:
+        return np.ones_like(a)
+    result = None
+    while True:
+        if k & 1:
+            result = a if result is None else result * a
+        k >>= 1
+        if not k:
+            return result
+        a = a * a
 
 
 class _Reals:
@@ -419,6 +451,8 @@ class _Reals:
     @staticmethod
     def binary(op, a, b):
         return _OPERATORS[op](a, b)
+
+    power = staticmethod(_power)
 
 
 # d f(a) / da from a and f(a), for each function.
@@ -494,6 +528,14 @@ class _Duals:
         return f, _scaled(g, _FUNCTION_DERIVATIVES[op](v, f), op == "sqrt")
 
     @staticmethod
+    def power(a, k):
+        """a^k for k in ``_POWERED``, with gradient k a^(k-1) a' by the same
+        kernel, and none for k = 0."""
+        av, ag = a
+        v = _power(av, k)
+        return v, _scaled(ag, k * _power(av, k - 1), True) if k else None
+
+    @staticmethod
     def binary(op, a, b):
         (av, ag), (bv, bg) = a, b
         v = _Reals.binary(op, av, bv)
@@ -521,8 +563,10 @@ def _eval_raw(node, points, arith=_Reals):
     """
     kind = type(node)  # exact types, most frequent first: this runs per node per call
     if kind is Binary:
-        left = _eval_raw(node.left, points, arith)
-        return arith.binary(node.op, left, _eval_raw(node.right, points, arith))
+        left, right = _eval_raw(node.left, points, arith), node.right
+        if node.op == "^" and type(right) is Const and right.value in _POWERED:
+            return arith.power(left, int(right.value))
+        return arith.binary(node.op, left, _eval_raw(right, points, arith))
     if kind is Var:
         return arith.var(node.index, points)
     if kind is Const:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import subprocess
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import presnov as pv
 from conftest import src_env
-from presnov.cli import main
+from presnov.cli import _payload, _sample_payloads, main
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +49,23 @@ def test_decompose_expression_at_point(capsys):
     (sample,) = report["payload"]["samples"]
     assert sample["potential"] == pytest.approx(0.0, abs=1e-10)
     assert np.allclose(sample["sphere_invariant"], [0.0, 1.0], atol=1e-9)
+
+
+def test_decompose_samples_are_the_payloads_of_the_split_samples(capsys):
+    # Built column by column, each report sample is the payload of the
+    # split's DecompositionSample, key for key and float for float.
+    field = pv.parse_field("sin(x1)*exp(-0.1*x2^2) + 0.5*x1; cos(x1 + x2) - 0.3*tanh(x2)")
+    split = pv.decompose_many(field, pv.ball_points(2, 12, 3.0, seed=3))
+    samples = _sample_payloads(split)
+    assert samples == [_payload(split.sample(i)) for i in range(12)]
+    assert json.dumps(samples) == json.dumps([_payload(split.sample(i)) for i in range(12)])
+    assert list(samples[0]) == [f.name for f in dataclasses.fields(pv.DecompositionSample)]
+    code, report, _ = run_cli(
+        capsys, "decompose", "--expr", field.source,
+        "--sample", "12", "--sample-radius", "3", "--seed", "3",
+    )
+    assert code == 0
+    assert report["payload"]["samples"] == samples
 
 
 def test_decompose_at_origin(capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,11 +8,13 @@ from hypothesis import strategies as st
 
 from conftest import random_ast
 from presnov.dsl import (
+    Binary,
     Const,
     ExpressionField,
     Norm2,
     Unary,
     Var,
+    _Duals,
     _eval_raw,
     evaluate_ast,
     parse_expression,
@@ -242,3 +245,87 @@ def test_parser_is_total(text):
 def test_expression_field_label_is_single_line():
     field = parse_field("x1\nx2")
     assert "\n" not in field.label
+
+
+# Powers: '^' with an integer literal exponent 0..4 multiplies, and every
+# other '^' calls np.power.
+
+_EPS = np.finfo(float).eps
+
+
+def _power_inputs():
+    """Random inputs over many magnitudes, and extremes whose fourth
+    power is still a normal number (no underflow, no overflow)."""
+    rng = np.random.default_rng(25)
+    random = rng.standard_normal(2000) * 10.0 ** rng.uniform(-70, 70, 2000)
+    extremes = [
+        0.0, -0.0, 1.0, -1.0, np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0),
+        1e77, -1e77, 2e-77, -2e-77, 3.0, 1.0 / 3.0, 2.0 ** 0.5, -(2.0 ** 0.5),
+    ]
+    return np.concatenate([random, extremes])
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_integer_powers_are_within_their_rounding_bound(k):
+    # Binary powering rounds at most k - 1 times: relative error
+    # <= gamma_(k-1) <= (k-1) eps, and x^1, x^2 are correctly rounded.
+    x = _power_inputs()
+    node = parse_expression(f"x1^{k}", 1)
+    got = _eval_raw(node, x[:, None])
+    assert np.array_equal(_eval_raw(node, x[:, None], _Duals)[0], got)
+    for a, value in zip(x.tolist(), got.tolist()):
+        exact = Fraction(a) ** k
+        if k <= 2:
+            assert value == float(exact), (a, value)
+        else:
+            assert abs(Fraction(value) - exact) <= (k - 1) * _EPS * abs(exact), (a, value)
+
+
+def test_integer_powers_keep_the_ieee_cases_of_pow():
+    x0 = parse_expression("x1^0", 1)
+    for a in (math.nan, math.inf, -math.inf, 0.0):
+        assert evaluate_ast(x0, [a]) == 1.0 == math.pow(a, 0)
+    cube = parse_expression("x1^3", 1)
+    assert math.copysign(1.0, evaluate_ast(cube, [-0.0])) == -1.0
+    assert math.copysign(1.0, evaluate_ast(parse_expression("x1^2", 1), [-0.0])) == 1.0
+    assert evaluate_ast(cube, [-2.0]) == -8.0
+    values = _eval_raw(parse_expression("x1^4", 1), np.array([[math.inf], [-math.inf], [math.nan]]))
+    assert values[:2].tolist() == [math.inf, math.inf] and math.isnan(values[2])
+    # Overflow by multiplication is still a non-finite value.
+    with pytest.raises(NonFiniteValueError):
+        evaluate_ast(parse_expression("x1^4", 1), [1e100])
+    with pytest.raises(NonFiniteValueError):
+        parse_field("x1^4; x2").evaluate_many([[1e100, 0.0]])
+    # The walker overflows where the monomial table cancels x1^3 - x1^3.
+    field = parse_field("x1^3 - x1^3; x2")
+    for evaluate in (field.evaluate_many, field.value_and_jacobian_many):
+        with pytest.raises(NonFiniteValueError):
+            evaluate([[1e200, 0.0]])
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_integer_powers_differentiate_to_k_a_to_the_k_minus_1(k):
+    x = _power_inputs()
+    x = x[np.abs(x) < 1e70]  # k a^(k-1) stays normal
+    _, grad = _eval_raw(parse_expression(f"x1^{k}", 1), x[:, None], _Duals)
+    if k == 0:
+        assert grad is None  # a constant: structurally zero
+        return
+    for a, got in zip(x.tolist(), grad[0].tolist()):
+        exact = k * Fraction(a) ** (k - 1)
+        assert abs(Fraction(got) - exact) <= (k - 1) * _EPS * abs(exact), (a, got)
+
+
+@pytest.mark.parametrize("text", ["(x1-1)^20", "x1^0.5", "x1^-2", "x1^(1+1)", "x1^5", "x1^2.5"])
+def test_other_powers_keep_np_power(text):
+    # Bitwise np.power of the base and exponent arrays, with its gradient
+    # b a^(b-1) a' for a constant exponent.
+    node = parse_expression(text, 1)
+    assert type(node) is Binary and node.op == "^"
+    x = np.random.default_rng(3).uniform(0.1, 3.0, (200, 1))
+    base, exponent = _eval_raw(node.left, x), _eval_raw(node.right, x)
+    assert np.array_equal(_eval_raw(node, x), np.power(base, exponent))
+    value, grad = _eval_raw(node, x, _Duals)
+    assert np.array_equal(value, np.power(base, exponent))
+    base_grad = _eval_raw(node.left, x, _Duals)[1]
+    assert np.array_equal(grad, base_grad * (exponent * np.power(base, exponent - 1.0)))

@@ -32,13 +32,15 @@ from presnov.radial import ProbeConfig
 from presnov.sampling import ball_points
 
 # Every DSL function, both '^' forms (constant and varying exponent, with a
-# constant and with a varying base), '/', and norm2.
+# constant and with a varying base), the integer powers that multiply, '/',
+# and norm2.
 _SYMPY_TABLE = [
     "sin(x1*x2) + cos(x2); exp(0.3*x1) - tanh(2*x2)",
     "abs(x1)*x2 + sqrt(1 + norm2); x1/(2 + x2^2)",
     "x1^3 - 0.5*x2^2 + x1^0; x2^0.5*x1 + x2^1",
     "(1 + x1^2)^x2; 2^x1 + e^(x1*x2)",
     "x1*norm2 - x3/(1 + x1^2); tanh(x2 - x3)*exp(-norm2/4); sqrt(x3^2 + 1)^3 - abs(x2 - x1)",
+    "x1^3*x2^2 + x2^4; (x1 - 2*x2)^4 - exp(-0.1*x2^2)",
 ]
 
 
