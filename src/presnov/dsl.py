@@ -20,6 +20,11 @@ identifiers are the variables x1..xn, the literals pi and e, and norm2,
 the squared Euclidean norm of the full variable vector.  Functions:
 sin, cos, exp, tanh, abs, sqrt.
 
+A tree built by hand from the node classes meets the parser's rules
+wherever it enters (``evaluate_ast``, ``pretty``, ``ExpressionField``): a
+tree nested too deeply, an operator the grammar lacks, a variable index
+below 0 or a norm2 dimension below 1 raises ParseError at 1:1.
+
 Evaluation follows IEEE-754 double semantics (division by zero gives an
 infinity, sqrt of a negative number gives NaN, '^' of a negative base
 with a non-integer exponent gives NaN); a NaN or infinite result raises
@@ -52,13 +57,15 @@ infinite local derivative is 0, so x1*sqrt(norm2) differentiates to 0 at
 the origin; a derivative that is still not finite, as that of sqrt(x1)
 at x1 = 0, raises NonFiniteValueError.
 
-A field's monomial table (``ExpressionField.polynomial``) is expanded
-from the AST when first asked for: a constant, a variable and norm2 are
-tables, negation, '+', '-' and '*' combine them, '/' divides by a
-constant subexpression and '^' raises to a non-negative integer literal
-exponent.  Anything else (functions, other divisions and powers) leaves
-the field without a table, and so does an expansion whose products
-would multiply more than ``_MAX_TERM_PRODUCTS`` pairs of terms in all.
+A field's monomial table (``ExpressionField.polynomial``) is built when
+first asked for, by the same walker in a third arithmetic, on tables
+(``_Expansion``): a constant, a variable and norm2 are tables, negation,
+'+', '-' and '*' combine them, '/' divides by a constant subexpression
+and '^' raises to a non-negative integer literal exponent.  Anything
+else (functions, other divisions, and powers with any other exponent,
+computed ones included, as in x1^(1+1)) leaves the field without a
+table, and so does an expansion whose products would multiply more than
+``_MAX_TERM_PRODUCTS`` pairs of terms in all.
 Terms that cancel keep their row with a zero coefficient, so the table's
 degree is never below the degree along rays and equals it unless terms
 cancel.  The table evaluates the expanded form, which can differ from
@@ -149,14 +156,17 @@ FUNCTIONS = {
     "sqrt": np.sqrt,
 }
 
+_UNARY_OPERATORS = {"neg", *FUNCTIONS}
 _LITERALS = {"pi": math.pi, "e": math.e}
 _VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 # The parser recurses once per parenthesis, unary minus and '^' it enters,
-# and every AST walker (evaluation, pretty-printing, the ray degree) once
-# per level of the tree, where each operator of a '+ -' or '* /' chain is a
-# level too.  Both bounds leave headroom below Python's recursion limit of
-# 1000 for the caller's own frames: the test suite, under pytest and
-# hypothesis, starts a walker about 70 frames deep.
+# and both AST walkers (``_eval_raw`` for values, gradients and tables, and
+# pretty-printing) once per level of the tree, where each operator of a
+# '+ -' or '* /' chain is a level too.  ``_survey`` holds every tree to
+# ``_MAX_HEIGHT`` before a walker enters it.  Both bounds leave headroom
+# below Python's recursion limit of 1000 for the caller's own frames: the
+# test suite, under pytest and hypothesis, starts a walker about 70 frames
+# deep.
 _MAX_DEPTH = 200
 _MAX_HEIGHT = 500
 # The expansion of a field into its monomial table stops, with no table,
@@ -333,20 +343,38 @@ def _segment_count(tokens):
     return count
 
 
-def _height(node):
-    """The number of levels of ``node``'s tree, counted without recursion."""
-    height, level = 0, [node]
-    while level:
-        height += 1
-        level = [child for n in level for child in vars(n).values() if isinstance(child, Expr)]
-    return height
+def _survey(node, line=1, column=1):
+    """The number of coordinates ``node`` reads (its highest variable index
+    + 1, or the dimension of a norm2 it holds) and the dimensions of its
+    norm2 nodes, from one walk of its tree without recursion.
 
-
-def _check_height(node):
-    """Refuse a hand-built tree deeper than the walkers may recurse, with
-    the parser's error."""
-    if isinstance(node, Expr) and _height(node) > _MAX_HEIGHT:
-        raise ParseError("expression nests too deeply", 1, 1)
+    Refuses, with a ParseError at ``line``:``column`` (1:1 for a tree built
+    by hand), a tree of more than ``_MAX_HEIGHT`` levels and a node the
+    parser cannot produce: an unknown operator, a variable whose index is
+    not a non-negative integer, a norm2 whose dimension is not a positive
+    integer.
+    """
+    reads, dimensions, stack = 0, set(), [(node, 1)]
+    while stack:
+        n, height = stack.pop()
+        if height > _MAX_HEIGHT:
+            raise ParseError("expression nests too deeply", line, column)
+        kind = type(n)
+        if kind is Binary or kind is Unary:
+            if n.op not in (_OPERATORS if kind is Binary else _UNARY_OPERATORS):
+                raise ParseError(f"unknown operator {n.op!r}", line, column)
+            below = (n.left, n.right) if kind is Binary else (n.operand,)
+            stack += [(child, height + 1) for child in below]
+        elif kind is Var or kind is Norm2:
+            last = n.index if kind is Var else n.dimension - 1
+            if type(last) is not int and not isinstance(last, np.integer) or last < 0:
+                raise ParseError(f"{n!r} reads no variable among x1, x2, ...", line, column)
+            reads = max(reads, last + 1)
+            if kind is Norm2:
+                dimensions.add(n.dimension)
+        elif kind is not Const:
+            raise TypeError(f"not an expression node: {n!r}")
+    return reads, dimensions
 
 
 def _parse_segments(tokens, dimension):
@@ -360,8 +388,7 @@ def _parse_segments(tokens, dimension):
             return exprs
         first = parser.peek()
         exprs.append(parser.expr())
-        if _height(exprs[-1]) > _MAX_HEIGHT:
-            parser.error("expression nests too deeply", first)
+        _survey(exprs[-1], first.line, first.column)
         trailing = parser.peek()
         if trailing.kind not in ("sep", "eof"):
             parser.error(f"unexpected {trailing.text!r} after expression")
@@ -378,9 +405,7 @@ def parse_expressions(text: str, dimension: Optional[int] = None):
     found = _segment_count(tokens)
     if found == 0:
         raise ParseError("empty field definition", 1, 1)
-    n = found if dimension is None else _as_integer(dimension, "field dimension", ParseError)
-    if n < 1:
-        raise ParseError("field dimension must be at least 1", 1, 1)
+    n = found if dimension is None else _field_dimension(dimension)
     if found != n:
         eof = tokens[-1]
         raise ParseError(
@@ -397,7 +422,15 @@ def parse_expression(text: str, dimension: int) -> Expr:
     if _segment_count(tokens) != 1:
         eof = tokens[-1]
         raise ParseError("expected exactly one expression", eof.line, eof.column)
-    return _parse_segments(tokens, _as_integer(dimension, "dimension", ParseError))[0]
+    return _parse_segments(tokens, _field_dimension(dimension))[0]
+
+
+def _field_dimension(dimension):
+    """``dimension`` as a Python int, checked to be at least 1."""
+    n = _as_integer(dimension, "field dimension", ParseError)
+    if n < 1:
+        raise ParseError("field dimension must be at least 1", 1, 1)
+    return n
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +485,13 @@ class _Reals:
     def binary(op, a, b):
         return _OPERATORS[op](a, b)
 
-    power = staticmethod(_power)
+    @staticmethod
+    def power(a, c):
+        """a^c for a literal c: by ``_power`` for c in ``_POWERED``, else by
+        np.power against a full array of c, as for a computed exponent (a
+        scalar c would take numpy's sqrt and reciprocal shortcuts, whose
+        bits differ)."""
+        return _power(a, int(c)) if c in _POWERED else np.power(a, np.full(a.shape, c))
 
 
 # d f(a) / da from a and f(a), for each function.
@@ -528,12 +567,14 @@ class _Duals:
         return f, _scaled(g, _FUNCTION_DERIVATIVES[op](v, f), op == "sqrt")
 
     @staticmethod
-    def power(a, k):
-        """a^k for k in ``_POWERED``, with gradient k a^(k-1) a' by the same
-        kernel, and none for k = 0."""
+    def power(a, c):
+        """a^c for a literal c; for c = k in ``_POWERED`` with gradient
+        k a^(k-1) a' by the same kernel, and none for k = 0."""
         av, ag = a
-        v = _power(av, k)
-        return v, _scaled(ag, k * _power(av, k - 1), True) if k else None
+        if c not in _POWERED:
+            return _Duals.binary("^", a, (np.full(av.shape, c), None))
+        k = int(c)
+        return _power(av, k), _scaled(ag, k * _power(av, k - 1), True) if k else None
 
     @staticmethod
     def binary(op, a, b):
@@ -559,13 +600,15 @@ def _eval_raw(node, points, arith=_Reals):
     """Evaluate on an (m, n) array of points in the given arithmetic.
 
     With ``_Reals`` (the default) returns the (m,) values, with ``_Duals``
-    the (value, gradient) pair.  IEEE semantics.
+    the (value, gradient) pair, with an ``_Expansion`` (on no points) the
+    monomial table.  IEEE semantics.  '^' with a literal exponent goes to
+    the arithmetic's ``power``, every other operator to ``binary``.
     """
     kind = type(node)  # exact types, most frequent first: this runs per node per call
     if kind is Binary:
         left, right = _eval_raw(node.left, points, arith), node.right
-        if node.op == "^" and type(right) is Const and right.value in _POWERED:
-            return arith.power(left, int(right.value))
+        if node.op == "^" and type(right) is Const:
+            return arith.power(left, right.value)
         return arith.binary(node.op, left, _eval_raw(right, points, arith))
     if kind is Var:
         return arith.var(node.index, points)
@@ -578,39 +621,15 @@ def _eval_raw(node, points, arith=_Reals):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _variable_count(node):
-    """The number of coordinates ``node`` reads: its highest variable index
-    + 1, or the dimension of a norm2 it holds."""
-    kind = type(node)
-    if kind is Var:
-        return node.index + 1
-    if kind is Norm2:
-        return node.dimension
-    if kind is Unary:
-        return _variable_count(node.operand)
-    if kind is Binary:
-        return max(_variable_count(node.left), _variable_count(node.right))
-    return 0
-
-
-def _norm2_dimensions(node):
-    """The dimensions of the norm2 nodes in ``node``."""
-    if type(node) is Norm2:
-        return {node.dimension}
-    return set().union(*(_norm2_dimensions(c) for c in vars(node).values() if isinstance(c, Expr)))
-
-
 def evaluate_ast(node: Expr, point) -> float:
     """Evaluate one AST at a point; raises NonFiniteValueError on NaN/inf.
 
     The point is a vector of real numbers (a scalar for one variable) with
-    at least as many coordinates as the AST reads (``_variable_count``),
-    and the AST reads only those: a norm2 parsed for dimension d sums
-    x1..xd, as x1 reads x1 alone.  Anything else raises
-    DimensionMismatchError.
+    at least as many coordinates as the AST reads (``_survey``), and the
+    AST reads only those: a norm2 parsed for dimension d sums x1..xd, as x1
+    reads x1 alone.  Anything else raises DimensionMismatchError.
     """
-    _check_height(node)
-    needed = _variable_count(node)
+    needed, _ = _survey(node)
     expected = f"expected a vector of at least {needed} real number(s)"
     x = np.atleast_1d(_float_array(point, expected, DimensionMismatchError))
     if x.ndim != 1 or x.size < needed:
@@ -629,8 +648,11 @@ class _NotTabled(Exception):
 
 
 class _Expansion:
-    """Expands ASTs over x1..xn into monomial tables {exponents: coefficient},
-    within one budget of ``_MAX_TERM_PRODUCTS`` term products."""
+    """Table arithmetic for ``_eval_raw``: a value is a monomial table
+    {exponents: coefficient} over x1..xn, and one budget of
+    ``_MAX_TERM_PRODUCTS`` term products is charged across its calls.
+    An operation outside the tables (module docstring) raises
+    ``_NotTabled``."""
 
     def __init__(self, n):
         self.n = n
@@ -647,49 +669,52 @@ class _Expansion:
                 out[e] = out.get(e, 0.0) + ca * cb
         return out
 
-    def expand(self, node):
-        kind = type(node)
-        if kind is Const:
-            return {(0,) * self.n: node.value}
-        if kind is Var:  # ExpressionField checked every variable against n
-            return {tuple(int(j == node.index) for j in range(self.n)): 1.0}
-        if kind is Norm2:
-            return {tuple(2 * int(j == i) for j in range(self.n)): 1.0 for i in range(self.n)}
-        if kind is Unary:
-            if node.op != "neg":
-                raise _NotTabled
-            return {e: -c for e, c in self.expand(node.operand).items()}
-        left = self.expand(node.left)
-        if node.op == "^":
-            k = node.right
-            if not (type(k) is Const and k.value >= 0 and float(k.value).is_integer()):
-                raise _NotTabled
-            out = {(0,) * self.n: 1.0}
-            for _ in range(int(k.value)):
-                out = self.product(out, left)
-            return out
-        right = self.expand(node.right)
-        if node.op == "*":
-            return self.product(left, right)
-        if node.op == "/":  # by a non-zero constant subexpression only
-            divisor = right.get((0,) * self.n) if len(right) == 1 else None
+    def const(self, value, points):
+        return {(0,) * self.n: value}
+
+    def var(self, index, points):
+        return {tuple(int(j == index) for j in range(self.n)): 1.0}
+
+    def norm2(self, points):  # ExpressionField checked every norm2 against n
+        return {tuple(2 * int(j == i) for j in range(self.n)): 1.0 for i in range(self.n)}
+
+    def unary(self, op, a):
+        if op != "neg":
+            raise _NotTabled
+        return {e: -c for e, c in a.items()}
+
+    def power(self, a, c):
+        if not (c >= 0 and float(c).is_integer()):
+            raise _NotTabled
+        out = self.const(1.0, None)
+        for _ in range(int(c)):
+            out = self.product(out, a)
+        return out
+
+    def binary(self, op, a, b):
+        if op == "*":
+            return self.product(a, b)
+        if op == "/":  # by a non-zero constant subexpression only
+            divisor = b.get((0,) * self.n) if len(b) == 1 else None
             if not divisor:
                 raise _NotTabled
-            return {e: c / divisor for e, c in left.items()}
-        out = dict(left)
-        sign = 1.0 if node.op == "+" else -1.0
-        for e, c in right.items():
+            return {e: c / divisor for e, c in a.items()}
+        if op == "^":  # the exponent is not a literal
+            raise _NotTabled
+        out = dict(a)
+        sign = 1.0 if op == "+" else -1.0
+        for e, c in b.items():
             out[e] = out.get(e, 0.0) + sign * c
         return out
 
 
 def _polynomial(expressions, n):
     """The monomial table of the field with these components, or None."""
-    expansion = _Expansion(n)
+    expansion, points = _Expansion(n), np.empty((0, n))
     exponents, components, values = [], [], []
     try:
         for i, node in enumerate(expressions):
-            for e, c in expansion.expand(node).items():
+            for e, c in _eval_raw(node, points, expansion).items():
                 exponents.append(e)
                 components.append(i)
                 values.append(c)
@@ -727,7 +752,7 @@ def pretty(node: Expr) -> str:
     Assumes canonical ASTs as produced by the parser: numeric literals are
     non-negative (negation is an explicit node).
     """
-    _check_height(node)
+    _survey(node)
     return _pretty(node)
 
 
@@ -773,16 +798,15 @@ class ExpressionField(VectorField):
             raise ParseError(
                 f"expected {dimension} expressions, found {len(expressions)}", 1, 1
             )
-        for expr in expressions:
-            _check_height(expr)
-        label = source if source is not None else "; ".join(pretty(e) for e in expressions)
+        surveys = [_survey(e) for e in expressions]
+        label = source if source is not None else "; ".join(map(_pretty, expressions))
         super().__init__(dimension, label=" ".join(label.split("\n")))
-        read = max(map(_variable_count, expressions))
+        read = max(reads for reads, _ in surveys)
         if read > self.dimension:
             raise DimensionMismatchError(
                 f"the expressions read x{read}, beyond the field dimension {self.dimension}"
             )
-        stray = set().union(*map(_norm2_dimensions, expressions)) - {self.dimension}
+        stray = set().union(*(dimensions for _, dimensions in surveys)) - {self.dimension}
         if stray:
             raise DimensionMismatchError(
                 f"a norm2 over {min(stray)} variables in a field of dimension {self.dimension}"

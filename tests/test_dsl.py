@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -189,6 +190,61 @@ def test_deep_hand_built_trees_are_a_parse_error_not_a_crash():
     assert pretty(shallow) == "-x1" and evaluate_ast(shallow, [2.0]) == -2.0
 
 
+def _hand_built_entries(node):
+    """Every entry a hand-built tree can take: a field, an evaluation, a
+    printout."""
+    return (
+        lambda: ExpressionField(2, [node, Var(0)]),
+        lambda: evaluate_ast(node, [2.0, 3.0]),
+        lambda: pretty(node),
+    )
+
+
+@pytest.mark.parametrize("node", [Var(-1), Var(1.0), Var(True), Norm2(0), Norm2(-2)])
+def test_hand_built_trees_read_only_variables_x1_x2_and_so_on(node):
+    # Var(-1) would read the last coordinate where the monomial table
+    # reads a constant, so the field's value, Jacobian and split disagreed.
+    for entry in _hand_built_entries(Binary("+", Const(1.0), node)):
+        with pytest.raises(ParseError, match="reads no variable") as info:
+            entry()
+        assert (info.value.line, info.value.column) == (1, 1)
+    # A numpy integer is an index like any other.
+    field = ExpressionField(2, [Var(np.int64(1)), Var(0)])
+    assert np.array_equal(field.evaluate_many([[0.5, 2.0]]), [[2.0, 0.5]])
+
+
+@pytest.mark.parametrize(
+    "node,op",
+    [
+        (Unary("log", Var(0)), "log"),
+        (Binary("%", Var(0), Var(0)), "%"),
+        (Binary("+-", Var(0), Var(0)), "+-"),
+        (Binary("*", Var(1), Unary("exp2", Var(0))), "exp2"),
+    ],
+)
+def test_hand_built_operators_outside_the_grammar_are_refused(node, op):
+    # They ended in a bare KeyError when evaluated, and pretty printed
+    # log(x1), which does not reparse.
+    for entry in _hand_built_entries(node):
+        with pytest.raises(ParseError, match=f"unknown operator '{re.escape(op)}'") as info:
+            entry()
+        assert (info.value.line, info.value.column) == (1, 1)
+
+
+@pytest.mark.parametrize(
+    "parse,text,dimension",
+    [
+        (parse_expression, "1", -3),
+        (parse_expression, "norm2", 0),
+        (parse_expressions, "1", 0),
+        (parse_expressions, "1", -3),
+    ],
+)
+def test_dimensions_below_one_are_refused(parse, text, dimension):
+    with pytest.raises(ParseError, match="field dimension must be at least 1"):
+        parse(text, dimension)
+
+
 def test_blank_segments_are_skipped():
     exprs = parse_expressions("x1;\n\n x2 ;\n", 2)
     assert len(exprs) == 2
@@ -240,6 +296,28 @@ def test_parser_is_total(text):
         parse_field(text, 2)
     except ParseError:
         pass  # positioned rejection is the expected failure mode
+
+
+@pytest.mark.parametrize(
+    "text,table",
+    [
+        ("x1^(1+1)", None),  # a computed exponent, even a constant one
+        ("x1^2.5", None),
+        ("x1/x2", None),
+        ("x1/(1-1)", None),
+        ("x1/(1+1)", {(1, 0): 0.5}),
+        ("-norm2", {(2, 0): -1.0, (0, 2): -1.0}),
+        ("(x1-1)^20", {(k, 0): (-1.0) ** (20 - k) * math.comb(20, k) for k in range(21)}),
+    ],
+)
+def test_which_expressions_get_a_table(text, table):
+    # The first component's table, next to the second component x2.
+    polynomial = parse_field(f"{text}; x2").polynomial
+    if table is None:
+        assert polynomial is None
+        return
+    rows = zip(map(tuple, polynomial.exponents.tolist()), polynomial.coefficients.tolist())
+    assert {e: c[0] for e, c in rows} == table | {(0, 1): 0.0}
 
 
 def test_expression_field_label_is_single_line():
