@@ -6,11 +6,11 @@ Subcommands
     equilibria   certify a ball and locate equilibria, or run the
                  constant-perturbation workflow (--perturb)
 
-One JSON report (report_version 1) is written to stdout (or --out); a
-short human-readable summary goes to stderr.  ``main`` builds what every
-report shares: the field, the quadrature config and the report's
-version, tool, command, field, config (quadrature and seed) and
-warnings.  Each subcommand's handler then adds only its own config and
+One JSON report (report_version 1) is written to stdout (or --out) as
+one line with sorted keys; a short human-readable summary goes to
+stderr.  ``main`` builds what every report shares: the field, the
+quadrature config and the report's version, tool, command, field,
+config (quadrature and seed) and warnings.  Each subcommand's handler then adds only its own config and
 payload, and returns the exit code.  All randomness sits behind --seed,
 and repeated invocations with identical flags produce identical reports
 except for the "timing" field.
@@ -163,7 +163,7 @@ def _resolve_points(args, field):
 
 def _emit(report, args, elapsed):
     report["timing"] = {"seconds": elapsed}
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(report, sort_keys=True) + "\n"
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -16,9 +16,12 @@ Poincare lemma (differentiation under the integral sign):
 
     grad H(x) = integral over t in [0, 1] of X(t x) + t J(t x)^T x dt,
 
-``gradient_potential_integral_many``, ``decompose_many``,
-``ConservativePart`` and ``SphereInvariantPart`` all use it
-(``_homotopy_gradient``).
+``gradient_potential_integral_many``, ``decompose_many`` and
+``ConservativePart`` all use it (``_homotopy_gradient``).  The
+remainder is then plain arithmetic, u = X - grad H: ``decompose_many``
+subtracts the values, and ``SphereInvariantPart`` is the field sum of X
+and -1 times ``ConservativePart(X)``, so its values are the split's
+bit for bit and its Jacobian is J_X minus the Hessian of H.
 
 A polynomial field X(x) = sum_k c_k x^E_k (a field with a monomial
 table, ``VectorField.polynomial``) takes it in closed form: since
@@ -99,11 +102,11 @@ ray through a sharp feature.
 The module exports one name per quantity: H (``potential_many``), grad
 H (``gradient_potential_integral_many``), the split
 (``decompose_many``), its check (``verify_decomposition``), and the two
-parts as fields (``ConservativePart``, ``SphereInvariantPart``).  Every
-function takes a batch of points, an (m, n) array, as only a field
-evaluates itself at one point (``VectorField.evaluate``): one point x is
-the batch [x], and ``DecompositionSet.sample`` reads one point of a
-split.  The functions check their points with the rule of field
+parts as fields (``ConservativePart``, and ``SphereInvariantPart``, the
+field X - ``ConservativePart``(X)).  Every function takes a batch of
+points, an (m, n) array, as only a field evaluates itself at one point
+(``VectorField.evaluate``): one point x is the batch [x], and
+``DecompositionSet.sample`` reads one point of a split.  The functions check their points with the rule of field
 evaluation, ``VectorField._checked_points``, so an empty array gives an
 empty result.  The domain is R^n or an origin-centred ball, which holds
 the segment [0, x] iff it holds x, so no ray integral checks its rays
@@ -119,8 +122,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from .errors import ConfigError
-from .fields import _FD_SCALE, ShiftedField, VectorField, _fd_derivatives, _fd_probes
-from .fields import _radial_values
+from .fields import _FD_SCALE, ScaledField, ShiftedField, SumField, VectorField, _fd_derivatives
+from .fields import _fd_probes, _radial_values
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
 
 __all__ = [
@@ -412,74 +415,53 @@ def decompose_many(field: VectorField, points, config: QuadratureConfig = DEFAUL
     )
 
 
-class _SplitPart(VectorField):
-    """A part of the split of ``source`` as a field, named ``name``.
-
-    Of a field with a monomial table the part is tabled too, and one
-    evaluation of its table's jet (``Polynomial.jet``) gives its values
-    and its Jacobian, exact.  Rows whose rounding bound misses the
-    quadrature tolerance take their values from ``_evaluate_many`` and
-    their Jacobians from the table's ``derivative`` alone, where no
-    overflowing power of the values meets a zero coefficient.  Of a
-    shifted source the part reads the tables of the inner field
-    (``_unshifted``), so the shift builds none of its own.  Otherwise the
-    Jacobian is the central-difference fallback.
-    """
-
-    def __init__(self, source: VectorField, config: QuadratureConfig, name: str):
-        super().__init__(source.dimension, f"{name}({source.label})", source.domain)
-        self.source = source
-        self.config = config
-        self._inner, self._shift = _unshifted(source)
-        self.exact_jacobian = self._inner.polynomial is not None
-
-    # (the part's table, the constant its jet adds in column 0 or None)
-    _table: tuple
-
-    def _value_and_jacobian_many(self, points):
-        if not self.exact_jacobian:
-            return super()._value_and_jacobian_many(points)
-        table, constant = self._table
-        jet, _, served = table.jet.value_within(
-            points, self.config.abs_tol, self.config.rel_tol, constant
-        )
-        values, jac = jet[..., 0], jet[..., 1:]
-        if not served.all():
-            rest = points[~served]
-            values[~served], jac[~served] = self._evaluate_many(rest), table.derivative(rest)
-        return values, jac
-
-
-class ConservativePart(_SplitPart):
+class ConservativePart(VectorField):
     """The conservative part of a field, as a field itself.
 
     Each evaluation runs the homotopy route (``_homotopy_gradient``), so
     values carry that route's error.  Of a field with a monomial table
     its table is that of grad H, and ``value_and_jacobian_many`` takes
     grad H and its Jacobian, the exact Hessian of H, from one evaluation
-    of that table's jet.
+    of that table's jet (``Polynomial.jet``).  Rows whose rounding bound
+    misses the quadrature tolerance take their values from the homotopy
+    route and their Jacobians from the table's ``derivative`` alone,
+    where no overflowing power of the values meets a zero coefficient.
+    Of a shifted source the part reads the tables of the inner field
+    (``_unshifted``), so the shift builds none of its own.  Otherwise the
+    Jacobian is the central-difference fallback.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
-        super().__init__(source, config, "conservative_part")
+        super().__init__(source.dimension, f"conservative_part({source.label})", source.domain)
+        self.source = source
+        self.config = config
+        self._inner, shift = _unshifted(source)
+        self.exact_jacobian = self._inner.polynomial is not None
+        # The shift adds to grad H, column 0 of the jet, and not to the Hessian.
+        n = self.dimension
+        self._jet_shift = None if shift is None else np.column_stack((shift, np.zeros((n, n))))
 
     @cached_property
     def polynomial(self):
         table = self.source.polynomial
         return None if table is None else table.gradient_potential
 
-    @cached_property
-    def _table(self):
-        constant = None
-        if self._shift is not None:
-            # The shift adds to grad H, column 0 of the jet, and not to the Hessian.
-            constant = np.zeros((self.dimension, 1 + self.dimension))
-            constant[:, 0] = self._shift
-        return self._inner.polynomial.gradient_potential, constant
-
     def _evaluate_many(self, points):
         # The points passed this part's checks, and it shares the source's domain.
         return _homotopy_gradient(self.source, points, self.config)[0]
+
+    def _value_and_jacobian_many(self, points):
+        if not self.exact_jacobian:
+            return super()._value_and_jacobian_many(points)
+        table = self._inner.polynomial.gradient_potential
+        jet, _, served = table.jet.value_within(
+            points, self.config.abs_tol, self.config.rel_tol, self._jet_shift
+        )
+        values, jac = jet[..., 0], jet[..., 1:]
+        if not served.all():
+            rest = points[~served]
+            values[~served], jac[~served] = self._evaluate_many(rest), table.derivative(rest)
+        return values, jac
 
     def _radial_profiles(self, radii, directions):
         """The probe's table by the ray recurrence (module docstring): radius
@@ -496,28 +478,18 @@ class ConservativePart(_SplitPart):
         return np.stack(profiles)
 
 
-class SphereInvariantPart(_SplitPart):
-    """The sphere-invariant remainder of a field, as a field itself.
-
-    Of a field with a monomial table its table is that of X - grad H,
-    which a constant shift of X leaves as it is.
+class SphereInvariantPart(SumField):
+    """The sphere-invariant remainder u = X - grad H of a field, as a field
+    itself: the sum of X and -1 times its ``ConservativePart``.  Its
+    values, Jacobian, table and exactness are those of the two parts, so
+    its values are ``decompose_many``'s ``sphere_invariant`` bit for bit.
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
-        super().__init__(source, config, "sphere_invariant_part")
-
-    @cached_property
-    def polynomial(self):
-        table = self._inner.polynomial
-        return None if table is None else table + -1.0 * table.gradient_potential
-
-    @cached_property
-    def _table(self):
-        return self.polynomial, None
-
-    def _evaluate_many(self, points):
-        grads = _homotopy_gradient(self.source, points, self.config)[0]
-        return self.source.evaluate_many(points) - grads
+        super().__init__(source, ScaledField(-1.0, ConservativePart(source, config)))
+        self.label = f"sphere_invariant_part({source.label})"
+        self.source = source
+        self.config = config
 
 
 @dataclass(frozen=True)

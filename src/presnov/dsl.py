@@ -61,10 +61,13 @@ A field's monomial table (``ExpressionField.polynomial``) is built when
 first asked for, by the same walker in a third arithmetic, on tables
 (``_Expansion``): a constant, a variable and norm2 are tables, negation,
 '+', '-' and '*' combine them, '/' divides by a constant subexpression
-and '^' raises to a non-negative integer literal exponent.  Anything
-else (functions, other divisions, and powers with any other exponent,
-computed ones included, as in x1^(1+1)) leaves the field without a
-table, and so does an expansion whose products would multiply more than
+and '^' raises to a non-negative integer literal exponent.  The walk
+that checks every tree (``_survey``) also finds whether it holds only
+these operations; a tree with a function or any other power (a
+negative or non-integer exponent, or a computed one, as in x1^(1+1))
+leaves the field without a table before anything is expanded.  The
+expansion itself refuses only a division by anything but a non-zero
+constant, and an expansion whose products would multiply more than
 ``_MAX_TERM_PRODUCTS`` pairs of terms in all.
 Terms that cancel keep their row with a zero coefficient, so the table's
 degree is never below the degree along rays and equals it unless terms
@@ -345,8 +348,10 @@ def _segment_count(tokens):
 
 def _survey(node, line=1, column=1):
     """The number of coordinates ``node`` reads (its highest variable index
-    + 1, or the dimension of a norm2 it holds) and the dimensions of its
-    norm2 nodes, from one walk of its tree without recursion.
+    + 1, or the dimension of a norm2 it holds), the dimensions of its
+    norm2 nodes, and whether it holds only table operations (no function,
+    and every '^' with a non-negative integer literal exponent: module
+    docstring), from one walk of its tree without recursion.
 
     Refuses, with a ParseError at ``line``:``column`` (1:1 for a tree built
     by hand), a tree of more than ``_MAX_HEIGHT`` levels and a node the
@@ -354,7 +359,7 @@ def _survey(node, line=1, column=1):
     not a non-negative integer, a norm2 whose dimension is not a positive
     integer.
     """
-    reads, dimensions, stack = 0, set(), [(node, 1)]
+    reads, dimensions, tabled, stack = 0, set(), True, [(node, 1)]
     while stack:
         n, height = stack.pop()
         if height > _MAX_HEIGHT:
@@ -363,6 +368,11 @@ def _survey(node, line=1, column=1):
         if kind is Binary or kind is Unary:
             if n.op not in (_OPERATORS if kind is Binary else _UNARY_OPERATORS):
                 raise ParseError(f"unknown operator {n.op!r}", line, column)
+            if kind is Unary:
+                tabled = tabled and n.op == "neg"
+            elif n.op == "^":
+                c = n.right.value if type(n.right) is Const else -1.0
+                tabled = tabled and c >= 0 and float(c).is_integer()
             below = (n.left, n.right) if kind is Binary else (n.operand,)
             stack += [(child, height + 1) for child in below]
         elif kind is Var or kind is Norm2:
@@ -374,7 +384,7 @@ def _survey(node, line=1, column=1):
                 dimensions.add(n.dimension)
         elif kind is not Const:
             raise TypeError(f"not an expression node: {n!r}")
-    return reads, dimensions
+    return reads, dimensions, tabled
 
 
 def _parse_segments(tokens, dimension):
@@ -629,7 +639,7 @@ def evaluate_ast(node: Expr, point) -> float:
     AST reads only those: a norm2 parsed for dimension d sums x1..xd, as x1
     reads x1 alone.  Anything else raises DimensionMismatchError.
     """
-    needed, _ = _survey(node)
+    needed = _survey(node)[0]
     expected = f"expected a vector of at least {needed} real number(s)"
     x = np.atleast_1d(_float_array(point, expected, DimensionMismatchError))
     if x.ndim != 1 or x.size < needed:
@@ -651,8 +661,9 @@ class _Expansion:
     """Table arithmetic for ``_eval_raw``: a value is a monomial table
     {exponents: coefficient} over x1..xn, and one budget of
     ``_MAX_TERM_PRODUCTS`` term products is charged across its calls.
-    An operation outside the tables (module docstring) raises
-    ``_NotTabled``."""
+    It runs only on trees that ``_survey`` found to hold table operations
+    alone; a division by anything but a non-zero constant, or a product
+    beyond the budget, raises ``_NotTabled``."""
 
     def __init__(self, n):
         self.n = n
@@ -678,14 +689,10 @@ class _Expansion:
     def norm2(self, points):  # ExpressionField checked every norm2 against n
         return {tuple(2 * int(j == i) for j in range(self.n)): 1.0 for i in range(self.n)}
 
-    def unary(self, op, a):
-        if op != "neg":
-            raise _NotTabled
+    def unary(self, op, a):  # negation: the survey refused every function
         return {e: -c for e, c in a.items()}
 
-    def power(self, a, c):
-        if not (c >= 0 and float(c).is_integer()):
-            raise _NotTabled
+    def power(self, a, c):  # c is a non-negative integer literal (the survey)
         out = self.const(1.0, None)
         for _ in range(int(c)):
             out = self.product(out, a)
@@ -699,9 +706,7 @@ class _Expansion:
             if not divisor:
                 raise _NotTabled
             return {e: c / divisor for e, c in a.items()}
-        if op == "^":  # the exponent is not a literal
-            raise _NotTabled
-        out = dict(a)
+        out = dict(a)  # '+' or '-': the survey sent every '^' to power
         sign = 1.0 if op == "+" else -1.0
         for e, c in b.items():
             out[e] = out.get(e, 0.0) + sign * c
@@ -801,22 +806,23 @@ class ExpressionField(VectorField):
         surveys = [_survey(e) for e in expressions]
         label = source if source is not None else "; ".join(map(_pretty, expressions))
         super().__init__(dimension, label=" ".join(label.split("\n")))
-        read = max(reads for reads, _ in surveys)
+        read = max(reads for reads, _, _ in surveys)
         if read > self.dimension:
             raise DimensionMismatchError(
                 f"the expressions read x{read}, beyond the field dimension {self.dimension}"
             )
-        stray = set().union(*(dimensions for _, dimensions in surveys)) - {self.dimension}
+        stray = set().union(*(dimensions for _, dimensions, _ in surveys)) - {self.dimension}
         if stray:
             raise DimensionMismatchError(
                 f"a norm2 over {min(stray)} variables in a field of dimension {self.dimension}"
             )
         self.expressions = expressions
         self.source = source
+        self._tabled = all(tabled for _, _, tabled in surveys)
 
     @cached_property
     def polynomial(self):
-        return _polynomial(self.expressions, self.dimension)
+        return _polynomial(self.expressions, self.dimension) if self._tabled else None
 
     def _evaluate_many(self, points):
         return np.column_stack([_eval_raw(expr, points) for expr in self.expressions])

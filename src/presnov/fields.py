@@ -29,11 +29,14 @@ From the table ``decomposition`` takes grad H, and the Hessian
 of H, in closed form: the table of grad H and its derivative.  A
 table's ``jet`` holds P and its Jacobian in one table, so one power
 table and one contraction give both.  Jacobian calls use it: the DSL's
-``ExpressionField`` takes X and J from the jet of its table, and the
-split parts of ``decomposition`` theirs from the jet of grad H's, at
-every point whose rounding bound meets the quadrature tolerance
-(``Polynomial.value_within``).  Plain values (``evaluate_many``) do
-not: every field's stay on its own evaluator, and the catalog keeps its
+``ExpressionField`` takes X and J from the jet of its table, and
+``decomposition.ConservativePart`` grad H and its Hessian from the jet
+of grad H's, at every point whose rounding bound meets the quadrature
+tolerance (``Polynomial.value_within``).  The remainder X - grad H is
+field arithmetic on the two (``SumField`` of X and ``ScaledField`` -1
+of the conservative part), so its values, Jacobians, table and
+exactness are theirs.  Plain values (``evaluate_many``) do not: every
+field's stay on its own evaluator, and the catalog keeps its
 hand-written evaluators and Jacobians, which its tables are checked
 against.
 

@@ -430,6 +430,65 @@ def test_catalog_tables_match_the_closed_forms(entry):
     assert conservative.exact_jacobian and sphere_invariant.exact_jacobian
 
 
+# Fields of every kind the remainder meets: catalog, tabled and tableless
+# DSL, shifted, ball-restricted, and CallableFields on the stencil, the
+# last with a declared table, so that only its conservative part's
+# Jacobian is exact.
+_REMAINDER_FIELDS = [
+    catalog_field("identity_plus_rotation2d").field,
+    catalog_field("cubic_radial", 3).field,
+    parse_field("x1^3 + 0.3*x2 - x1*x2; x2^3 + 0.3*x1"),
+    parse_field("sin(x1)*exp(-0.1*x2^2) + 0.5*x1; cos(x1 + x2) - 0.3*tanh(x2)"),
+    ShiftedField(parse_field("x1^3 - x2; x2^3 + x1"), [0.5, -1.5]),
+    BallRestrictedField(catalog_field("gradient_poly", 2).field, 3.0),
+    CallableField(2, lambda p: np.column_stack((p[:, 0] ** 3 - p[:, 1], np.tanh(p[:, 0])))),
+    CallableField(
+        2,
+        lambda p: p[:, ::-1] * [-1.0, 1.0],
+        "declared rotation",
+        polynomial=catalog_field("rotation2d").field.polynomial,
+    ),
+]
+
+
+@pytest.mark.parametrize("field", _REMAINDER_FIELDS, ids=lambda field: field.label[:32])
+def test_the_remainder_is_the_field_minus_its_conservative_part(field):
+    points = ball_points(field.dimension, 20, 2.0, seed=26)
+    remainder, conservative = SphereInvariantPart(field), ConservativePart(field)
+    assert remainder.label == f"sphere_invariant_part({field.label})"
+    values = remainder.evaluate_many(points)
+    assert np.array_equal(values, decompose_many(field, points).sphere_invariant)
+    assert np.array_equal(values, field.evaluate_many(points) - conservative.evaluate_many(points))
+    jacobians = remainder.value_and_jacobian_many(points)[1]
+    own = field.value_and_jacobian_many(points)[1]
+    assert np.array_equal(jacobians, own - conservative.value_and_jacobian_many(points)[1])
+    assert remainder.exact_jacobian == (field.exact_jacobian and conservative.exact_jacobian)
+
+
+_AFFINE = ("identity", "constant", "linear", "rotation2d", "identity_plus_rotation2d")
+
+
+@pytest.mark.parametrize(
+    "entry", [e for e in _CATALOG if e.name in _AFFINE], ids=lambda entry: entry.name
+)
+def test_the_remainder_of_an_affine_entry_has_the_skew_part_as_jacobian(entry):
+    points = ball_points(entry.dimension, 20, 3.0, seed=23)
+    scale = 1e-14 * (1.0 + np.abs(entry.field.evaluate_many(points)).max())
+    matrix = entry.field.value_and_jacobian_many(points[:1])[1][0]
+    jacobians = SphereInvariantPart(entry.field).value_and_jacobian_many(points)[1]
+    assert np.abs(jacobians - 0.5 * (matrix - matrix.T)).max() <= scale
+
+
+def test_a_shift_leaves_the_table_of_the_remainder_as_it_is():
+    # The shift's constant row of X cancels against that of grad H.
+    field = parse_field("x1^3 - 2*x1*x2; x2^2 + x1")
+    points = ball_points(2, 20, 2.0, seed=27)
+    shifted = SphereInvariantPart(ShiftedField(field, [0.7, -1.3])).polynomial
+    got, got_bound = shifted.value_and_bound(points)
+    want, want_bound = SphereInvariantPart(field).polynomial.value_and_bound(points)
+    assert np.all(np.abs(got - want) <= got_bound + want_bound)
+
+
 @pytest.mark.parametrize(
     "field",
     [entry.field for entry in _CATALOG] + _WORKLOAD_FIELDS,
@@ -476,6 +535,20 @@ def test_expansions_beyond_the_budget_keep_no_table(monkeypatch):
         assert 0 < sum(formed) <= dsl._MAX_TERM_PRODUCTS
     # Within it the table is the full expansion: C(12, 2) monomials of degree 10.
     assert parse_field("(x1+x2+x3)^10; x2; x3").polynomial.exponents.shape[0] == 66 + 2
+
+
+def test_a_function_is_refused_before_any_expansion(monkeypatch):
+    # The survey finds sin at parse time, so its operand is never expanded.
+    formed = []
+    product = dsl._Expansion.product
+
+    def counted(self, a, b):
+        formed.append(len(a) * len(b))
+        return product(self, a, b)
+
+    monkeypatch.setattr(dsl._Expansion, "product", counted)
+    assert parse_field("sin((x1+x2+x3)^30); x2; x3").polynomial is None
+    assert formed == []
 
 
 def test_constant_fields_have_an_empty_hessian_table():
