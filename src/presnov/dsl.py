@@ -79,6 +79,12 @@ the walker and raises NonFiniteValueError, as ``evaluate_many`` does;
 so does any point whose bound overflows.  ``evaluate_many`` always
 walks the AST, so the field's values, and the checks that read them,
 stay independent of the table.
+
+``pretty``, and the label of a field built from trees rather than text,
+come from the same walker in a fourth arithmetic, on text (``_Text``):
+a value is the subexpression's text and its precedence, and each
+operator parenthesizes an operand only where its precedence is too low
+to reparse identically.
 """
 
 from __future__ import annotations
@@ -163,10 +169,10 @@ _UNARY_OPERATORS = {"neg", *FUNCTIONS}
 _LITERALS = {"pi": math.pi, "e": math.e}
 _VAR_RE = re.compile(r"x([1-9][0-9]*)\Z")
 # The parser recurses once per parenthesis, unary minus and '^' it enters,
-# and both AST walkers (``_eval_raw`` for values, gradients and tables, and
-# pretty-printing) once per level of the tree, where each operator of a
-# '+ -' or '* /' chain is a level too.  ``_survey`` holds every tree to
-# ``_MAX_HEIGHT`` before a walker enters it.  Both bounds leave headroom
+# and the AST walker (``_eval_raw``, for values, gradients, tables and
+# text) once per level of the tree, where each operator of a '+ -' or
+# '* /' chain is a level too.  ``_survey`` holds every tree to
+# ``_MAX_HEIGHT`` before the walker enters it.  Both bounds leave headroom
 # below Python's recursion limit of 1000 for the caller's own frames: the
 # test suite, under pytest and hypothesis, starts a walker about 70 frames
 # deep.
@@ -259,33 +265,44 @@ class _Parser:
         if self.depth > _MAX_DEPTH:
             self.error("expression nests too deeply")
 
+    def accept(self, ops):
+        """The next token, consumed, if it is one of the operators ``ops``;
+        else None."""
+        tok = self.tokens[self.pos]
+        if tok.kind == "op" and tok.text in ops:
+            self.pos += 1
+            return tok
+        return None
+
+    def closed(self, node):
+        """``node``, once the ')' that closes its parenthesis is consumed."""
+        if not self.accept(")"):
+            self.error("expected ')'")
+        return node
+
     def expr(self):
         self._enter()
         try:
             node = self.term()
-            while self.peek().kind == "op" and self.peek().text in "+-":
-                op = self.advance().text
-                node = Binary(op, node, self.term())
+            while op := self.accept("+-"):
+                node = Binary(op.text, node, self.term())
             return node
         finally:
             self.depth -= 1
 
     def term(self):
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Binary(op, node, self.factor())
+        while op := self.accept("*/"):
+            node = Binary(op.text, node, self.factor())
         return node
 
     def factor(self):
         self._enter()
         try:
-            if self.peek().kind == "op" and self.peek().text == "-":
-                self.advance()
+            if self.accept("-"):
                 return Unary("neg", self.factor())
             node = self.base()
-            if self.peek().kind == "op" and self.peek().text == "^":
-                self.advance()
+            if self.accept("^"):
                 return Binary("^", node, self.factor())
             return node
         finally:
@@ -296,27 +313,15 @@ class _Parser:
         if tok.kind == "number":
             self.advance()
             return Const(tok.value)
-        if tok.kind == "op" and tok.text == "(":
-            self.advance()
-            node = self.expr()
-            closing = self.peek()
-            if not (closing.kind == "op" and closing.text == ")"):
-                self.error("expected ')'")
-            self.advance()
-            return node
+        if self.accept("("):
+            return self.closed(self.expr())
         if tok.kind == "ident":
             self.advance()
             name = tok.text
-            if self.peek().kind == "op" and self.peek().text == "(":
+            if self.accept("("):
                 if name not in FUNCTIONS:
                     self.error(f"unknown function '{name}'", tok)
-                self.advance()
-                arg = self.expr()
-                closing = self.peek()
-                if not (closing.kind == "op" and closing.text == ")"):
-                    self.error("expected ')'")
-                self.advance()
-                return Unary(name, arg)
+                return self.closed(Unary(name, self.expr()))
             if name in _LITERALS:
                 return Const(_LITERALS[name])
             if name == "norm2":
@@ -333,17 +338,16 @@ class _Parser:
         self.error(f"expected a number, identifier, or '(', got {tok.text!r}" if tok.text else "unexpected end of input")
 
 
-def _segment_count(tokens):
-    count = 0
-    in_segment = False
-    for tok in tokens:
+def _segments(tokens):
+    """The non-blank segments of ``tokens``, in order: each a list of
+    tokens that ends in the separator or end token closing it."""
+    segments, start = [], 0
+    for i, tok in enumerate(tokens):
         if tok.kind in ("sep", "eof"):
-            if in_segment:
-                count += 1
-            in_segment = False
-        else:
-            in_segment = True
-    return count
+            if i > start:
+                segments.append(tokens[start : i + 1])
+            start = i + 1
+    return segments
 
 
 def _survey(node, line=1, column=1):
@@ -387,21 +391,15 @@ def _survey(node, line=1, column=1):
     return reads, dimensions, tabled
 
 
-def _parse_segments(tokens, dimension):
-    """The expressions of the non-blank segments of ``tokens``, in order."""
-    parser = _Parser(tokens, dimension)
-    exprs = []
-    while True:
-        while parser.peek().kind == "sep":
-            parser.advance()
-        if parser.peek().kind == "eof":
-            return exprs
-        first = parser.peek()
-        exprs.append(parser.expr())
-        _survey(exprs[-1], first.line, first.column)
-        trailing = parser.peek()
-        if trailing.kind not in ("sep", "eof"):
-            parser.error(f"unexpected {trailing.text!r} after expression")
+def _parse_segment(segment, dimension):
+    """The expression of one segment (``_segments``)."""
+    parser = _Parser(segment, dimension)
+    node = parser.expr()
+    _survey(node, segment[0].line, segment[0].column)
+    trailing = parser.peek()
+    if trailing.kind not in ("sep", "eof"):
+        parser.error(f"unexpected {trailing.text!r} after expression")
+    return node
 
 
 def parse_expressions(text: str, dimension: Optional[int] = None):
@@ -412,27 +410,28 @@ def parse_expressions(text: str, dimension: Optional[int] = None):
     skipped.  Raises ParseError with a 1-based line/column position.
     """
     tokens = _tokenize(text)
-    found = _segment_count(tokens)
-    if found == 0:
+    segments = _segments(tokens)
+    if not segments:
         raise ParseError("empty field definition", 1, 1)
-    n = found if dimension is None else _field_dimension(dimension)
-    if found != n:
+    n = len(segments) if dimension is None else _field_dimension(dimension)
+    if len(segments) != n:
         eof = tokens[-1]
         raise ParseError(
-            f"expected {n} expressions for dimension {n}, found {found}",
+            f"expected {n} expressions for dimension {n}, found {len(segments)}",
             eof.line,
             eof.column,
         )
-    return _parse_segments(tokens, n)
+    return [_parse_segment(segment, n) for segment in segments]
 
 
 def parse_expression(text: str, dimension: int) -> Expr:
     """Parse a single expression over x1..x{dimension} into an AST."""
     tokens = _tokenize(text)
-    if _segment_count(tokens) != 1:
+    segments = _segments(tokens)
+    if len(segments) != 1:
         eof = tokens[-1]
         raise ParseError("expected exactly one expression", eof.line, eof.column)
-    return _parse_segments(tokens, _field_dimension(dimension))[0]
+    return _parse_segment(segments[0], _field_dimension(dimension))
 
 
 def _field_dimension(dimension):
@@ -611,7 +610,8 @@ def _eval_raw(node, points, arith=_Reals):
 
     With ``_Reals`` (the default) returns the (m,) values, with ``_Duals``
     the (value, gradient) pair, with an ``_Expansion`` (on no points) the
-    monomial table.  IEEE semantics.  '^' with a literal exponent goes to
+    monomial table, and with ``_Text`` (on no points) the (text,
+    precedence) pair.  IEEE semantics.  '^' with a literal exponent goes to
     the arithmetic's ``power``, every other operator to ``binary``.
     """
     kind = type(node)  # exact types, most frequent first: this runs per node per call
@@ -737,18 +737,57 @@ def _polynomial(expressions, n):
 # ---------------------------------------------------------------------------
 
 _ADD, _MUL, _NEG, _POW, _ATOM = 1, 2, 3, 4, 5
+# Per binary operator: its precedence, and the lowest precedences at which
+# its left and its right operand print without parentheses.  '+ -' and
+# '* /' chain to the left; the base of '^' must be an atom, its exponent
+# at least a negation.
+_PRINTED = {
+    "+": (_ADD, _ADD, _MUL),
+    "-": (_ADD, _ADD, _MUL),
+    "*": (_MUL, _MUL, _NEG),
+    "/": (_MUL, _MUL, _NEG),
+    "^": (_POW, _ATOM, _NEG),
+}
 
 
-def _prec(node):
-    if isinstance(node, Binary):
-        return {"+": _ADD, "-": _ADD, "*": _MUL, "/": _MUL, "^": _POW}[node.op]
-    if isinstance(node, Unary):
-        return _NEG if node.op == "neg" else _ATOM
-    return _ATOM
+def _wrapped(a, lowest):
+    text, prec = a
+    return text if prec >= lowest else f"({text})"
 
 
-def _wrap(text, need):
-    return f"({text})" if need else text
+class _Text:
+    """Printing arithmetic for ``_eval_raw``: a value is a pair (text,
+    precedence) of the subexpression printed with the fewest parentheses."""
+
+    @staticmethod
+    def const(value, points):
+        return repr(float(value)), _ATOM
+
+    @staticmethod
+    def var(index, points):
+        return f"x{index + 1}", _ATOM
+
+    @staticmethod
+    def norm2(points):
+        return "norm2", _ATOM
+
+    @staticmethod
+    def unary(op, a):
+        return ("-" + _wrapped(a, _NEG), _NEG) if op == "neg" else (f"{op}({a[0]})", _ATOM)
+
+    @staticmethod
+    def power(a, c):
+        return _Text.binary("^", a, _Text.const(c, None))
+
+    @staticmethod
+    def binary(op, a, b):
+        prec, left, right = _PRINTED[op]
+        return f"{_wrapped(a, left)}{op}{_wrapped(b, right)}", prec
+
+
+def _printed(node):
+    """The text of a surveyed ``node`` (``pretty``)."""
+    return _eval_raw(node, np.empty((0, 0)), _Text)[0]
 
 
 def pretty(node: Expr) -> str:
@@ -758,33 +797,7 @@ def pretty(node: Expr) -> str:
     non-negative (negation is an explicit node).
     """
     _survey(node)
-    return _pretty(node)
-
-
-def _pretty(node):
-    if isinstance(node, Const):
-        return repr(float(node.value))
-    if isinstance(node, Var):
-        return f"x{node.index + 1}"
-    if isinstance(node, Norm2):
-        return "norm2"
-    if isinstance(node, Unary):
-        if node.op == "neg":
-            return "-" + _wrap(_pretty(node.operand), _prec(node.operand) < _NEG)
-        return f"{node.op}({_pretty(node.operand)})"
-    if isinstance(node, Binary):
-        left, right = node.left, node.right
-        if node.op in "+-":
-            ls = _pretty(left)
-            rs = _wrap(_pretty(right), _prec(right) <= _ADD)
-        elif node.op in "*/":
-            ls = _wrap(_pretty(left), _prec(left) < _MUL)
-            rs = _wrap(_pretty(right), _prec(right) <= _MUL)
-        else:  # '^': base must be an atom, exponent at least a factor
-            ls = _wrap(_pretty(left), _prec(left) < _ATOM)
-            rs = _wrap(_pretty(right), _prec(right) < _NEG)
-        return f"{ls}{node.op}{rs}"
-    raise TypeError(f"not an expression node: {node!r}")
+    return _printed(node)
 
 
 # ---------------------------------------------------------------------------
@@ -804,7 +817,7 @@ class ExpressionField(VectorField):
                 f"expected {dimension} expressions, found {len(expressions)}", 1, 1
             )
         surveys = [_survey(e) for e in expressions]
-        label = source if source is not None else "; ".join(map(_pretty, expressions))
+        label = source if source is not None else "; ".join(map(_printed, expressions))
         super().__init__(dimension, label=" ".join(label.split("\n")))
         read = max(reads for reads, _, _ in surveys)
         if read > self.dimension:

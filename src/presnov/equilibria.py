@@ -449,8 +449,8 @@ def perturbed_existence(
     if not 0.0 <= margin_fraction < np.inf:
         raise ConfigError("margin_fraction must be finite and non-negative")
     _check_certificate_settings(threshold, certificate_samples)
-    b = np.asarray(offset, dtype=float)
-    shifted = ShiftedField(field, b)
+    shifted = ShiftedField(field, offset)
+    b = shifted.offset
     if certificate_samples is None:
         certificate_samples = 4 * default_direction_count(field.dimension)
 

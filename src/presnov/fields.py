@@ -107,6 +107,23 @@ def _float_array(value, message, error=CatalogError):
         raise error(message) from None
 
 
+def _float_scalar(value, message, error):
+    """``value`` as a float; ``error(message)`` unless it is one real
+    number, by ``_float_array``'s rule."""
+    array = _float_array(value, message, error)
+    if array.ndim != 0:
+        raise error(message)
+    return float(array)
+
+
+def _ball_radius(radius):
+    """``radius`` as a float, checked to be a finite positive real number."""
+    r = _float_scalar(radius, "ball radius must be a real number", DomainError)
+    if not (np.isfinite(r) and r > 0.0):
+        raise DomainError("ball radius must be finite and positive")
+    return r
+
+
 @dataclass(frozen=True)
 class Domain:
     """All of R^n (radius=None) or the closed origin-centered ball."""
@@ -121,10 +138,7 @@ class Domain:
         if self.dimension < 1:
             raise DimensionMismatchError("dimension must be at least 1")
         if self.radius is not None:
-            r = float(self.radius)
-            if not (np.isfinite(r) and r > 0.0):
-                raise DomainError("ball radius must be finite and positive")
-            object.__setattr__(self, "radius", r)
+            object.__setattr__(self, "radius", _ball_radius(self.radius))
 
     @property
     def is_full_space(self) -> bool:
@@ -485,7 +499,7 @@ class SumField(VectorField):
 
 class ScaledField(VectorField):
     def __init__(self, factor: float, inner: VectorField):
-        factor = float(factor)
+        factor = _float_scalar(factor, "scale factor must be a real number", ConfigError)
         if not np.isfinite(factor):
             raise NonFiniteValueError("scale factor must be finite")
         super().__init__(inner.dimension, f"{factor!r}*{inner.label}", inner.domain)
@@ -539,11 +553,10 @@ class BallRestrictedField(VectorField):
     """Same values as the inner field, domain restricted to a closed ball."""
 
     def __init__(self, inner: VectorField, radius: float):
-        super().__init__(
-            inner.dimension,
-            f"restrict({inner.label}, r={float(radius)!r})",
-            inner.domain.intersect(Domain(inner.dimension, float(radius))),
-        )
+        # A radius of None would make Domain the whole space.
+        ball = Domain(inner.dimension, _ball_radius(radius))
+        label = f"restrict({inner.label}, r={ball.radius!r})"
+        super().__init__(inner.dimension, label, inner.domain.intersect(ball))
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
 

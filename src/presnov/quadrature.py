@@ -21,10 +21,12 @@ passes ``select`` and then evaluates only the active ones; otherwise
 ``f`` keeps returning every component and the inactive ones are dropped.
 ``max_subdivisions`` bounds the panel splits of the call.
 
-Polynomial fields never reach this module for grad H: ``decomposition``
-takes it, and the Hessian of H, in closed form from the field's monomial
-table.  Potentials, and with them the finite-difference gradient route,
-are integrated here for every field.
+A polynomial field reaches this module for grad H only at the points
+where the rounding bound of its monomial table misses the tolerance, as
+the cancelling expansion of (x1 - 1)^20 does at x1 = 2; ``decomposition``
+takes grad H, and the Hessian of H, in closed form from the table at
+every other point.  Potentials, and with them the finite-difference
+gradient route, are integrated here for every field.
 """
 
 from __future__ import annotations
@@ -185,8 +187,6 @@ def integrate_unit(
                 f"quadrature did not converge within {config.max_subdivisions} subdivisions "
                 f"(error estimate {float(np.max(err_total)):.3e})"
             )
-        if not heap:  # pragma: no cover - defensive; estimates exhausted
-            break
         _, _, a, b, value, err, fine_l, fine_r = heapq.heappop(heap)
         splits += 1
         mid = 0.5 * (a + b)

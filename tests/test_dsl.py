@@ -138,6 +138,45 @@ def test_parse_errors(text, fragment):
         parse_expression(text, 2)
 
 
+# Each parser path with the message and the position it reports: an
+# unclosed parenthesis, an unknown function, a segment count, a token left
+# after an expression, a separator where an operand belongs.
+_PARSE_POSITIONS = {
+    "unclosed call": (lambda: parse_expression("sin(x1", 1), "expected ')'", 1, 7),
+    "unclosed group": (lambda: parse_expression("(x1 + 1", 1), "expected ')'", 1, 8),
+    "two call arguments": (lambda: parse_expression("sin(x1 x1)", 1), "expected ')'", 1, 8),
+    "unknown function": (
+        lambda: parse_expression("foo(x1)", 1), "unknown function 'foo'", 1, 1
+    ),
+    "segment count": (
+        lambda: parse_field("x1;;x2;", 3), "expected 3 expressions for dimension 3, found 2", 1, 8
+    ),
+    "trailing token": (
+        lambda: parse_field("x1 x2; x1"), "unexpected 'x2' after expression", 1, 4
+    ),
+    "separator as operand": (
+        lambda: parse_field("x1; 1 +\nx2"), "expected a number, identifier, or '(', got '\\n'", 1, 8
+    ),
+    "one expression": (
+        lambda: parse_expression("x1; x1", 1), "expected exactly one expression", 1, 7
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "parse, message, line, column", _PARSE_POSITIONS.values(), ids=_PARSE_POSITIONS
+)
+def test_parse_errors_carry_message_and_position(parse, message, line, column):
+    with pytest.raises(ParseError, match=re.escape(message)) as info:
+        parse()
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+def test_blank_segments_between_and_around_expressions_are_skipped():
+    assert parse_field("x1;;\n;x2").expressions == (Var(0), Var(1))
+    assert parse_expression(";x1;", 1) == Var(0)
+
+
 def test_empty_source_rejected():
     with pytest.raises(ParseError, match="empty field definition"):
         parse_field("  \n ; ")

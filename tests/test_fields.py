@@ -430,6 +430,44 @@ def test_shift_vector_must_be_a_real_vector():
         ShiftedField(catalog_field("identity", 2).field, [[1.0], 2.0])
 
 
+@pytest.mark.parametrize("offset", ["ab", [1 + 2j, 0.0]], ids=["text", "complex"])
+def test_perturbed_existence_refuses_a_malformed_offset_before_probing(offset, monkeypatch):
+    # The offset is read by ShiftedField, before the coercivity probe runs.
+    probed = []
+    monkeypatch.setattr("presnov.equilibria.coercivity_probe", lambda *args: probed.append(args))
+    with pytest.raises(DimensionMismatchError, match="shift vector dimension"):
+        perturbed_existence(catalog_field("identity", 2).field, offset)
+    assert probed == []
+
+
+# A scale factor and a ball radius are one real number, by the rule of
+# _float_array: numpy would parse text and drop an imaginary part.
+_NOT_REAL = {"text": "2", "complex": 2 + 1j, "1-d": [2.0]}
+
+
+@pytest.mark.parametrize("value", _NOT_REAL.values(), ids=_NOT_REAL)
+def test_scale_factors_and_radii_must_be_real_numbers(value):
+    with pytest.raises(ConfigError, match="scale factor must be a real number"):
+        ScaledField(value, _IDENTITY2)
+    with pytest.raises(DomainError, match="ball radius must be a real number"):
+        BallRestrictedField(_IDENTITY2, value)
+    with pytest.raises(DomainError, match="ball radius must be a real number"):
+        Domain(2, value)
+
+
+def test_a_ball_restriction_needs_a_radius():
+    with pytest.raises(DomainError, match="ball radius must be finite"):
+        BallRestrictedField(_IDENTITY2, None)
+
+
+def test_real_scalars_keep_their_labels():
+    assert ScaledField(np.int64(3), _IDENTITY2).label == "3.0*identity"
+    assert BallRestrictedField(_IDENTITY2, 2).label == "restrict(identity, r=2.0)"
+    restricted = BallRestrictedField(_IDENTITY2, np.float32(0.1))
+    assert restricted.label == "restrict(identity, r=0.10000000149011612)"
+    assert restricted.domain.radius == float(np.float32(0.1))
+
+
 def test_ball_restriction_enforced():
     field = BallRestrictedField(catalog_field("identity", 2).field, 1.0)
     assert np.array_equal(field.evaluate([0.5, 0.5]), [0.5, 0.5])
