@@ -437,6 +437,9 @@ def main(argv=None) -> int:
     except (QuadratureError, NonFiniteValueError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     return code
 
 

@@ -126,6 +126,7 @@ from .errors import ConfigError
 from .fields import _FD_SCALE, ScaledField, ShiftedField, SumField, VectorField, _fd_derivatives
 from .fields import _fd_probes, _radial_values
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig, _unit_nodes, integrate_unit
+from .sampling import _POSITIVE, _as_real
 
 __all__ = [
     "DecompositionSample",
@@ -534,8 +535,7 @@ def verify_decomposition(
     config: QuadratureConfig = DEFAULT_QUADRATURE,
     threshold: float = DEFAULT_VERIFY_THRESHOLD,
 ) -> VerificationReport:
-    if not 0.0 < threshold < np.inf:
-        raise ConfigError("threshold must be positive and finite")
+    threshold = _as_real(threshold, "threshold", _POSITIVE)
     pts = field._checked_points(points)
     if pts.shape[0] == 0:
         # The report is a set of maxima, and an empty sample has none.

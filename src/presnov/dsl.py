@@ -98,9 +98,9 @@ from typing import Optional
 import numpy as np
 
 from .errors import DimensionMismatchError, NonFiniteValueError, ParseError
-from .fields import Polynomial, VectorField, _float_array
+from .fields import Polynomial, VectorField
 from .quadrature import DEFAULT_QUADRATURE
-from .sampling import _as_integer
+from .sampling import _as_integer, _float_array
 
 __all__ = [
     "Expr",
@@ -413,7 +413,10 @@ def parse_expressions(text: str, dimension: Optional[int] = None):
     segments = _segments(tokens)
     if not segments:
         raise ParseError("empty field definition", 1, 1)
-    n = len(segments) if dimension is None else _field_dimension(dimension)
+    if dimension is None:
+        n = len(segments)
+    else:
+        n = _as_integer(dimension, "field dimension", (1, None), ParseError)
     if len(segments) != n:
         eof = tokens[-1]
         raise ParseError(
@@ -431,15 +434,8 @@ def parse_expression(text: str, dimension: int) -> Expr:
     if len(segments) != 1:
         eof = tokens[-1]
         raise ParseError("expected exactly one expression", eof.line, eof.column)
-    return _parse_segment(segments[0], _field_dimension(dimension))
-
-
-def _field_dimension(dimension):
-    """``dimension`` as a Python int, checked to be at least 1."""
-    n = _as_integer(dimension, "field dimension", ParseError)
-    if n < 1:
-        raise ParseError("field dimension must be at least 1", 1, 1)
-    return n
+    n = _as_integer(dimension, "field dimension", (1, None), ParseError)
+    return _parse_segment(segments[0], n)
 
 
 # ---------------------------------------------------------------------------

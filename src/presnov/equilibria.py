@@ -80,8 +80,8 @@ from .radial import (
     boundary_certificate,
     coercivity_probe,
 )
-from .sampling import DEFAULT_SEED, _as_integer, _check_integer_fields, _check_seed, ball_points
-from .sampling import default_direction_count
+from .sampling import _NON_NEGATIVE, _POSITIVE, DEFAULT_SEED, _as_integer, _as_real, ball_points
+from .sampling import _check_integer_fields, _check_real_fields, default_direction_count
 
 __all__ = [
     "SolverConfig",
@@ -127,15 +127,11 @@ class SolverConfig:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self):
-        _check_integer_fields(self, "max_iterations", "multistart", "seed")
+        _check_integer_fields(
+            self, max_iterations=(1, None), multistart=(0, None), seed=(0, None)
+        )
         # An infinite tolerance would accept every start where it begins.
-        if not 0.0 < self.residual_tol < np.inf:
-            raise ConfigError("residual_tol must be positive and finite")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be at least 1")
-        if self.multistart < 0:
-            raise ConfigError("multistart must be non-negative")
-        _check_seed(self.seed)
+        _check_real_fields(self, residual_tol=_POSITIVE)
 
 
 @dataclass(frozen=True)
@@ -328,9 +324,10 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
     ``target`` is the field itself or its conservative part; by the
     radial equality the field's certificate covers both.
     """
+    radius = _as_real(radius, "radius", _POSITIVE)
     if certificate is None:
         certificate = boundary_certificate(field, radius, seed=cfg.seed, check_conservative=False)
-    elif certificate.radius != float(radius):
+    elif certificate.radius != radius:
         raise ConfigError(
             f"the certificate covers the sphere of radius {certificate.radius}, "
             f"not the ball of radius {radius}"
@@ -373,7 +370,7 @@ def _locate(target, field, radius, cfg, certificate, allow_uncertified):
         residual=res,
         success=success,
         target=target.label,
-        ball_radius=float(radius),
+        ball_radius=radius,
         inside_ball=bool(_norm(x) < radius),
         starts_attempted=attempted,
         iterations=iters,
@@ -442,13 +439,10 @@ def perturbed_existence(
     radius is the first certified one, not necessarily the smallest that
     would certify.
     """
-    max_radius_exponent = _as_integer(max_radius_exponent, "max_radius_exponent")
     # 2.0**1024 overflows a double.
-    if not 0 <= max_radius_exponent <= 1023:
-        raise ConfigError("max_radius_exponent must be between 0 and 1023")
-    if not 0.0 <= margin_fraction < np.inf:
-        raise ConfigError("margin_fraction must be finite and non-negative")
-    _check_certificate_settings(threshold, certificate_samples)
+    max_radius_exponent = _as_integer(max_radius_exponent, "max_radius_exponent", (0, 1023))
+    margin_fraction = _as_real(margin_fraction, "margin_fraction", _NON_NEGATIVE)
+    threshold, certificate_samples = _check_certificate_settings(threshold, certificate_samples)
     shifted = ShiftedField(field, offset)
     b = shifted.offset
     if certificate_samples is None:

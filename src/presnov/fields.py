@@ -64,7 +64,7 @@ import numpy as np
 
 from .errors import CatalogError, ConfigError, DimensionMismatchError, DomainError
 from .errors import NonFiniteValueError
-from .sampling import _as_integer
+from .sampling import _POSITIVE, _as_integer, _as_real, _float_array
 
 __all__ = [
     "Domain",
@@ -93,37 +93,6 @@ _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 _POW_CALLS = 128
 
 
-def _float_array(value, message, error=CatalogError):
-    """``value`` as a float array; ``error(message)`` unless it is a
-    rectangular array of real numbers.  Complex numbers and text are
-    refused, which numpy would convert by dropping imaginary parts or by
-    parsing the text."""
-    try:
-        array = np.asarray(value)
-        if array.dtype.kind in "cSU":
-            raise TypeError
-        return array.astype(float, copy=False)
-    except (TypeError, ValueError):
-        raise error(message) from None
-
-
-def _float_scalar(value, message, error):
-    """``value`` as a float; ``error(message)`` unless it is one real
-    number, by ``_float_array``'s rule."""
-    array = _float_array(value, message, error)
-    if array.ndim != 0:
-        raise error(message)
-    return float(array)
-
-
-def _ball_radius(radius):
-    """``radius`` as a float, checked to be a finite positive real number."""
-    r = _float_scalar(radius, "ball radius must be a real number", DomainError)
-    if not (np.isfinite(r) and r > 0.0):
-        raise DomainError("ball radius must be finite and positive")
-    return r
-
-
 @dataclass(frozen=True)
 class Domain:
     """All of R^n (radius=None) or the closed origin-centered ball."""
@@ -132,13 +101,11 @@ class Domain:
     radius: Optional[float] = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "dimension", _as_integer(self.dimension, "dimension", DimensionMismatchError)
-        )
-        if self.dimension < 1:
-            raise DimensionMismatchError("dimension must be at least 1")
+        dimension = _as_integer(self.dimension, "dimension", (1, None), DimensionMismatchError)
+        object.__setattr__(self, "dimension", dimension)
         if self.radius is not None:
-            object.__setattr__(self, "radius", _ball_radius(self.radius))
+            radius = _as_real(self.radius, "ball radius", _POSITIVE, DomainError)
+            object.__setattr__(self, "radius", radius)
 
     @property
     def is_full_space(self) -> bool:
@@ -326,9 +293,7 @@ class VectorField:
     """Base class for immutable vector fields on R^n."""
 
     def __init__(self, dimension: int, label: str = "field", domain: Optional[Domain] = None):
-        dimension = _as_integer(dimension, "field dimension", DimensionMismatchError)
-        if dimension < 1:
-            raise DimensionMismatchError("field dimension must be at least 1")
+        dimension = _as_integer(dimension, "field dimension", (1, None), DimensionMismatchError)
         if domain is not None and domain.dimension != dimension:
             raise DimensionMismatchError("domain dimension does not match field dimension")
         self.dimension = dimension
@@ -499,7 +464,7 @@ class SumField(VectorField):
 
 class ScaledField(VectorField):
     def __init__(self, factor: float, inner: VectorField):
-        factor = _float_scalar(factor, "scale factor must be a real number", ConfigError)
+        factor = _as_real(factor, "scale factor")
         if not np.isfinite(factor):
             raise NonFiniteValueError("scale factor must be finite")
         super().__init__(inner.dimension, f"{factor!r}*{inner.label}", inner.domain)
@@ -553,8 +518,9 @@ class BallRestrictedField(VectorField):
     """Same values as the inner field, domain restricted to a closed ball."""
 
     def __init__(self, inner: VectorField, radius: float):
-        # A radius of None would make Domain the whole space.
-        ball = Domain(inner.dimension, _ball_radius(radius))
+        if radius is None:  # Domain reads None as the whole space
+            raise DomainError("ball radius must be finite and positive, got None")
+        ball = Domain(inner.dimension, radius)
         label = f"restrict({inner.label}, r={ball.radius!r})"
         super().__init__(inner.dimension, label, inner.domain.intersect(ball))
         self.inner = inner
@@ -649,9 +615,7 @@ def _require_dim(name, dimension, expected=None):
         if expected is None:
             raise CatalogError(f"catalog entry '{name}' needs an explicit dimension")
         return expected
-    dimension = _as_integer(dimension, "dimension", CatalogError)
-    if dimension < 1:
-        raise CatalogError("dimension must be at least 1")
+    dimension = _as_integer(dimension, "dimension", (1, None), CatalogError)
     if expected is not None and dimension != expected:
         raise CatalogError(f"catalog entry '{name}' requires dimension {expected}")
     return dimension

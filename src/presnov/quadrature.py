@@ -37,8 +37,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, NonFiniteValueError, QuadratureError
-from .sampling import _check_integer_fields
+from .errors import NonFiniteValueError, QuadratureError
+from .sampling import _POSITIVE, _check_integer_fields, _check_real_fields
 
 __all__ = ["QuadratureConfig", "DEFAULT_QUADRATURE", "integrate_unit"]
 
@@ -57,14 +57,9 @@ class QuadratureConfig:
     max_subdivisions: int = 4096
 
     def __post_init__(self):
-        _check_integer_fields(self, "order", "max_subdivisions")
-        if not 2 <= self.order <= _MAX_ORDER:
-            raise ConfigError("panel order must be between 2 and 100")
+        _check_integer_fields(self, order=(2, _MAX_ORDER), max_subdivisions=(1, None))
         # An infinite rel_tol times a zero integral is a NaN bound that never accepts.
-        if not (0.0 < self.abs_tol < np.inf and 0.0 < self.rel_tol < np.inf):
-            raise ConfigError("tolerances must be positive and finite")
-        if self.max_subdivisions < 1:
-            raise ConfigError("max_subdivisions must be at least 1")
+        _check_real_fields(self, abs_tol=_POSITIVE, rel_tol=_POSITIVE)
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -55,9 +55,10 @@ import numpy as np
 
 from .decomposition import ConservativePart
 from .errors import ConfigError, DimensionMismatchError, DomainError
-from .fields import VectorField, _float_array, _radial_values
+from .fields import VectorField, _radial_values
 from .quadrature import DEFAULT_QUADRATURE, QuadratureConfig
-from .sampling import DEFAULT_SEED, _check_integer_fields, _check_radius, _check_seed
+from .sampling import _FINITE, _NON_NEGATIVE, _POSITIVE, DEFAULT_SEED, _as_integer, _as_real
+from .sampling import _check_integer_fields, _check_real_fields, _check_seed, _float_array
 from .sampling import default_direction_count, unit_directions
 
 __all__ = [
@@ -101,13 +102,15 @@ class ProbeConfig:
     growth_floor_factor: float = 4.0
 
     def __post_init__(self):
-        _check_integer_fields(self, "radius_count", "directions", "seed")
-        if not self.initial_radius > 0.0:
-            raise ConfigError("initial_radius must be positive")
-        if not self.radius_factor > 1.0:
-            raise ConfigError("radius_factor must exceed 1")
-        if self.radius_count < 2:
-            raise ConfigError("radius_count must be at least 2")
+        _check_integer_fields(self, radius_count=(2, None), seed=(0, None))
+        if self.directions is not None:  # None: the dimension's default count
+            _check_integer_fields(self, directions=(1, None))
+        _check_real_fields(
+            self,
+            initial_radius=_POSITIVE,
+            radius_factor=(1.0, False, "finite and greater than 1"),
+            growth_floor_factor=_NON_NEGATIVE,
+        )
         # The schedule grows, so its last radius is its largest; one scalar
         # power avoids building a long schedule here.
         with np.errstate(over="ignore"):
@@ -115,11 +118,6 @@ class ProbeConfig:
             last = self.initial_radius * growth
         if not np.isfinite(last):
             raise ConfigError("every radius of the schedule must be finite")
-        if self.directions is not None and self.directions < 1:
-            raise ConfigError("directions must be at least 1")
-        _check_seed(self.seed)
-        if not 0.0 <= self.growth_floor_factor < np.inf:
-            raise ConfigError("growth_floor_factor must be finite and non-negative")
 
     def radii(self) -> np.ndarray:
         return self.initial_radius * self.radius_factor ** np.arange(self.radius_count)
@@ -197,16 +195,17 @@ class BoundaryCertificate:
 
 
 def _check_certificate_settings(threshold, samples):
-    """The certificate arguments that ``perturbed_existence`` passes through."""
-    if not np.isfinite(threshold):
-        raise ConfigError("certificate threshold must be finite")
-    if samples is not None and samples < 1:
-        raise ConfigError("certificate samples must be at least 1")
+    """The certificate arguments that ``perturbed_existence`` passes
+    through, as a float and an int (samples None stays None)."""
+    threshold = _as_real(threshold, "certificate threshold", _FINITE)
+    if samples is not None:
+        samples = _as_integer(samples, "certificate samples", (1, None))
+    return threshold, samples
 
 
 def radial_profile(field: VectorField, radius: float, directions) -> np.ndarray:
     """Profile values <X(r d), r d> / r for each unit direction d."""
-    _check_radius(radius)
+    radius = _as_real(radius, "radius", _POSITIVE)
     message = "directions must be a rectangular array of real numbers"
     dirs = _float_array(directions, message, DimensionMismatchError)
     return _radial_values(field, radius * dirs) / radius
@@ -318,8 +317,8 @@ def boundary_certificate(
     quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
 ) -> BoundaryCertificate:
     """Sample the sphere of the given radius and certify <X(x), x> > threshold."""
-    _check_radius(radius)
-    _check_certificate_settings(threshold, samples)
+    radius, seed = _as_real(radius, "radius", _POSITIVE), _check_seed(seed)
+    threshold, samples = _check_certificate_settings(threshold, samples)
     m = samples if samples is not None else default_direction_count(field.dimension)
     points = radius * unit_directions(field.dimension, m, seed)
     radial = _radial_values(field, points)
@@ -331,11 +330,11 @@ def boundary_certificate(
         conservative_min = float(radial_g.min())
         discrepancy = float(np.max(np.abs(radial - radial_g) / (1.0 + np.abs(radial))))
     return BoundaryCertificate(
-        radius=float(radius),
+        radius=radius,
         sample_count=m,
         min_radial=min_radial,
-        threshold=float(threshold),
-        margin=min_radial - float(threshold),
+        threshold=threshold,
+        margin=min_radial - threshold,
         passed=min_radial > threshold,
         seed=seed,
         conservative_min_radial=conservative_min,

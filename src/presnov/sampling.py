@@ -1,17 +1,25 @@
-"""Seeded isotropic sampling of unit directions and of balls.
+"""Seeded isotropic sampling of unit directions and of balls, and the
+package's rules for numeric settings.
 
 All randomness comes from numpy's Philox bit generator (counter-based),
 so identical seeds reproduce identical samples bit for bit regardless of
 how many points other code has drawn.
+
+Every integer setting is read by ``_as_integer`` and every real one by
+``_as_real``: each converts the value first, refusing anything that is
+not one number of its kind, and only then compares it with its range.
+So a value of the wrong kind (text, a complex number, None, a list) gets
+the owner's error, as an out-of-range value does, before any numeric work.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError, DimensionMismatchError
+from .errors import CatalogError, ConfigError, DimensionMismatchError
 
 __all__ = [
     "default_direction_count",
@@ -22,33 +30,90 @@ __all__ = [
 # The seed of every seeded sample when the caller names none.
 DEFAULT_SEED = 0
 
+# Ranges of real settings: the lower end, whether the end itself is
+# allowed, and the words a message uses.  No setting takes infinity.
+_FINITE = (-np.inf, False, "finite")
+_POSITIVE = (0.0, False, "finite and positive")
+_NON_NEGATIVE = (0.0, True, "finite and non-negative")
 
-def _as_integer(value, name, error=ConfigError):
-    """``value`` as a Python int; ``error`` (given the message) if it is not an integer.
+# numpy reads None as NaN and parses text when it casts an object array.
+_NOT_A_NUMBER = (type(None), str, bytes)
+
+
+def _float_array(value, message, error=CatalogError):
+    """``value`` as a float array; ``error(message)`` unless it is a
+    rectangular array of real numbers.  Complex numbers, text and None are
+    refused, which numpy would convert by dropping imaginary parts, by
+    parsing the text or as NaN."""
+    try:
+        array = np.asarray(value)
+        if array.dtype.kind in "cSU" or (
+            array.dtype.kind == "O" and any(isinstance(v, _NOT_A_NUMBER) for v in array.flat)
+        ):
+            raise TypeError
+        return array.astype(float, copy=False)
+    except (TypeError, ValueError):
+        raise error(message) from None
+
+
+def _as_real(value, name, range=None, error=ConfigError):
+    """``value`` as a Python float; ``error`` (given the message) unless it
+    is one real number, by ``_float_array``'s rule, inside ``range``.
+
+    The package's one real rule.  ``range`` is one of the tuples above
+    (None takes every float, NaN and infinities too); it is checked only
+    once the value is a float.
+    """
+    message = f"{name} must be a real number, got {value!r}"
+    array = _float_array(value, message, error)
+    if array.ndim != 0:
+        raise error(message)
+    number = float(array)
+    if range is not None:
+        low, closed, words = range
+        if not (number < np.inf and (low <= number if closed else low < number)):
+            raise error(f"{name} must be {words}, got {number!r}")
+    return number
+
+
+def _as_integer(value, name, range=None, error=ConfigError):
+    """``value`` as a Python int; ``error`` (given the message) unless it
+    is an integer inside ``range``, a pair (low, high) of inclusive ends
+    (a high of None is no upper end; a range of None takes every int).
 
     The package's one integer rule: ``operator.index`` accepts Python and
-    numpy integers and rejects floats, even integral ones.
+    numpy integers and rejects floats, even integral ones; the range is
+    checked only once the value is an int.
     """
     try:
-        return operator.index(value)
+        number = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None
+    if range is not None:
+        low, high = range
+        if not (low <= number and (high is None or number <= high)):
+            bounds = f"at least {low}" if high is None else f"between {low} and {high}"
+            raise error(f"{name} must be {bounds}, got {number}")
+    return number
 
 
 def _check_seed(seed):
     """``seed`` as a Python int, checked non-negative."""
-    seed = _as_integer(seed, "seed")
-    if seed < 0:
-        raise ConfigError("seeds must be non-negative integers")
-    return seed
+    return _as_integer(seed, "seed", (0, None))
 
 
-def _check_integer_fields(config, *names):
-    """Store the named fields of a frozen config as Python ints (None stays None)."""
-    for name in names:
-        value = getattr(config, name)
-        if value is not None:
-            object.__setattr__(config, name, _as_integer(value, name))
+def _check_integer_fields(config, **ranges):
+    """Store the named fields of a frozen config as Python ints, each
+    checked to lie in its range (``_as_integer``)."""
+    for name, range in ranges.items():
+        object.__setattr__(config, name, _as_integer(getattr(config, name), name, range))
+
+
+def _check_real_fields(config, **ranges):
+    """Store the named fields of a frozen config as Python floats, each
+    checked to lie in its range (``_as_real``)."""
+    for name, range in ranges.items():
+        object.__setattr__(config, name, _as_real(getattr(config, name), name, range))
 
 
 def _generator(seed: int) -> np.random.Generator:
@@ -57,18 +122,8 @@ def _generator(seed: int) -> np.random.Generator:
 
 def _check_sample_shape(dimension, count):
     """``dimension`` and ``count`` as Python ints, each at least 1."""
-    dimension = _as_integer(dimension, "dimension", DimensionMismatchError)
-    if dimension < 1:
-        raise DimensionMismatchError("dimension must be at least 1")
-    count = _as_integer(count, "sample count")
-    if count < 1:
-        raise ConfigError("sample count must be at least 1")
-    return dimension, count
-
-
-def _check_radius(radius):
-    if not 0.0 < radius < np.inf:
-        raise ConfigError("radius must be positive and finite")
+    dimension = _as_integer(dimension, "dimension", (1, None), DimensionMismatchError)
+    return dimension, _as_integer(count, "sample count", (1, None))
 
 
 def default_direction_count(dimension: int) -> int:
@@ -96,6 +151,13 @@ def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.
     directions are normalized Gaussian draws.
     """
     dimension, count = _check_sample_shape(dimension, count)
+    return _unit_directions(dimension, count, _check_seed(seed)).copy()
+
+
+# Every certificate of a solve, and every radius of a perturbation search,
+# draws the same few seeded samples; each caller gets its own copy.
+@lru_cache(maxsize=8)
+def _unit_directions(dimension, count, seed):
     rng = _generator(seed)
     if dimension == 2 and count >= 2:
         k = count // 2
@@ -109,7 +171,7 @@ def unit_directions(dimension: int, count: int, seed: int = DEFAULT_SEED) -> np.
 def ball_points(dimension: int, count: int, radius: float, seed: int = DEFAULT_SEED) -> np.ndarray:
     """Uniform seeded points in the open ball of the given radius."""
     dimension, count = _check_sample_shape(dimension, count)
-    _check_radius(radius)
+    radius = _as_real(radius, "radius", _POSITIVE)
     rng = _generator(seed)
     directions = _gaussian_directions(dimension, count, rng)
     radii = radius * rng.random(count) ** (1.0 / dimension)

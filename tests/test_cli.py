@@ -452,6 +452,18 @@ def test_bad_settings_fail_alike_in_library_and_cli(owner, flags, tmp_path, caps
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
+def test_an_allocation_that_fails_is_a_numeric_failure(monkeypatch, capsys):
+    # A large dimension asks the monomial kernel for more memory than there
+    # is; the kernel is made to fail here instead of allocating.
+    def no_memory(table, points):
+        raise MemoryError("Unable to allocate 8.12 GiB for an array")
+
+    monkeypatch.setattr(pv.Polynomial, "_monomials", no_memory)
+    code, report, err = run_cli(capsys, "decompose", "--expr", "x1^3 + x2; x2^3", "--at", "1,0")
+    assert (code, report) == (3, None)
+    assert err == "error: out of memory: Unable to allocate 8.12 GiB for an array\n"
+
+
 def test_unwritable_out_is_usage_error(tmp_path, capsys):
     code = main(["decompose", "--catalog", "identity", "--dim", "2", "--out", str(tmp_path)])
     captured = capsys.readouterr()

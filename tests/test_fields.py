@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import presnov as pv
 from presnov import (
     BallRestrictedField,
     CallableField,
@@ -288,6 +289,15 @@ def test_samplers_reject_a_dimension_below_one(dimension):
         ball_points(dimension, 4, 1.0)
 
 
+def test_unit_directions_are_fresh_copies_of_one_draw():
+    # The draws are memoised; a caller that writes to its copy changes no
+    # other caller's.
+    drawn = pv.sampling._unit_directions.__wrapped__(3, 16, 5)
+    first = unit_directions(3, 16, 5)
+    first[:] = 0.0
+    assert np.array_equal(unit_directions(np.int64(3), 16, 5), drawn)
+
+
 def test_samplers_reject_non_integer_shapes():
     with pytest.raises(DimensionMismatchError):
         unit_directions(2.5, 3)
@@ -466,6 +476,147 @@ def test_real_scalars_keep_their_labels():
     restricted = BallRestrictedField(_IDENTITY2, np.float32(0.1))
     assert restricted.label == "restrict(identity, r=0.10000000149011612)"
     assert restricted.domain.radius == float(np.float32(0.1))
+
+
+# Every real and integer setting: its owner called on one value, the error
+# the owner raises, and values out of its range.  A setting where None
+# means a default (a sample count, a probe's directions, a domain that is
+# the whole space) is not tried with None.
+_SETTINGS = {
+    "QuadratureConfig.abs_tol": (lambda v: pv.QuadratureConfig(abs_tol=v), ConfigError, [0.0]),
+    "QuadratureConfig.rel_tol": (lambda v: pv.QuadratureConfig(rel_tol=v), ConfigError, [-1.0]),
+    "QuadratureConfig.order": (lambda v: pv.QuadratureConfig(order=v), ConfigError, [1, 101]),
+    "QuadratureConfig.max_subdivisions": (
+        lambda v: pv.QuadratureConfig(max_subdivisions=v), ConfigError, [0]
+    ),
+    "ProbeConfig.initial_radius": (lambda v: ProbeConfig(initial_radius=v), ConfigError, [0.0]),
+    "ProbeConfig.radius_factor": (lambda v: ProbeConfig(radius_factor=v), ConfigError, [1.0]),
+    "ProbeConfig.growth_floor_factor": (
+        lambda v: ProbeConfig(growth_floor_factor=v), ConfigError, [-0.5]
+    ),
+    "ProbeConfig.radius_count": (lambda v: ProbeConfig(radius_count=v), ConfigError, [1]),
+    "ProbeConfig.seed": (lambda v: ProbeConfig(seed=v), ConfigError, [-1]),
+    "SolverConfig.residual_tol": (lambda v: SolverConfig(residual_tol=v), ConfigError, [0.0]),
+    "SolverConfig.max_iterations": (lambda v: SolverConfig(max_iterations=v), ConfigError, [0]),
+    "SolverConfig.multistart": (lambda v: SolverConfig(multistart=v), ConfigError, [-1]),
+    "SolverConfig.seed": (lambda v: SolverConfig(seed=v), ConfigError, [-1]),
+    "verify_decomposition.threshold": (
+        lambda v: pv.verify_decomposition(_IDENTITY2, [[1.0, 0.5]], threshold=v),
+        ConfigError,
+        [0.0],
+    ),
+    "boundary_certificate.radius": (
+        lambda v: pv.boundary_certificate(_IDENTITY2, v), ConfigError, [0.0, -1.0]
+    ),
+    "boundary_certificate.threshold": (
+        lambda v: pv.boundary_certificate(_IDENTITY2, 1.0, threshold=v), ConfigError, []
+    ),
+    "perturbed_existence.margin_fraction": (
+        lambda v: perturbed_existence(_IDENTITY2, [1.0, 0.0], margin_fraction=v),
+        ConfigError,
+        [-1.0],
+    ),
+    "perturbed_existence.threshold": (
+        lambda v: perturbed_existence(_IDENTITY2, [1.0, 0.0], threshold=v), ConfigError, []
+    ),
+    "perturbed_existence.max_radius_exponent": (
+        lambda v: perturbed_existence(_IDENTITY2, [1.0, 0.0], max_radius_exponent=v),
+        ConfigError,
+        [-1, 1024],
+    ),
+    "find_equilibrium.radius": (
+        lambda v: pv.find_equilibrium(_IDENTITY2, v), ConfigError, [0.0]
+    ),
+    "ball_points.radius": (lambda v: ball_points(2, 3, v), ConfigError, [-1.0]),
+    "ball_points.count": (lambda v: ball_points(2, v, 1.0), ConfigError, [0]),
+    "radial_profile.radius": (
+        lambda v: pv.radial_profile(_IDENTITY2, v, [[1.0, 0.0]]), ConfigError, [0.0]
+    ),
+    "BallRestrictedField.radius": (
+        lambda v: BallRestrictedField(_IDENTITY2, v), DomainError, [0.0]
+    ),
+    # An infinite or NaN factor is a non-finite value.
+    "ScaledField.factor": (
+        lambda v: ScaledField(v, _IDENTITY2), (ConfigError, NonFiniteValueError), []
+    ),
+}
+_DEFAULTED = {
+    "ProbeConfig.directions": (lambda v: ProbeConfig(directions=v), ConfigError, [0]),
+    "boundary_certificate.samples": (
+        lambda v: pv.boundary_certificate(_IDENTITY2, 1.0, samples=v), ConfigError, [0]
+    ),
+    "perturbed_existence.certificate_samples": (
+        lambda v: perturbed_existence(_IDENTITY2, [1.0, 0.0], certificate_samples=v),
+        ConfigError,
+        [0],
+    ),
+    "Domain.radius": (lambda v: Domain(2, v), DomainError, [-1.0]),
+}
+_NOT_A_SETTING = ["0.5", 1 + 2j, [0.5], _NAN, _INF, -_INF]
+_SETTING_CASES = [
+    pytest.param(build, error, value, id=f"{name}={value!r}")
+    for table, bad in ((_SETTINGS, [None, *_NOT_A_SETTING]), (_DEFAULTED, _NOT_A_SETTING))
+    for name, (build, error, out_of_range) in table.items()
+    for value in [*bad, *out_of_range]
+]
+
+
+@pytest.mark.parametrize("build, error, value", _SETTING_CASES)
+def test_every_numeric_setting_is_converted_before_it_is_compared(build, error, value):
+    with pytest.raises(error):
+        build(value)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: _IDENTITY2.evaluate([None, 1.0]),
+        lambda: ShiftedField(_IDENTITY2, [None, 0.0]),
+        lambda: pv.evaluate_ast(parse_expression("x1", 1), None),
+        lambda: ScaledField(None, _IDENTITY2),
+        lambda: _IDENTITY2.evaluate(np.array([0.5, "0.5"], dtype=object)),
+    ],
+    ids=["evaluate", "ShiftedField", "evaluate_ast", "ScaledField", "text in an object array"],
+)
+def test_none_and_text_are_not_numbers(build):
+    # numpy reads None as NaN, which would raise NonFiniteValueError, and
+    # parses text when it casts an object array.
+    with pytest.raises((DimensionMismatchError, ConfigError)):
+        build()
+
+
+def test_numpy_settings_are_stored_and_used_as_python_numbers():
+    def run(real, integer):
+        quad = pv.QuadratureConfig(abs_tol=real(1e-9), order=integer(12))
+        probe = ProbeConfig(
+            initial_radius=real(0.5), radius_factor=real(3.0), radius_count=integer(4),
+            growth_floor_factor=real(2.0), directions=integer(16),
+        )
+        solver = SolverConfig(residual_tol=real(1e-9), multistart=integer(2))
+        for config in (quad, probe, solver):
+            for name, value in vars(config).items():
+                assert type(value) in (int, float), name
+        field = parse_field("x1^3 + x2; x2^3 - x1")
+        certificate = pv.boundary_certificate(
+            field, real(2.0), integer(32), integer(5), real(0.1), quadrature=quad
+        )
+        found = pv.find_equilibrium(field, real(2.0), solver, certificate)
+        shifted = perturbed_existence(
+            field, [1.0, -1.0], solver, quad, max_radius_exponent=integer(6),
+            margin_fraction=real(0.05), certificate_samples=integer(64), threshold=real(0.1),
+        )
+        return [
+            repr(certificate),
+            found.point.tobytes(),
+            repr(shifted.rho),
+            shifted.field_result.point.tobytes(),
+            shifted.conservative_result.point.tobytes(),
+            pv.coercivity_probe(field, probe).profiles.tobytes(),
+            ball_points(2, integer(5), real(1.5), integer(3)).tobytes(),
+            pv.radial_profile(field, real(1.5), [[0.6, 0.8]]).tobytes(),
+        ]
+
+    assert run(np.float64, np.int64) == run(float, int)
 
 
 def test_ball_restriction_enforced():
