@@ -28,10 +28,9 @@ each evaluated in one field call, and the first trial in ladder order
 that passes the Armijo test is taken: the step one-at-a-time
 backtracking would take, so iterates and step counts are the same.  The
 first rung, the full step, is evaluated with its Jacobian, and most
-steps (about 62% in the benchmark's ``solve`` workload) accept it.  A
-point accepted from a later rung gets its Jacobian from one more call
-only when it is read: by the next step, or by the near-singularity and
-minimizer checks if it is the returned point.  For a ``ConservativePart``
+steps (about 62% in the benchmark's ``solve`` workload) accept it; a
+point accepted from a later rung gets its Jacobian from one more call,
+so every iterate comes with its Jacobian.  For a ``ConservativePart``
 without a table each call is one quadrature, which is what the
 batching saves.  Every trial of a rung is evaluated, so a
 non-finite value at any of them, or a non-finite Jacobian at an accepted
@@ -210,38 +209,32 @@ def _project(x, radius):
 def _armijo_step(field, x, step, merit, directional, radius):
     """The first trial of the Armijo ladder that passes, or None if none does.
 
-    Returns the accepted point, its value, its residual and its Jacobian
-    when the full step's call computed it, else None.  Each rung of
-    ``_RUNGS`` is one field call; the full step's call also returns the
-    Jacobian.
+    Returns the accepted point with its value, residual and Jacobian.
+    Each rung of ``_RUNGS`` is one field call.  The full step's call also
+    returns the Jacobian; a point accepted from a later rung keeps its
+    rung's value and gets its Jacobian from one more call.
     """
     for rung in _RUNGS:
         trials = np.array([_project(x + alpha * step, radius) for alpha in rung])
         if rung is _RUNGS[0]:
             values, jacs = field.value_and_jacobian_many(trials)
         else:
-            values, jacs = field.evaluate_many(trials), None
+            values = field.evaluate_many(trials)
         for k, alpha in enumerate(rung):
             res = _norm(values[k])
             if 0.5 * res * res <= merit + _ARMIJO * alpha * directional:
-                return trials[k], values[k], res, None if jacs is None else jacs[k]
+                if rung is not _RUNGS[0]:
+                    jacs = field.value_and_jacobian_many(trials[k : k + 1])[1]
+                # The first rung is one trial, so row 0 is the point's either way.
+                return trials[k], values[k], res, jacs[0]
     return None
-
-
-def _jacobian(field, x):
-    """The Jacobian of ``field`` at the point ``x``, from one call."""
-    return field.value_and_jacobian_many(x[None, :])[1][0]
 
 
 def _newton_from(field, x0, radius, cfg):
     """One damped-Newton run.
 
-    Returns (point, residual, Jacobian at the point or None, steps taken,
-    converged) for the last iterate.  The start's value comes with its
-    Jacobian, and so does a point accepted on the full step; a point
-    accepted from a later rung gets its Jacobian from one more call at
-    the next step, so a run that stops there (at ``max_iterations`` or
-    converged) returns None for it.  Each step runs the Armijo ladder
+    Returns (point, residual, Jacobian at the point, steps taken,
+    converged) for the last iterate.  Each step runs the Armijo ladder
     alpha = 1, 1/2, ..., ``_MIN_STEP`` in rungs of 1, 2, 4, ... trials,
     one field call per rung, and takes the first trial in ladder order
     that passes: the step one-at-a-time backtracking would take.  The
@@ -258,8 +251,6 @@ def _newton_from(field, x0, radius, cfg):
     res = _norm(fx)
     taken = 0
     while taken < cfg.max_iterations and res > cfg.residual_tol:
-        if jac is None:
-            jac = _jacobian(field, x)
         with np.errstate(over="ignore", invalid="ignore"):
             merit_grad = jac.T @ fx
         if not np.isfinite(merit_grad).all():
@@ -301,8 +292,7 @@ def _solve_multistart(field, radius, cfg):
     """Newton from the origin, then from seeded points of the ball.
 
     Returns (point, residual, Jacobian at the point, starts attempted,
-    steps taken, converged).  Only the returned point's Jacobian is
-    fetched when its run did not compute it.
+    steps taken, converged).
     """
     best = None
     for index, start in enumerate(_starts(field, radius, cfg)):
@@ -313,8 +303,6 @@ def _solve_multistart(field, radius, cfg):
         if converged:
             break
     x, res, jac, iters = best
-    if jac is None:
-        jac = _jacobian(field, x)
     return x, res, jac, index + 1, iters, converged
 
 

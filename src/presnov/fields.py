@@ -188,15 +188,29 @@ class Polynomial:
 
     @cached_property
     def _powers(self):
-        """The distinct exponents u, and the row of x_j^E[k, j] among them at [k, j]."""
+        """The distinct exponents u, the coordinates each row holds, and the
+        row of each held coordinate's power among the u.
+
+        Row k lists the coordinates j with E[k, j] > 0 in order, padded to
+        the longest such row with coordinates whose power is x_j^0.
+        """
         # Sorted, not np.unique, whose first call maps some 1.5 MB more.
         values = np.sort(self.exponents, axis=None)
         distinct = values[np.flatnonzero(np.diff(values, prepend=-1))]
-        return distinct, np.searchsorted(distinct, self.exponents)
+        held = self.exponents != 0
+        # A stable sort puts each row's held coordinates first, in order.
+        coords = np.argsort(~held, axis=1, kind="stable")[:, : held.sum(axis=1).max(initial=0)]
+        powers = np.take_along_axis(self.exponents, coords, axis=1)
+        return distinct, coords, np.searchsorted(distinct, powers)
 
     def _monomials(self, points):
-        """x^E[k] at the rows of ``points``, shape (m, K), from the power table x_j^u."""
-        distinct, index = self._powers
+        """x^E[k] at the rows of ``points``, shape (m, K), from the power table x_j^u.
+
+        Each monomial multiplies only its row's coordinates from ``_powers``,
+        in coordinate order, so a table costs per held exponent, not per
+        coordinate; the x_j^0 = 1 factors it skips or pads with are exact.
+        """
+        distinct, held, index = self._powers
         coords = np.asarray(points, dtype=float).T
         if coords.size * distinct.size <= _POW_CALLS:
             table = coords ** distinct[:, None, None]
@@ -207,7 +221,7 @@ class Polynomial:
                 if b:
                     square = square * square
                 table[distinct >> b & 1 == 1] *= square
-        return table[index, np.arange(self.dimension)].prod(axis=1).T
+        return table[index, held].prod(axis=1).T
 
     def _contract(self, monomials, coefficients):
         # An empty table (K = 0) contracts to zeros.

@@ -8,8 +8,9 @@ how many points other code has drawn.
 Every integer setting is read by ``_as_integer`` and every real one by
 ``_as_real``: each converts the value first, refusing anything that is
 not one number of its kind, and only then compares it with its range.
-So a value of the wrong kind (text, a complex number, None, a list) gets
-the owner's error, as an out-of-range value does, before any numeric work.
+So a value of the wrong kind (text, a complex number, None, a list, a
+bool) gets the owner's error, as an out-of-range value does, before any
+numeric work.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ _NON_NEGATIVE = (0.0, True, "finite and non-negative")
 
 # numpy reads None as NaN and parses text when it casts an object array.
 _NOT_A_NUMBER = (type(None), str, bytes)
+# Python and numpy read True as 1; a setting takes it as no number.
+_BOOLS = (bool, np.bool_)
 
 
 def _float_array(value, message, error=CatalogError):
@@ -58,7 +61,8 @@ def _float_array(value, message, error=CatalogError):
 
 def _as_real(value, name, range=None, error=ConfigError):
     """``value`` as a Python float; ``error`` (given the message) unless it
-    is one real number, by ``_float_array``'s rule, inside ``range``.
+    is one real number, by ``_float_array``'s rule, and not a bool, inside
+    ``range``.
 
     The package's one real rule.  ``range`` is one of the tuples above
     (None takes every float, NaN and infinities too); it is checked only
@@ -66,7 +70,7 @@ def _as_real(value, name, range=None, error=ConfigError):
     """
     message = f"{name} must be a real number, got {value!r}"
     array = _float_array(value, message, error)
-    if array.ndim != 0:
+    if array.ndim != 0 or isinstance(value, _BOOLS):
         raise error(message)
     number = float(array)
     if range is not None:
@@ -82,10 +86,12 @@ def _as_integer(value, name, range=None, error=ConfigError):
     (a high of None is no upper end; a range of None takes every int).
 
     The package's one integer rule: ``operator.index`` accepts Python and
-    numpy integers and rejects floats, even integral ones; the range is
-    checked only once the value is an int.
+    numpy integers and rejects floats, even integral ones, and bools are
+    refused too; the range is checked only once the value is an int.
     """
     try:
+        if isinstance(value, _BOOLS):
+            raise TypeError
         number = operator.index(value)
     except TypeError:
         raise error(f"{name} must be an integer, got {value!r}") from None

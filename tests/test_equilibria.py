@@ -397,16 +397,19 @@ def test_a_stalled_line_search_costs_one_call_per_rung():
     assert len(_RUNGS) == 5
 
 
-def test_a_start_stopped_by_max_iterations_skips_the_unread_jacobian():
+def test_a_point_accepted_from_a_later_rung_comes_with_its_jacobian():
     # From the origin the full Newton step of tanh(3 (x1 - 1)) fails the
     # Armijo test (see above), so the one step allowed is accepted from a
-    # later rung, whose call computes no Jacobian.  The run stops there,
-    # and only a returned point gets its Jacobian, from one more call.
+    # later rung, whose call computes no Jacobian.  One more call fetches
+    # the point's own at once, so the run returns it, and the solve's
+    # checks read it without a call of their own.
     leaf = _CountingField(parse_field("tanh(3*(x1-1)); x2"))
     cfg = SolverConfig(max_iterations=1, multistart=0)
-    _, _, jac, taken, converged = _newton_from(leaf, np.zeros(2), 4.0, cfg)
-    assert leaf.calls["value_and_jacobian_many"] == 2  # the start and the full step
-    assert taken == 1 and not converged and jac is None
+    point, _, jac, taken, converged = _newton_from(leaf, np.zeros(2), 4.0, cfg)
+    # The start, the full step and the accepted point.
+    assert leaf.calls["value_and_jacobian_many"] == 3
+    assert taken == 1 and not converged
+    assert np.array_equal(jac, leaf.value_and_jacobian_many(point[None, :])[1][0])
     leaf.calls.clear()
     assert not find_equilibrium(leaf, 4.0, cfg).success
     assert leaf.calls["value_and_jacobian_many"] == 3

@@ -552,7 +552,7 @@ _DEFAULTED = {
     ),
     "Domain.radius": (lambda v: Domain(2, v), DomainError, [-1.0]),
 }
-_NOT_A_SETTING = ["0.5", 1 + 2j, [0.5], _NAN, _INF, -_INF]
+_NOT_A_SETTING = ["0.5", 1 + 2j, [0.5], _NAN, _INF, -_INF, True, np.True_]
 _SETTING_CASES = [
     pytest.param(build, error, value, id=f"{name}={value!r}")
     for table, bad in ((_SETTINGS, [None, *_NOT_A_SETTING]), (_DEFAULTED, _NOT_A_SETTING))

@@ -598,6 +598,29 @@ def test_table_route_keeps_the_checks():
             Polynomial(exponents, coefficients)
 
 
+def test_a_table_costs_per_held_exponent_not_per_coordinate():
+    # grad H of the cyclic cubic in 32 variables has 1,056 monomials of at
+    # most two variables each.  Gathering all 32 powers of each at 512
+    # points would take one array of about 132 MiB.
+    n = 32
+    field = parse_field("; ".join(f"x{i + 1}^3 + 0.3*x{(i + 1) % n + 1}" for i in range(n)))
+    table = field.polynomial.gradient_potential
+    points = ball_points(n, 512, 2.0, seed=5)
+    assert table.exponents.shape == (1056, n)
+    assert (table.exponents != 0).sum(axis=1).max() == 2
+    tracemalloc.start()
+    try:
+        values = table(points)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+    # H = sum x_i^4 / 4 + 0.15 x_i x_(i+1), so grad H is x^3 plus 0.15
+    # times the two neighbours.
+    neighbours = np.roll(points, 1, axis=1) + np.roll(points, -1, axis=1)
+    assert np.allclose(values, points**3 + 0.15 * neighbours, rtol=1e-14, atol=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # The jet: X and its Jacobian from one table
 # ---------------------------------------------------------------------------
