@@ -30,16 +30,20 @@ table, ``VectorField.polynomial``) takes it in closed form: since
     H(x) = sum_k <c_k, x> x^E_k / (|E_k| + 1),
 
 the Poincare homotopy operator on polynomial forms (Spivak, "Calculus on
-Manifolds", ch. 4), so grad H and its Jacobian, the exact Hessian of H,
-are monomial tables too (``Polynomial.gradient_potential`` and its
-``derivative``, held together in its ``jet``), with no quadrature and
-no stencil.  A constant shift b adds b to grad H and nothing to its
+Manifolds", ch. 4): a scalar table with one term x^E_k x_i for each
+non-zero weight c_k,i / (|E_k| + 1).  grad H is that table's
+``derivative`` (``Polynomial.gradient_potential``), and its Jacobian,
+the exact Hessian of H, is the derivative of grad H's table (the two
+held together in its ``jet``), with no quadrature and no stencil.  A
+zero coefficient of X, such as the one x1^3 - x1^3 expands to, puts no
+term in H.  A constant shift b adds b to grad H and nothing to its
 Hessian, so grad H of X + b reads the tables of X.  The error estimate
-is the table's rounding bound, gamma sum_k |c_k| |x^E_k|; where that
-bound exceeds the quadrature tolerance max(abs_tol, rel_tol |grad H|),
-as it can for an ill-conditioned expansion such as (x1 - 1)^20 at
-x1 = 2, or overflows, the point takes the adaptive route below.  Every
-other field integrates the formula adaptively, with the Jacobian J from
+is the rounding bound of grad H's table, gamma sum_k |g_k| |x^F_k| over
+its terms g_k x^F_k; where that bound exceeds the quadrature tolerance
+max(abs_tol, rel_tol |grad H|), as it can for an ill-conditioned
+expansion such as (x1 - 1)^20 at x1 = 2, or overflows, the point takes
+the adaptive route below.  Every other field integrates the formula
+adaptively, with the Jacobian J from
 ``VectorField.value_and_jacobian_many``: exact for DSL and catalog
 fields, the central-difference stencil of ``fields`` otherwise, whose
 rounding noise sets the integrator's floor.  Potentials, and so the
@@ -196,10 +200,11 @@ def _ray_integrals(pts, rays, width, integrand, cfg, floors=None):
 
 
 def _ray_radial_values(field, ts, xs):
-    """<X(t x), x> at the nodes ts on the rays x along the last axis of ``xs``."""
+    """<X(t x), x> at the nodes ts on the rays x along the last axis of ``xs``;
+    raises NonFiniteValueError, naming the field, on overflow."""
     nodes = ts.reshape((-1,) + (1,) * xs.ndim) * xs
     vals = field.evaluate_many(nodes.reshape(-1, xs.shape[-1])).reshape(nodes.shape)
-    return np.einsum("q...n,...n->q...", vals, xs)
+    return _radial_values(field, xs, vals)
 
 
 def potential_many(field: VectorField, points, config: QuadratureConfig = DEFAULT_QUADRATURE):
@@ -429,12 +434,17 @@ class ConservativePart(VectorField):
 
     Each evaluation runs the homotopy route (``_homotopy_gradient``), so
     values carry that route's error.  Of a field with a monomial table
-    its table is that of grad H, and ``value_and_jacobian_many`` takes
-    grad H and its Jacobian, the exact Hessian of H, from one evaluation
-    of that table's jet (``Polynomial.jet``).  Rows whose rounding bound
-    misses the quadrature tolerance take their values from the homotopy
-    route and their Jacobians from the table's ``derivative`` alone,
-    where no overflowing power of the values meets a zero coefficient.
+    its table is that of grad H, the derivative of H's table
+    (``Polynomial.gradient_potential``), which holds no term for a zero
+    coefficient of the field's: where the field's table cancels a
+    monomial, as x1^3 - x1^3 does, the part is served by its table at
+    points where the field itself overflows.  ``value_and_jacobian_many``
+    takes grad H and its Jacobian, the exact Hessian of H, from one
+    evaluation of that table's jet (``Polynomial.jet``).  Rows whose
+    rounding bound misses the quadrature tolerance take their values from
+    the homotopy route and their Jacobians from the table's
+    ``derivative`` alone, where no overflowing power of the values meets
+    a zero coefficient.
     Of a shifted source the part reads the tables of the inner field
     (``_unshifted``), so the shift builds none of its own.  Otherwise the
     Jacobian is the central-difference fallback.

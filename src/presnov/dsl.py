@@ -76,9 +76,12 @@ the AST in IEEE edge cases: x1^3 - x1^3 expands to 0, where the AST
 overflows at x1 = 1e200.  There the jet's zero coefficient times the
 overflowing power is NaN, a bound no point meets, so the point takes
 the walker and raises NonFiniteValueError, as ``evaluate_many`` does;
-so does any point whose bound overflows.  ``evaluate_many`` always
-walks the AST, so the field's values, and the checks that read them,
-stay independent of the table.
+so does any point whose bound overflows.  grad H's table holds no term
+for a zero coefficient (``Polynomial.gradient_potential``), so the
+conservative part of x1^3 - x1^3; x2 is (0, x2), served by its table at
+(1e200, 0); X itself, and every split that evaluates X, still raises
+there.  ``evaluate_many`` always walks the AST, so the field's values,
+and the checks that read them, stay independent of the table.
 
 ``pretty``, and the label of a field built from trees rather than text,
 come from the same walker in a fourth arithmetic, on text (``_Text``):

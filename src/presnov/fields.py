@@ -147,8 +147,9 @@ class Polynomial:
 
     Values come from one power table of the coordinates, x_j^u for the
     distinct exponents u, and ``derivative`` and ``gradient_potential``
-    are tables themselves: the exponent rule, and the homotopy operator
-    of the Poincare lemma (module docstring of ``decomposition``).
+    are tables themselves: the exponent rule, and the derivative of the
+    scalar table of H that the homotopy operator of the Poincare lemma
+    gives (module docstring of ``decomposition``).
     """
 
     def __init__(self, exponents, coefficients):
@@ -290,17 +291,17 @@ class Polynomial:
 
         Term C[k] x^E[k] contributes <C[k], x> x^E[k] / (|E[k]| + 1) to H,
         since <X_d(t x), x> = t^d <X_d(x), x> on a homogeneous part of
-        degree d and the integral of t^d over [0, 1] is 1 / (d + 1).
+        degree d and the integral of t^d over [0, 1] is 1 / (d + 1).  H's
+        table holds one term per non-zero weight C[k, i] / (|E[k]| + 1),
+        the monomial x^E[k] x_i, and grad H is its ``derivative``: a zero
+        coefficient of X, merged or given, puts no row in grad H.  Terms
+        of H that cancel when merged keep their zero row, as the row of
+        x1 x2 does for the rotation (-x2, x1).
         """
-        n = self.dimension
-        eye = np.eye(n, dtype=np.int64)
-        raised = self.exponents[:, None, :] + eye  # [k, i]: the monomial x^E[k] x_i of H
         weights = self.coefficients / (self.exponents.sum(axis=1) + 1.0)[:, None]
-        # d/dx_j of each monomial of H that holds x_j: component j of grad H.
-        k, i, j = np.nonzero(raised)
-        coefs = np.zeros((k.size, n))
-        coefs[np.arange(k.size), j] = weights[k, i] * raised[k, i, j]
-        return Polynomial(raised[k, i] - eye[j], coefs)
+        k, i = np.nonzero(weights)
+        raised = self.exponents[k] + np.eye(self.dimension, dtype=np.int64)[i]
+        return Polynomial(raised, weights[k, i]).derivative
 
 
 class VectorField:
@@ -582,9 +583,10 @@ def _fd_derivatives(values, steps):
 
 def _radial_values(field, points, values=None):
     """<X(x), x> at the rows of ``points``, with X(x) from ``values`` when
-    given; raises NonFiniteValueError on overflow."""
+    given; raises NonFiniteValueError on overflow.  Given values, ``points``
+    broadcasts against them along the last axis."""
     values = field.evaluate_many(points) if values is None else values
-    radial = np.einsum("ij,ij->i", values, points)
+    radial = np.einsum("...j,...j->...", values, points)
     if not np.isfinite(radial).all():
         raise NonFiniteValueError(f"<X(x), x> of field '{field.label}' overflows")
     return radial

@@ -149,6 +149,9 @@ def test_arity_error_exit_code(capsys):
 def test_numeric_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "decompose", "--expr", "1/x1; x2", "--at", "0,1")
     assert code == 3
+    # The potential's overflow names the field, as every other numeric error does.
+    code, _, err = run_cli(capsys, "decompose", "--expr", "x1; x2", "--at", "1e308,1e308")
+    assert code == 3 and "<X(x), x> of field 'x1; x2' overflows" in err
 
 
 @pytest.mark.parametrize(

@@ -462,6 +462,15 @@ def test_every_point_array_follows_one_rule(entry, defect):
             call(field, points)
 
 
+def test_an_overflowing_potential_names_its_field():
+    # <X(t x), x> overflows on the ray of (1e200, 1e200) where X does not:
+    # every line integral of it raises the error of fields._radial_values.
+    field = parse_field("x1; x2")
+    for call in (potential_many, decomposition.gradient_potential_many, decompose_many):
+        with pytest.raises(NonFiniteValueError, match=r"<X\(x\), x> of field 'x1; x2' overflows"):
+            call(field, [[1e200, 1e200]])
+
+
 def test_fd_route_refines_each_entry_on_its_own():
     # Each FD-route entry is one integral of a difference quotient, so
     # the entries whose rays miss the tanh front converge on the first

@@ -15,6 +15,7 @@ a draw that has a table, so the expansion budget bounds its size too.
 
 import copy
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
@@ -598,27 +599,96 @@ def test_table_route_keeps_the_checks():
             Polynomial(exponents, coefficients)
 
 
+def _cyclic_cubic(n):
+    """x_i^3 + 0.3 x_(i+1), indices mod n: H = sum x_i^4 / 4 + 0.15 x_i x_(i+1)."""
+    return parse_field("; ".join(f"x{i + 1}^3 + 0.3*x{(i + 1) % n + 1}" for i in range(n)))
+
+
 def test_a_table_costs_per_held_exponent_not_per_coordinate():
-    # grad H of the cyclic cubic in 32 variables has 1,056 monomials of at
-    # most two variables each.  Gathering all 32 powers of each at 512
-    # points would take one array of about 132 MiB.
+    # grad H of the cyclic cubic in 32 variables is x^3 plus 0.15 times the
+    # two neighbours: 2n rows, x_i^3 and x_i, none of them zero.
     n = 32
-    field = parse_field("; ".join(f"x{i + 1}^3 + 0.3*x{(i + 1) % n + 1}" for i in range(n)))
-    table = field.polynomial.gradient_potential
+    table = _cyclic_cubic(n).polynomial.gradient_potential
     points = ball_points(n, 512, 2.0, seed=5)
-    assert table.exponents.shape == (1056, n)
-    assert (table.exponents != 0).sum(axis=1).max() == 2
+    assert table.exponents.shape == (2 * n, n)
+    assert np.abs(table.coefficients).max(axis=1).min() > 0.0
+    neighbours = np.roll(points, 1, axis=1) + np.roll(points, -1, axis=1)
+    assert np.allclose(table(points), points**3 + 0.15 * neighbours, rtol=1e-14, atol=1e-14)
+    # The 1,024 monomials x_i^2 x_j hold at most two variables each.
+    # Gathering all 32 powers of each at 512 points would take one array
+    # of 128 MiB.
+    eye = np.eye(n, dtype=np.int64)
+    wide = Polynomial((2 * eye[:, None] + eye[None, :]).reshape(-1, n), np.ones(n * n))
+    assert wide.exponents.shape == (n * n, n)
+    assert (wide.exponents != 0).sum(axis=1).max() == 2
     tracemalloc.start()
     try:
-        values = table(points)
+        values = wide(points)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
-    # H = sum x_i^4 / 4 + 0.15 x_i x_(i+1), so grad H is x^3 plus 0.15
-    # times the two neighbours.
-    neighbours = np.roll(points, 1, axis=1) + np.roll(points, -1, axis=1)
-    assert np.allclose(values, points**3 + 0.15 * neighbours, rtol=1e-14, atol=1e-14)
+    # The sum of x_i^2 x_j over all i and j is |x|^2 times the sum of x_j.
+    expected = (points**2).sum(axis=1) * points.sum(axis=1)
+    assert np.allclose(values, expected, rtol=1e-12, atol=1e-12)
+
+
+def _sympy_gradient_monomials(field):
+    """The monomials of grad H, H(x) = int_0^1 <X(t x), x> dt, with X
+    read exactly from the field's table."""
+    table = field.polynomial
+    xs = sympy.symbols(f"x1:{field.dimension + 1}")
+    monomials = [sympy.Mul(*(x**int(e) for x, e in zip(xs, row))) for row in table.exponents]
+    components = [
+        sum(sympy.Rational(c) * m for c, m in zip(table.coefficients[:, i].tolist(), monomials))
+        for i in range(field.dimension)
+    ]
+    along = {x: _T * x for x in xs}
+    radial = sum(c.subs(along, simultaneous=True) * x for c, x in zip(components, xs))
+    potential = sympy.integrate(sympy.expand(radial), (_T, 0, 1))
+    return {m for x in xs for m in sympy.Poly(sympy.diff(potential, x), *xs).monoms()}
+
+
+@pytest.mark.parametrize(
+    "field",
+    [pytest.param(_cyclic_cubic(n), id=f"cyclic_cubic({n})") for n in range(2, 9)]
+    + [
+        pytest.param(entry.field, id=entry.name)
+        for entry in _CATALOG
+        if entry.name in ("gradient_poly", "cubic_radial")
+    ],
+)
+def test_the_gradient_table_holds_only_the_terms_of_grad_h(field):
+    # None of these fields has terms that cancel, so every row of grad H's
+    # table is a monomial of grad H with a non-zero coefficient.
+    table = field.polynomial.gradient_potential
+    assert np.abs(table.coefficients).max(axis=1).min() > 0.0
+    rows = {tuple(row) for row in table.exponents.tolist()}
+    assert rows == _sympy_gradient_monomials(field)
+
+
+def test_a_cancelled_monomial_leaves_no_term_in_grad_h():
+    # x1^3 - x1^3 expands to a zero coefficient, which puts no term in H:
+    # grad H = (0, x2) is served by its table at (1e200, 0), where X
+    # itself overflows and so does everything that evaluates X.
+    field = parse_field("x1^3 - x1^3; x2")
+    point = [[1e200, 0.0]]
+    part = ConservativePart(field)
+    assert np.array_equal(part.evaluate_many(point), [[0.0, 0.0]])
+    values, hessians = part.value_and_jacobian_many(point)
+    assert np.array_equal(values, [[0.0, 0.0]])
+    assert np.array_equal(hessians, [[[0.0, 0.0], [0.0, 1.0]]])
+    assert np.array_equal(gradient_potential_integral_many(field, point), [[0.0, 0.0]])
+    remainder = SphereInvariantPart(field)
+    for evaluate in (
+        field.evaluate_many,
+        field.value_and_jacobian_many,
+        partial(decompose_many, field),
+        remainder.evaluate_many,
+        remainder.value_and_jacobian_many,
+    ):
+        with pytest.raises(NonFiniteValueError):
+            evaluate(point)
 
 
 # ---------------------------------------------------------------------------
