@@ -440,11 +440,11 @@ class ConservativePart(VectorField):
     monomial, as x1^3 - x1^3 does, the part is served by its table at
     points where the field itself overflows.  ``value_and_jacobian_many``
     takes grad H and its Jacobian, the exact Hessian of H, from one
-    evaluation of that table's jet (``Polynomial.jet``).  Rows whose
-    rounding bound misses the quadrature tolerance take their values from
-    the homotopy route and their Jacobians from the table's
-    ``derivative`` alone, where no overflowing power of the values meets
-    a zero coefficient.
+    evaluation of that table's jet (``Polynomial.jet_within``).  Rows
+    whose rounding bound misses the quadrature tolerance take the part's
+    own route: values from the homotopy route and Jacobians from the
+    table's ``derivative`` alone, where no overflowing power of the
+    values meets a zero coefficient.
     Of a shifted source the part reads the tables of the inner field
     (``_unshifted``), so the shift builds none of its own.  Otherwise the
     Jacobian is the central-difference fallback.
@@ -473,14 +473,10 @@ class ConservativePart(VectorField):
         if not self.exact_jacobian:
             return super()._value_and_jacobian_many(points)
         table = self._inner.polynomial.gradient_potential
-        jet, _, served = table.jet.value_within(
-            points, self.config.abs_tol, self.config.rel_tol, self._jet_shift
+        return table.jet_within(
+            points, self.config.abs_tol, self.config.rel_tol,
+            lambda rest: (self._evaluate_many(rest), table.derivative(rest)), self._jet_shift,
         )
-        values, jac = jet[..., 0], jet[..., 1:]
-        if not served.all():
-            rest = points[~served]
-            values[~served], jac[~served] = self._evaluate_many(rest), table.derivative(rest)
-        return values, jac
 
     def _radial_profiles(self, radii, directions):
         """The probe's table by the ray recurrence (module docstring): radius

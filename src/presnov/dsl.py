@@ -46,9 +46,10 @@ Values come from one AST walker, generic over its arithmetic, on
 floats.  Jacobians are exact.  A field with a monomial table (below)
 takes X and J from the table's jet, one power table and one
 contraction, at every point whose rounding bound meets the default
-quadrature tolerances; every other field, and every other point, runs
-the same walker on forward-mode duals (value, gradient) (Griewank and
-Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
+quadrature tolerances (``Polynomial.jet_within``, which hands every
+other point to the walker below); every other field, and every other
+point, runs the same walker on forward-mode duals (value, gradient)
+(Griewank and Walther, "Evaluating Derivatives", 2nd ed., 2008).  abs
 differentiates to sign, '^' with a constant exponent c to c a^(c-1) a'
 (0 when c = 0; for the integer exponents above, a^(c-1) by the same
 multiplication), and '^' with a varying exponent to b a^(b-1) a' +
@@ -841,16 +842,13 @@ class ExpressionField(VectorField):
 
     def _value_and_jacobian_many(self, points):
         """X and J from the table's jet where its rounding bound meets the
-        default quadrature tolerances, from the dual-number walker elsewhere."""
+        default quadrature tolerances, from the dual-number walker elsewhere
+        (``Polynomial.jet_within``)."""
         table = self.polynomial
         if table is None:
             return self._walked(points)
         cfg = DEFAULT_QUADRATURE
-        jet, _, served = table.jet.value_within(points, cfg.abs_tol, cfg.rel_tol)
-        values, jac = jet[..., 0], jet[..., 1:]
-        if not served.all():
-            values[~served], jac[~served] = self._walked(points[~served])
-        return values, jac
+        return table.jet_within(points, cfg.abs_tol, cfg.rel_tol, self._walked)
 
     def _walked(self, points):
         m, n = points.shape

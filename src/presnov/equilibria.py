@@ -13,9 +13,12 @@ central-difference stencil of ``fields`` otherwise; for
 ``ConservativePart`` it is the Hessian of H, exact from the monomial
 table of a polynomial field and the stencil otherwise),
 Armijo backtracking on the merit function |X(x)|^2 / 2 (fixed constants
-``_ARMIJO`` and ``_MIN_STEP``), a gradient-descent fallback when the
-Jacobian is unusable, and seeded multistart inside the ball, whose
-points are drawn only once the origin start has failed.  Iterates
+``_ARMIJO`` and ``_MIN_STEP``), and seeded multistart inside the ball,
+whose points are drawn only once the origin start has failed.  Each step
+picks its direction by one rule: Newton's step where it is finite and
+its directional derivative is finite and negative, steepest descent
+-J^T X otherwise; and one test ends a start whose merit is stationary or
+overflows, where no step can be seen to lower it.  Iterates
 that leave the ball are pulled back radially to 0.999 of its radius.
 A polynomial DSL field, and the conservative part of a tabled field,
 return X and J from one evaluation of a table's jet; plain values, the
@@ -243,7 +246,11 @@ def _newton_from(field, x0, radius, cfg):
     residual of the run, up to ties.  Every trial of a rung is
     evaluated, so a non-finite value at any of them, or a non-finite
     Jacobian, raises NonFiniteValueError, and so does a merit gradient
-    J^T X that overflows.
+    J^T X that overflows.  The direction is Newton's step when it is
+    finite and its directional derivative is finite and negative, and
+    steepest descent -J^T X otherwise (a singular Jacobian included); the
+    run stops where a full step would not lower the merit in floating
+    point, also when the merit overflows.
     """
     x = _project(np.array(x0, dtype=float), radius)
     values, jacs = field.value_and_jacobian_many(x[None, :])
@@ -253,24 +260,25 @@ def _newton_from(field, x0, radius, cfg):
     while taken < cfg.max_iterations and res > cfg.residual_tol:
         with np.errstate(over="ignore", invalid="ignore"):
             merit_grad = jac.T @ fx
-        if not np.isfinite(merit_grad).all():
-            raise NonFiniteValueError(
-                f"merit gradient J^T X of field '{field.label}' overflows at {x.tolist()}"
-            )
-        try:
-            step = np.linalg.solve(jac, -fx)
-            if not np.isfinite(step).all():
-                raise np.linalg.LinAlgError
-        except np.linalg.LinAlgError:
-            step = -merit_grad  # gradient descent on the merit function
-        directional = float(merit_grad @ step)
-        if not np.isfinite(directional) or directional >= 0.0:
-            step = -merit_grad
-            directional = -float(merit_grad @ merit_grad)
+            if not np.isfinite(merit_grad).all():
+                raise NonFiniteValueError(
+                    f"merit gradient J^T X of field '{field.label}' overflows at {x.tolist()}"
+                )
+            try:
+                step = np.linalg.solve(jac, -fx)
+                directional = float(merit_grad @ step)
+            except np.linalg.LinAlgError:
+                directional = math.nan  # a singular Jacobian has no Newton step
+            # Newton's step where it descends, steepest descent otherwise.  A
+            # non-finite step has a non-finite directional derivative.
+            if not -math.inf < directional < 0.0:
+                step = -merit_grad
+                directional = -float(merit_grad @ merit_grad)
         merit = 0.5 * res * res
-        if merit + directional == merit:
+        if not merit + directional < merit:
             # Stationary merit: even a full step would lower it by less
-            # than its rounding, so the line search could only crawl.
+            # than its rounding, so the line search could only crawl; or
+            # the merit overflows, and no step can be seen to lower it.
             break
         accepted = _armijo_step(field, x, step, merit, directional, radius)
         if accepted is None:

@@ -28,11 +28,14 @@ parts'.  The table's ``degree`` bounds the degree of t -> X(t x).
 From the table ``decomposition`` takes grad H, and the Hessian
 of H, in closed form: the table of grad H and its derivative.  A
 table's ``jet`` holds P and its Jacobian in one table, so one power
-table and one contraction give both.  Jacobian calls use it: the DSL's
-``ExpressionField`` takes X and J from the jet of its table, and
+table and one contraction give both.  Jacobian calls use it through
+``Polynomial.jet_within``, the one place that reads the jet's layout:
+it serves every point whose rounding bound meets the quadrature
+tolerance (``Polynomial.value_within``) and hands the others to the
+caller's route.  The DSL's ``ExpressionField`` takes X and J from the
+jet of its table, its dual-number walker the rest, and
 ``decomposition.ConservativePart`` grad H and its Hessian from the jet
-of grad H's, at every point whose rounding bound meets the quadrature
-tolerance (``Polynomial.value_within``).  The remainder X - grad H is
+of grad H's, the homotopy route the rest.  The remainder X - grad H is
 field arithmetic on the two (``SumField`` of X and ``ScaledField`` -1
 of the conservative part), so its values, Jacobians, table and
 exactness are theirs.  Plain values (``evaluate_many``) do not: every
@@ -284,6 +287,18 @@ class Polynomial:
             np.concatenate((self.exponents, slopes.exponents)),
             np.concatenate((values, np.insert(slopes.coefficients, 0, 0.0, axis=-1))),
         )
+
+    def jet_within(self, points, abs_tol, rel_tol, route, constant=None):
+        """P and its Jacobian at the rows of ``points``: from the ``jet`` at
+        the rows its ``value_within`` serves, and from ``route(rest)``, which
+        returns (values, Jacobians), at the rest.  ``constant`` is a constant
+        of the jet, P's in column 0 and zeros beside it.  Call it with
+        floating-point errors ignored, as ``value_within``."""
+        jet, _, served = self.jet.value_within(points, abs_tol, rel_tol, constant)
+        values, jac = jet[..., 0], jet[..., 1:]
+        if not served.all():
+            values[~served], jac[~served] = route(points[~served])
+        return values, jac
 
     @cached_property
     def gradient_potential(self):

@@ -98,6 +98,29 @@ def test_identity_violation_exit_code_still_writes_report(tmp_path, capsys):
     assert len(report["payload"]["samples"]) == 10
 
 
+def test_disagreeing_verdicts_exit_code_still_writes_report(tmp_path, capsys, monkeypatch):
+    # The radial equality makes the verdicts agree, so only a defect can
+    # part them: a patched probe stands in for one.
+    def disagreeing(*args):
+        return dataclasses.replace(pv.paired_probe(*args), verdicts_agree=False)
+
+    monkeypatch.setattr(pv.cli, "paired_probe", disagreeing)
+    out = tmp_path / "report.json"
+    code = main([
+        "coercivity", "--catalog", "identity", "--dim", "2",
+        "--radius-count", "4", "--directions", "8", "--out", str(out),
+    ])
+    assert code == 4
+    assert "conservative verdict = empirically-coercive" in capsys.readouterr().err
+    report = json.loads(out.read_text(encoding="utf-8"))
+    assert report["payload"]["verdicts_agree"] is False
+    assert report["payload"]["field_probe"]["verdict"] == "empirically-coercive"
+    assert report["warnings"] == [
+        "verdicts for the field and its conservative part disagree; this "
+        "violates the radial equality and indicates an internal defect"
+    ]
+
+
 def test_decompose_hand_potential(capsys):
     code, report, _ = run_cli(capsys, "decompose", "--expr", "x1^2; x2", "--at", "1,1")
     assert code == 0

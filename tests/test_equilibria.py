@@ -1,3 +1,4 @@
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -147,6 +148,35 @@ def test_an_overflowing_merit_gradient_is_a_non_finite_error():
     field = parse_field("1e200*x1 + 1e200; x2")
     with pytest.raises(NonFiniteValueError, match="merit gradient"):
         find_equilibrium(field, 3.0, allow_uncertified=True)
+
+
+def test_an_overflowing_merit_ends_its_start_without_a_warning():
+    # |X| is about 1e155 in the ball: J^T X is finite, but the merit
+    # |X|^2 / 2 and both directional derivatives overflow, so no step can
+    # be seen to lower the merit and each start stops where it begins.
+    field = parse_field("x1 + 1e155; x2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = find_equilibrium(
+            field, 1e152, SolverConfig(multistart=2), allow_uncertified=True
+        )
+    assert not result.success and result.iterations == 0
+    assert result.residual == pytest.approx(9.99e154, rel=1e-3)
+
+
+def test_a_non_finite_newton_step_takes_steepest_descent():
+    # The Jacobian 1e-310 is subnormal: Newton's step -X / J is -inf, so
+    # the step falls back to -J^T X, whose slope -1e-620 rounds to -0 and
+    # leaves the merit stationary.
+    field = CallableField(
+        1, lambda p: 1e-310 * p + 1.0, jacobian=lambda p: np.full((p.shape[0], 1, 1), 1e-310)
+    )
+    assert np.linalg.solve([[1e-310]], [-1.0])[0] == -np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = find_equilibrium(field, 1.0, allow_uncertified=True)
+    assert not result.success and result.iterations == 0
+    assert result.residual == 1.0
 
 
 def test_a_start_returns_its_last_iterate_with_its_jacobian(monkeypatch):

@@ -380,6 +380,7 @@ def test_callable_field_rejects_a_negative_ray_degree():
 _NAN, _INF = float("nan"), float("inf")
 _IDENTITY2 = catalog_field("identity", 2).field
 _BALL_RADIUS = "ball radius must be finite and positive"
+_TABLE = r"polynomial must be a Polynomial with \(2,\) coefficients"
 _REFUSALS = {
     "Domain.dimension": (
         lambda: Domain(0), DimensionMismatchError, "dimension must be at least 1"
@@ -403,6 +404,20 @@ _REFUSALS = {
         DimensionMismatchError,
         "domain dimension does not match field dimension",
     ),
+    # A table must be the field's: a vector of its dimension in its variables.
+    "CallableField.polynomial=scalar": (
+        lambda: CallableField(2, _identity, polynomial=Polynomial(np.eye(2, dtype=int), [1, 1])),
+        ConfigError,
+        _TABLE,
+    ),
+    "CallableField.polynomial=3d": (
+        lambda: CallableField(2, _identity, polynomial=Polynomial(np.eye(3, dtype=int), np.eye(3))),
+        ConfigError,
+        _TABLE,
+    ),
+    "CallableField.polynomial=array": (
+        lambda: CallableField(2, _identity, polynomial=np.eye(2)), ConfigError, _TABLE
+    ),
     "ScaledField.factor": (
         lambda: ScaledField(_INF, _IDENTITY2), NonFiniteValueError, "scale factor must be finite"
     ),
@@ -424,6 +439,15 @@ _REFUSALS = {
 def test_constructors_refuse_bad_arguments(build, error, message):
     with pytest.raises(error, match=message):
         build()
+
+
+def test_all_of_rn_contains_every_point():
+    # Its mask keeps the leading axes, as a ball's does, at any magnitude.
+    points = np.full((4, 5, 3), 1e308)
+    for domain in (Domain(3), Domain(3, 1.0)):
+        assert domain.contains(points).shape == (4, 5)
+    assert Domain(3).contains(points).all() and Domain(3).contains_all(points)
+    assert not Domain(3, 1.0).contains(points).any()
 
 
 def test_evaluate_rejects_wrong_dimension_and_nonfinite():

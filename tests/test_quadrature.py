@@ -17,6 +17,12 @@ def test_polynomial_exact():
     assert err <= 1e-10
 
 
+@pytest.mark.parametrize("f", [lambda t: 1.0, lambda t: np.ones(t.size + 1), lambda t: t[:-1]])
+def test_an_integrand_must_give_one_value_per_node(f):
+    with pytest.raises(ValueError, match="mismatched leading dimension"):
+        integrate_unit(f)
+
+
 def test_exponential():
     value, err = integrate_unit(np.exp)
     assert value == pytest.approx(math.e - 1.0, rel=1e-13)

@@ -552,6 +552,19 @@ def test_a_function_is_refused_before_any_expansion(monkeypatch):
     assert formed == []
 
 
+def test_an_overflowing_coefficient_leaves_no_table():
+    # (1e200*x1)^2 expands to 1e400*x1^2, which no double holds.  The
+    # field is the gradient of 1e400*x1^3/3 + x2^2/2, and without a table
+    # its split integrates, as any untabled field's does.
+    field = parse_field("(1e200*x1)^2; x2")
+    assert field.polynomial is None
+    assert not ConservativePart(field).exact_jacobian
+    split = decompose_many(field, np.array([[1e-160, 0.5]]))
+    assert split.conservative[0] == pytest.approx([1e80, 0.5], rel=1e-12)
+    assert split.potentials[0] == pytest.approx(0.125, rel=1e-12)
+    assert np.abs(split.sphere_invariant).max() <= 1e-12
+
+
 def test_constant_fields_have_an_empty_hessian_table():
     # grad H of a constant c is c itself, so the Hessian's table has no rows
     # and evaluates to zeros; so does the remainder X - grad H and its Jacobian.
