@@ -451,14 +451,11 @@ class ConservativePart(VectorField):
     """
 
     def __init__(self, source: VectorField, config: QuadratureConfig = DEFAULT_QUADRATURE):
-        super().__init__(source.dimension, f"conservative_part({source.label})", source.domain)
+        super().__init__(source.dimension, f"conservative_part({source.label})", source.radius)
         self.source = source
         self.config = config
-        self._inner, shift = _unshifted(source)
+        self._inner, self._shift = _unshifted(source)
         self.exact_jacobian = self._inner.polynomial is not None
-        # The shift adds to grad H, column 0 of the jet, and not to the Hessian.
-        n = self.dimension
-        self._jet_shift = None if shift is None else np.column_stack((shift, np.zeros((n, n))))
 
     @cached_property
     def polynomial(self):
@@ -466,7 +463,7 @@ class ConservativePart(VectorField):
         return None if table is None else table.gradient_potential
 
     def _evaluate_many(self, points):
-        # The points passed this part's checks, and it shares the source's domain.
+        # The points passed this part's checks, and it shares the source's ball.
         return _homotopy_gradient(self.source, points, self.config)[0]
 
     def _value_and_jacobian_many(self, points):
@@ -475,7 +472,7 @@ class ConservativePart(VectorField):
         table = self._inner.polynomial.gradient_potential
         return table.jet_within(
             points, self.config.abs_tol, self.config.rel_tol,
-            lambda rest: (self._evaluate_many(rest), table.derivative(rest)), self._jet_shift,
+            lambda rest: (self._evaluate_many(rest), table.derivative(rest)), self._shift,
         )
 
     def _radial_profiles(self, radii, directions):

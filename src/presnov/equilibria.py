@@ -17,9 +17,10 @@ Armijo backtracking on the merit function |X(x)|^2 / 2 (fixed constants
 whose points are drawn only once the origin start has failed.  Each step
 picks its direction by one rule: Newton's step where it is finite and
 its directional derivative is finite and negative, steepest descent
--J^T X otherwise; and one test ends a start whose merit is stationary or
-overflows, where no step can be seen to lower it.  Iterates
-that leave the ball are pulled back radially to 0.999 of its radius.
+-J^T X otherwise; and one test ends a start whose merit is stationary,
+or whose merit or slope overflows, where no step can be seen to lower
+it.  Iterates that leave the ball are pulled back radially to 0.999 of
+its radius.
 A polynomial DSL field, and the conservative part of a tabled field,
 return X and J from one evaluation of a table's jet; plain values, the
 later rungs below, come from ``evaluate_many``, which for a DSL field
@@ -250,7 +251,8 @@ def _newton_from(field, x0, radius, cfg):
     finite and its directional derivative is finite and negative, and
     steepest descent -J^T X otherwise (a singular Jacobian included); the
     run stops where a full step would not lower the merit in floating
-    point, also when the merit overflows.
+    point, also when the merit or the slope overflows, before any trial
+    is evaluated.
     """
     x = _project(np.array(x0, dtype=float), radius)
     values, jacs = field.value_and_jacobian_many(x[None, :])
@@ -275,10 +277,11 @@ def _newton_from(field, x0, radius, cfg):
                 step = -merit_grad
                 directional = -float(merit_grad @ merit_grad)
         merit = 0.5 * res * res
-        if not merit + directional < merit:
+        if not -math.inf < merit + directional < merit:
             # Stationary merit: even a full step would lower it by less
-            # than its rounding, so the line search could only crawl; or
-            # the merit overflows, and no step can be seen to lower it.
+            # than its rounding, so the line search could only crawl; the
+            # merit overflows, and no step can be seen to lower it; or the
+            # slope does, and no trial can meet the Armijo bound, -inf.
             break
         accepted = _armijo_step(field, x, step, merit, directional, radius)
         if accepted is None:

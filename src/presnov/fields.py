@@ -43,9 +43,12 @@ field's stay on its own evaluator, and the catalog keeps its
 hand-written evaluators and Jacobians, which its tables are checked
 against.
 
-Domains are either all of R^n or a closed ball centered at the origin;
-both contain the segment from the origin to any of their points, which is
-what the line-integral potential machinery requires.
+A field's domain is one number, its ``radius``: None for all of R^n,
+or the radius of the closed ball centered at the origin that it is
+defined on.  Both contain the segment from the origin to any of their
+points, which is what the line-integral potential machinery requires.
+A sum and a ball restriction keep the smaller ball of their parts, and
+every other combinator its part's.
 
 The catalog holds fields whose potential, conservative part, and
 sphere-invariant part are known in closed form, for use as test oracles.
@@ -70,7 +73,6 @@ from .errors import NonFiniteValueError
 from .sampling import _POSITIVE, _as_integer, _as_real, _float_array
 
 __all__ = [
-    "Domain",
     "Polynomial",
     "VectorField",
     "CallableField",
@@ -94,47 +96,6 @@ _FD_SCALE = float(np.cbrt(np.finfo(float).eps))
 # 50 times a product).  Equilibrium solves make mostly such small calls:
 # with binary powering alone they run about 20% slower.
 _POW_CALLS = 128
-
-
-@dataclass(frozen=True)
-class Domain:
-    """All of R^n (radius=None) or the closed origin-centered ball."""
-
-    dimension: int
-    radius: Optional[float] = None
-
-    def __post_init__(self):
-        dimension = _as_integer(self.dimension, "dimension", (1, None), DimensionMismatchError)
-        object.__setattr__(self, "dimension", dimension)
-        if self.radius is not None:
-            radius = _as_real(self.radius, "ball radius", _POSITIVE, DomainError)
-            object.__setattr__(self, "radius", radius)
-
-    @property
-    def is_full_space(self) -> bool:
-        return self.radius is None
-
-    def contains(self, points: np.ndarray) -> np.ndarray:
-        """Mask over the last axis of ``points``: which points lie in the domain."""
-        if self.radius is None:
-            return np.ones(np.shape(points)[:-1], dtype=bool)
-        # hypot overflows only where the norm itself does, and an infinite
-        # norm is outside any ball; np.linalg.norm squares the entries first.
-        with np.errstate(over="ignore"):
-            norms = np.hypot.reduce(points, axis=-1)
-        return norms <= self.radius * (1.0 + _BALL_SLACK)
-
-    def contains_all(self, points: np.ndarray) -> bool:
-        return self.radius is None or bool(np.all(self.contains(points)))
-
-    def intersect(self, other: "Domain") -> "Domain":
-        if self.dimension != other.dimension:
-            raise DimensionMismatchError("domains have different dimensions")
-        if self.radius is None:
-            return other
-        if other.radius is None:
-            return self
-        return Domain(self.dimension, min(self.radius, other.radius))
 
 
 class Polynomial:
@@ -291,9 +252,13 @@ class Polynomial:
     def jet_within(self, points, abs_tol, rel_tol, route, constant=None):
         """P and its Jacobian at the rows of ``points``: from the ``jet`` at
         the rows its ``value_within`` serves, and from ``route(rest)``, which
-        returns (values, Jacobians), at the rest.  ``constant`` is a constant
-        of the jet, P's in column 0 and zeros beside it.  Call it with
+        returns (values, Jacobians), at the rest.  ``constant``, of P's
+        shape, adds to P and not to its Jacobian.  Call it with
         floating-point errors ignored, as ``value_within``."""
+        if constant is not None:  # the jet's constant: P's in column 0, zeros beside it
+            shift = np.zeros(np.shape(constant) + (1 + self.dimension,))
+            shift[..., 0] = constant
+            constant = shift
         jet, _, served = self.jet.value_within(points, abs_tol, rel_tol, constant)
         values, jac = jet[..., 0], jet[..., 1:]
         if not served.all():
@@ -320,15 +285,19 @@ class Polynomial:
 
 
 class VectorField:
-    """Base class for immutable vector fields on R^n."""
+    """Base class for immutable vector fields on R^n.
 
-    def __init__(self, dimension: int, label: str = "field", domain: Optional[Domain] = None):
+    ``radius`` is the field's domain: None for all of R^n, or the radius
+    of the closed ball centered at the origin that the field is defined on.
+    """
+
+    def __init__(self, dimension: int, label: str = "field", radius: Optional[float] = None):
         dimension = _as_integer(dimension, "field dimension", (1, None), DimensionMismatchError)
-        if domain is not None and domain.dimension != dimension:
-            raise DimensionMismatchError("domain dimension does not match field dimension")
         self.dimension = dimension
         self.label = label
-        self.domain = domain if domain is not None else Domain(dimension)
+        if radius is not None:
+            radius = _as_real(radius, "ball radius", _POSITIVE, DomainError)
+        self.radius = radius
 
     # True when value_and_jacobian_many is exact rather than the stencil.
     exact_jacobian = False
@@ -352,8 +321,9 @@ class VectorField:
         The package's one point-array check: a wrong shape, or anything but
         a rectangular array of real numbers, raises DimensionMismatchError,
         a NaN or infinite coordinate NonFiniteValueError, a point outside
-        the domain DomainError, and an empty (0, n) array passes.  The domain holds the segment [0, x]
-        whenever it holds x, so a checked point is also a checked ray.
+        the ball of ``radius`` DomainError, and an empty (0, n) array
+        passes.  The ball holds the segment [0, x] whenever it holds x, so
+        a checked point is also a checked ray.
         """
         expected = f"expected points of shape (m, {self.dimension})"
         pts = _float_array(points, f"{expected} of real numbers", DimensionMismatchError)
@@ -361,11 +331,20 @@ class VectorField:
             raise DimensionMismatchError(f"{expected}, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise NonFiniteValueError("points contain NaN or infinite coordinates")
-        if not self.domain.contains_all(pts):
-            raise DomainError(
-                f"point outside the field's domain (ball radius {self.domain.radius})"
-            )
+        if not self._contains(pts):
+            raise DomainError(f"point outside the field's domain (ball radius {self.radius})")
         return pts
+
+    def _contains(self, points) -> bool:
+        """Whether the domain holds every point of ``points``, whose last axis
+        holds the coordinates."""
+        if self.radius is None:
+            return True
+        # hypot overflows only where the norm itself does, and an infinite
+        # norm is outside any ball; np.linalg.norm squares the entries first.
+        with np.errstate(over="ignore"):
+            norms = np.hypot.reduce(points, axis=-1)
+        return bool(np.all(norms <= self.radius * (1.0 + _BALL_SLACK)))
 
     def _checked_call(self, points, method):
         """Run ``method`` on checked points; returns the points and its output.
@@ -432,6 +411,8 @@ class CallableField(VectorField):
     returning ``dX_i/dx_j`` at ``[k, i, j]``; without it the Jacobian is
     the central-difference fallback.  ``polynomial``, if given, is the
     monomial table of ``fn``, a ``Polynomial`` with (K, n) coefficients.
+    ``radius``, if given, restricts the domain to the closed ball of that
+    radius centered at the origin (``VectorField``).
     """
 
     def __init__(
@@ -439,11 +420,11 @@ class CallableField(VectorField):
         dimension,
         fn: Callable[[np.ndarray], np.ndarray],
         label="field",
-        domain=None,
+        radius=None,
         jacobian: Optional[Callable[[np.ndarray], np.ndarray]] = None,
         polynomial: Optional[Polynomial] = None,
     ):
-        super().__init__(dimension, label, domain)
+        super().__init__(dimension, label, radius)
         self._fn = fn
         self._jacobian = jacobian
         self.exact_jacobian = jacobian is not None
@@ -472,7 +453,7 @@ class SumField(VectorField):
         super().__init__(
             first.dimension,
             f"({first.label} + {second.label})",
-            first.domain.intersect(second.domain),
+            _smaller_radius(first.radius, second.radius),
         )
         self.first = first
         self.second = second
@@ -497,7 +478,7 @@ class ScaledField(VectorField):
         factor = _as_real(factor, "scale factor")
         if not np.isfinite(factor):
             raise NonFiniteValueError("scale factor must be finite")
-        super().__init__(inner.dimension, f"{factor!r}*{inner.label}", inner.domain)
+        super().__init__(inner.dimension, f"{factor!r}*{inner.label}", inner.radius)
         self.factor = factor
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
@@ -525,7 +506,7 @@ class ShiftedField(VectorField):
             raise DimensionMismatchError(message)
         if not np.isfinite(b).all():
             raise NonFiniteValueError("shift vector must be finite")
-        super().__init__(inner.dimension, f"shift({inner.label}, {b.tolist()})", inner.domain)
+        super().__init__(inner.dimension, f"shift({inner.label}, {b.tolist()})", inner.radius)
         self.inner = inner
         self.offset = b
         self.exact_jacobian = inner.exact_jacobian
@@ -548,11 +529,11 @@ class BallRestrictedField(VectorField):
     """Same values as the inner field, domain restricted to a closed ball."""
 
     def __init__(self, inner: VectorField, radius: float):
-        if radius is None:  # Domain reads None as the whole space
+        if radius is None:  # VectorField reads None as the whole space
             raise DomainError("ball radius must be finite and positive, got None")
-        ball = Domain(inner.dimension, radius)
-        label = f"restrict({inner.label}, r={ball.radius!r})"
-        super().__init__(inner.dimension, label, inner.domain.intersect(ball))
+        radius = _as_real(radius, "ball radius", _POSITIVE, DomainError)
+        label = f"restrict({inner.label}, r={radius!r})"
+        super().__init__(inner.dimension, label, _smaller_radius(inner.radius, radius))
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
 
@@ -570,6 +551,11 @@ class BallRestrictedField(VectorField):
         return self.inner.value_and_jacobian_many(points)
 
 
+def _smaller_radius(first, second):
+    """The smaller of two radii, None standing for all of R^n."""
+    return min((r for r in (first, second) if r is not None), default=None)
+
+
 def _fd_probes(field, centers):
     """Probes (m, 2n + 1, n) around the rows x of ``centers`` and steps (m, n).
 
@@ -585,7 +571,7 @@ def _fd_probes(field, centers):
     flat = probes.reshape(m, (2 * n + 1) * n)
     flat[:, n :: 2 * n + 1] += steps
     flat[:, 2 * n :: 2 * n + 1] -= steps
-    if not field.domain.contains_all(probes):
+    if not field._contains(probes):
         raise DomainError("insufficient clearance to the ball boundary for finite differences")
     return probes, steps
 

@@ -274,7 +274,7 @@ def _probe_with_directions(field, cfg, directions):
 
 
 def _probe_directions(field, cfg):
-    if not field.domain.is_full_space:
+    if field.radius is not None:
         raise DomainError(
             "coercivity probing needs a field defined on all of R^n "
             "(the radius schedule is unbounded)"

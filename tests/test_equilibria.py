@@ -375,7 +375,7 @@ class _CountingField(VectorField):
     """Delegates to a field and counts its calls by method."""
 
     def __init__(self, inner):
-        super().__init__(inner.dimension, inner.label, inner.domain)
+        super().__init__(inner.dimension, inner.label, inner.radius)
         self.inner = inner
         self.exact_jacobian = inner.exact_jacobian
         self.calls = Counter()
@@ -405,6 +405,19 @@ def test_solver_call_counts_are_pinned():
     leaf = _CountingField(catalog_field("cubic_radial", 3).field)
     assert find_equilibrium_conservative(ShiftedField(leaf, _STALLING_OFFSET), 2.0).success
     assert leaf.calls == {"evaluate_many": 2, "value_and_jacobian_many": 14}
+
+
+def test_an_overflowing_slope_ends_its_start_after_one_call():
+    # |X| = 1.5e154 at the origin: the merit |X|^2 / 2 = 1.1e308 is finite
+    # but the steepest-descent slope -|J^T X|^2 is -inf, so the Armijo
+    # bound is -inf for every trial and no rung is evaluated.
+    leaf = _CountingField(parse_field("x1 + 1.5e154; x2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x, res, _, taken, converged = _newton_from(leaf, np.zeros(2), 1e150, SolverConfig())
+    assert leaf.calls == {"value_and_jacobian_many": 1}
+    assert np.array_equal(x, [0.0, 0.0]) and res == 1.5e154
+    assert taken == 0 and not converged
 
 
 def test_a_stalled_line_search_costs_one_call_per_rung():

@@ -8,7 +8,6 @@ from presnov import (
     CatalogError,
     ConfigError,
     DimensionMismatchError,
-    Domain,
     DomainError,
     ExpressionField,
     NonFiniteValueError,
@@ -330,7 +329,6 @@ def _identity_jacobian(points):
         (lambda: ball_points(2, 3, 1.0, 2.5), ConfigError),
         (lambda: unit_directions(2, 3, 0.5), ConfigError),
         (lambda: CallableField(2.5, _identity), DimensionMismatchError),
-        (lambda: Domain(2.5), DimensionMismatchError),
         (lambda: catalog_field("gradient_poly", 2.9), CatalogError),
         (lambda: parse_expression("x1", 1.9), ParseError),
         (lambda: parse_expressions("x1; x2", 2.0), ParseError),
@@ -348,7 +346,6 @@ def _identity_jacobian(points):
         "ball_points.seed",
         "unit_directions.seed",
         "CallableField.dimension",
-        "Domain.dimension",
         "catalog_field.dimension",
         "parse_expression.dimension",
         "parse_expressions.dimension",
@@ -365,7 +362,7 @@ def test_integer_arguments_accept_numpy_integers():
     table = Polynomial(np.eye(2, dtype=np.int32), np.eye(2))
     field = CallableField(np.int64(2), _identity, jacobian=_identity_jacobian, polynomial=table)
     assert type(field.dimension) is int and type(field.polynomial.degree) is int
-    assert type(Domain(np.int64(2)).dimension) is int
+    assert type(CallableField(2, _identity, radius=np.int64(2)).radius) is float
     assert type(SolverConfig(seed=np.int64(3)).seed) is int
 
 
@@ -375,34 +372,29 @@ def test_callable_field_rejects_a_negative_ray_degree():
         CallableField(2, _identity, polynomial=Polynomial([[-1, 0]], [[1.0, 0.0]]))
 
 
-# Refusals of the domain, field and expression constructors, each with its
+# Refusals of the field and expression constructors, each with its
 # error class and message.
 _NAN, _INF = float("nan"), float("inf")
 _IDENTITY2 = catalog_field("identity", 2).field
 _BALL_RADIUS = "ball radius must be finite and positive"
 _TABLE = r"polynomial must be a Polynomial with \(2,\) coefficients"
 _REFUSALS = {
-    "Domain.dimension": (
-        lambda: Domain(0), DimensionMismatchError, "dimension must be at least 1"
-    ),
-    "Domain.radius=0": (lambda: Domain(2, 0.0), DomainError, _BALL_RADIUS),
-    "Domain.radius=-1": (lambda: Domain(2, -1.0), DomainError, _BALL_RADIUS),
-    "Domain.radius=inf": (lambda: Domain(2, _INF), DomainError, _BALL_RADIUS),
-    "Domain.radius=nan": (lambda: Domain(2, _NAN), DomainError, _BALL_RADIUS),
-    "Domain.intersect": (
-        lambda: Domain(2).intersect(Domain(3)),
-        DimensionMismatchError,
-        "domains have different dimensions",
-    ),
     "CallableField.dimension": (
         lambda: CallableField(0, _identity),
         DimensionMismatchError,
         "field dimension must be at least 1",
     ),
-    "CallableField.domain": (
-        lambda: CallableField(2, _identity, domain=Domain(3)),
-        DimensionMismatchError,
-        "domain dimension does not match field dimension",
+    "CallableField.radius=0": (
+        lambda: CallableField(2, _identity, radius=0.0), DomainError, _BALL_RADIUS
+    ),
+    "CallableField.radius=-1": (
+        lambda: CallableField(2, _identity, radius=-1.0), DomainError, _BALL_RADIUS
+    ),
+    "CallableField.radius=inf": (
+        lambda: CallableField(2, _identity, radius=_INF), DomainError, _BALL_RADIUS
+    ),
+    "CallableField.radius=nan": (
+        lambda: CallableField(2, _identity, radius=_NAN), DomainError, _BALL_RADIUS
     ),
     # A table must be the field's: a vector of its dimension in its variables.
     "CallableField.polynomial=scalar": (
@@ -442,12 +434,12 @@ def test_constructors_refuse_bad_arguments(build, error, message):
 
 
 def test_all_of_rn_contains_every_point():
-    # Its mask keeps the leading axes, as a ball's does, at any magnitude.
-    points = np.full((4, 5, 3), 1e308)
-    for domain in (Domain(3), Domain(3, 1.0)):
-        assert domain.contains(points).shape == (4, 5)
-    assert Domain(3).contains(points).all() and Domain(3).contains_all(points)
-    assert not Domain(3, 1.0).contains(points).any()
+    # At any magnitude: the norm of these points overflows to inf, which
+    # is outside every ball.
+    points = np.full((4, 3), 1e308)
+    assert np.array_equal(CallableField(3, _identity).evaluate_many(points), points)
+    with pytest.raises(DomainError, match=r"outside the field's domain \(ball radius 1.0\)"):
+        CallableField(3, _identity, radius=1.0).evaluate_many(points)
 
 
 def test_evaluate_rejects_wrong_dimension_and_nonfinite():
@@ -486,7 +478,7 @@ def test_scale_factors_and_radii_must_be_real_numbers(value):
     with pytest.raises(DomainError, match="ball radius must be a real number"):
         BallRestrictedField(_IDENTITY2, value)
     with pytest.raises(DomainError, match="ball radius must be a real number"):
-        Domain(2, value)
+        CallableField(2, _identity, radius=value)
 
 
 def test_a_ball_restriction_needs_a_radius():
@@ -499,13 +491,13 @@ def test_real_scalars_keep_their_labels():
     assert BallRestrictedField(_IDENTITY2, 2).label == "restrict(identity, r=2.0)"
     restricted = BallRestrictedField(_IDENTITY2, np.float32(0.1))
     assert restricted.label == "restrict(identity, r=0.10000000149011612)"
-    assert restricted.domain.radius == float(np.float32(0.1))
+    assert restricted.radius == float(np.float32(0.1))
 
 
 # Every real and integer setting: its owner called on one value, the error
 # the owner raises, and values out of its range.  A setting where None
-# means a default (a sample count, a probe's directions, a domain that is
-# the whole space) is not tried with None.
+# means a default (a sample count, a probe's directions, a field's radius,
+# None for the whole space) is not tried with None.
 _SETTINGS = {
     "QuadratureConfig.abs_tol": (lambda v: pv.QuadratureConfig(abs_tol=v), ConfigError, [0.0]),
     "QuadratureConfig.rel_tol": (lambda v: pv.QuadratureConfig(rel_tol=v), ConfigError, [-1.0]),
@@ -574,7 +566,9 @@ _DEFAULTED = {
         ConfigError,
         [0],
     ),
-    "Domain.radius": (lambda v: Domain(2, v), DomainError, [-1.0]),
+    "CallableField.radius": (
+        lambda v: CallableField(2, _identity, radius=v), DomainError, [-1.0]
+    ),
 }
 _NOT_A_SETTING = ["0.5", 1 + 2j, [0.5], _NAN, _INF, -_INF, True, np.True_]
 _SETTING_CASES = [
@@ -653,8 +647,17 @@ def test_ball_restriction_enforced():
 def test_nested_domains_keep_the_smaller_ball():
     identity = catalog_field("identity", 2).field
     inner = BallRestrictedField(identity, 2.0)
-    assert BallRestrictedField(inner, 1.0).domain == Domain(2, 1.0)
-    assert SumField(inner, identity).domain == Domain(2, 2.0)
+    assert identity.radius is None and inner.radius == 2.0
+    assert BallRestrictedField(inner, 1.0).radius == 1.0
+    assert BallRestrictedField(inner, 3.0).radius == 2.0
+    assert SumField(inner, identity).radius == SumField(identity, inner).radius == 2.0
+    assert SumField(inner, BallRestrictedField(identity, 1.5)).radius == 1.5
+    assert SumField(identity, identity).radius is None
+    # The other combinators, and the split's parts, pass on their part's.
+    for wrapped in (ScaledField(2.0, inner), ShiftedField(inner, [1.0, 0.0])):
+        assert wrapped.radius == 2.0
+    assert pv.ConservativePart(inner).radius == pv.SphereInvariantPart(inner).radius == 2.0
+    assert pv.ConservativePart(identity).radius is None
 
 
 def test_ball_membership_does_not_overflow():
@@ -672,6 +675,31 @@ def test_non_finite_output_reported():
     field = parse_field("1/x1; x2")
     with pytest.raises(NonFiniteValueError):
         field.evaluate([0.0, 1.0])
+
+
+# Each combinator around a leaf.  Unchecked, a shift or a sum would
+# broadcast the leaf's (3, 1) values to (3, 2), and a sum its (3, 1, 2)
+# Jacobians to (3, 2, 2).
+_AROUND_A_LEAF = {
+    "ShiftedField": lambda leaf: ShiftedField(leaf, [1.0, 2.0]),
+    "ScaledField": lambda leaf: ScaledField(2.0, leaf),
+    "SumField(leaf, X)": lambda leaf: SumField(leaf, _IDENTITY2),
+    "SumField(X, leaf)": lambda leaf: SumField(_IDENTITY2, leaf),
+    "BallRestrictedField": lambda leaf: BallRestrictedField(leaf, 10.0),
+}
+
+
+@pytest.mark.parametrize("wrap", _AROUND_A_LEAF.values(), ids=_AROUND_A_LEAF)
+def test_a_leaf_output_of_the_wrong_shape_is_refused_inside_a_combinator(wrap):
+    points = np.ones((3, 2))
+    narrow = wrap(CallableField(2, lambda p: p[:, :1]))
+    with pytest.raises(DimensionMismatchError, match=r"value of shape \(3, 1\)"):
+        narrow.evaluate_many(points)
+    narrow_jacobian = wrap(
+        CallableField(2, _identity, jacobian=lambda p: np.zeros((p.shape[0], 1, 2)))
+    )
+    with pytest.raises(DimensionMismatchError, match=r"Jacobian of shape \(3, 1, 2\)"):
+        narrow_jacobian.value_and_jacobian_many(points)
 
 
 def test_batch_matches_single():
